@@ -3,7 +3,9 @@
 `check FILE` checks one program and prints its verdict (exit code 0
 Typed, 1 IllTyped, 2 Unknown, 3 Malformed). `corpus DIR` checks every
 `.lama` file against its sibling `.expected` file, comparing verdicts and
-(when given) reported types modulo recursive-type unfolding.
+(when given) reported types modulo recursive-type unfolding. A file or
+directory that cannot be read ends the run with one line on standard
+error and exit code 4.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from pathlib import Path
 
 from .checker import CheckOptions, Report, check_file, DEFAULT_FUEL, TYPED
 from .types import TypeParseError, parse_type, types_equal
+
+EXIT_IO_ERROR = 4
 
 
 def _add_common_flags(p):
@@ -77,7 +81,9 @@ def _parse_expected(text: str):
 
 def cmd_corpus(args, out) -> int:
     root = Path(args.dir)
-    files = sorted(root.glob("*.lama"))
+    # Listing (not globbing) fails on a missing directory instead of
+    # finding nothing in it.
+    files = sorted(p for p in root.iterdir() if p.match("*.lama"))
     failures = 0
     checked = 0
     options = _options(args)
@@ -137,9 +143,15 @@ def main(argv=None, out=None) -> int:
     p_corpus.add_argument("dir")
     _add_common_flags(p_corpus)
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args, out)
-    return cmd_corpus(args, out)
+    try:
+        if args.command == "check":
+            return cmd_check(args, out)
+        return cmd_corpus(args, out)
+    except OSError as exc:
+        if exc.filename is None:
+            raise  # not a path that was read, e.g. a closed output stream
+        print(f"shapecheck: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

@@ -113,20 +113,106 @@ def constraint_weight(c, state):
     raise ValueError(f"not a constraint: {w!r}")
 
 
-def pick_next(queue, state):
-    """Index of the minimal-weight pickable constraint (ties broken by
-    queue position); None when every remaining constraint is residual."""
-    best = None
-    best_w = None
-    for i, c in enumerate(queue):
-        w = constraint_weight(c, state)
-        if w is None:
-            continue
-        if best_w is None or w < best_w:
-            best, best_w = i, w
-            if w == 0:
-                break
-    return best
+def _reversed_chain(chain, tail=None):
+    """The cons cells of chain, last first, in front of tail."""
+    while chain is not None:
+        tail = (chain[0], tail)
+        chain = chain[1]
+    return tail
+
+
+class ConstraintQueue:
+    """Persistent queue of pending constraints, in two lanes of cons cells
+    (item, next), shared between search branches.
+
+    An equality weighs 0 in every state, so equalities wait in their own
+    FIFO lane (a front chain and a reversed rear chain) whose head is the
+    pick, found without computing a weight. Every other item waits in the
+    other lane in enqueue order, scanned by weight only when the equality
+    lane is empty. The pick is the one a scan of a single list in enqueue
+    order makes: minimal weight, ties to the earliest, a residual (weight
+    None) never.
+
+    `mixed` counts other-lane items that may weigh 0: raw variables, and
+    equalities queued there because one was waiting. While it is
+    nonzero new equalities join the other lane too, so every equality-lane
+    item precedes every other-lane item that may weigh 0.
+    """
+
+    __slots__ = ("eq_front", "eq_rear", "front", "rear", "mixed")
+
+    def __init__(self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0):
+        self.eq_front = eq_front  # None only when eq_rear is None too
+        self.eq_rear = eq_rear
+        self.front = front
+        self.rear = rear
+        self.mixed = mixed
+
+    def __bool__(self):
+        return not (self.eq_front is None and self.front is None and self.rear is None)
+
+    def push_all(self, items) -> "ConstraintQueue":
+        """The queue with items appended in order; itself when there are none."""
+        if not items:
+            return self
+        eqs, rear, mixed = [], self.rear, self.mixed
+        for c in items:
+            if not isinstance(c, Compound) or (mixed and c.tag == "Eq"):
+                rear = (c, rear)
+                mixed += 1
+            elif c.tag == "Eq":
+                eqs.append(c)
+            else:
+                rear = (c, rear)
+        eq_front, eq_rear = self.eq_front, self.eq_rear
+        if eq_front is None:
+            # Built front first, so a long initial queue is never held
+            # twice, as a rear chain and its reversal.
+            for c in reversed(eqs):
+                eq_front = (c, eq_front)
+        else:
+            for c in eqs:
+                eq_rear = (c, eq_rear)
+        return ConstraintQueue(eq_front, eq_rear, self.front, rear, mixed)
+
+    def pop(self, state):
+        """(picked item, the remaining queue), or None when the queue is
+        empty or holds only residuals."""
+        cell = self.eq_front
+        if cell is not None:
+            eq_front, eq_rear = cell[1], self.eq_rear
+            if eq_front is None and eq_rear is not None:
+                eq_front, eq_rear = _reversed_chain(eq_rear), None
+            return cell[0], ConstraintQueue(eq_front, eq_rear, self.front, self.rear, self.mixed)
+        front = self.front
+        if self.rear is not None:
+            front = _reversed_chain(_reversed_chain(front), _reversed_chain(self.rear))
+        # The lowest weight this lane can hold: nothing after an item of
+        # that weight can beat it, so the scan stops there.
+        floor = _W_EQ if self.mixed else _W_SEXP_GROUND
+        best = best_w = None
+        i, cell = 0, front
+        while cell is not None:
+            w = constraint_weight(cell[0], state)
+            if w is not None and (best_w is None or w < best_w):
+                best, best_w = i, w
+                if w <= floor:
+                    break
+            i += 1
+            cell = cell[1]
+        if best is None:
+            return None
+        # Only the cells before the pick are copied; the rest is shared.
+        prefix, cell = None, front
+        for _ in range(best):
+            prefix = (cell[0], prefix)
+            cell = cell[1]
+        item, rest = cell
+        rest = _reversed_chain(prefix, rest)
+        mixed = self.mixed
+        if mixed and (not isinstance(item, Compound) or item.tag == "Eq"):
+            mixed -= 1
+        return item, ConstraintQueue(None, None, rest, None, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +220,29 @@ def pick_next(queue, state):
 # ---------------------------------------------------------------------------
 
 
-def entail_all(queue, opts: SolverOpts):
-    """Succeed iff every constraint in the queue is entailed.
+def entail_all(constraints, opts: SolverOpts):
+    """Succeed iff every constraint is entailed.
 
     The empty queue succeeds; otherwise one constraint is picked, solved,
     and the loop recurses on the remainder plus whatever it spawned. A
     nonempty queue of only unpickable residuals is stuck and fails.
     """
-    queue = list(queue)
+    return _entail(ConstraintQueue().push_all(constraints), opts)
 
+
+def _entail(queue: ConstraintQueue, opts: SolverOpts):
     def goal(state):
-        if not queue:
-            return succeed(state)
-        idx = pick_next(queue, state)
-        if idx is None:
-            return None
-        item = queue[idx]
-        rest = queue[:idx] + queue[idx + 1 :]
+        picked = queue.pop(state)
+        if picked is None:
+            return None if queue else succeed(state)
+        item, rest = picked
         state.counters.dispatched += 1
         # Stored lazily (term + persistent substitution); reified only if
         # the failure report needs it.
         state.counters.last_constraint = (item, state.subst)
 
         def kont(spawned):
-            return delay(lambda: entail_all(rest + list(spawned), opts))
+            return delay(lambda: _entail(rest.push_all(spawned), opts))
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":

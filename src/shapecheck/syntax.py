@@ -220,6 +220,8 @@ _PUNCT = [
     "(", ")", "[", "]", "{", "}", ",", ";", ".",
     "<", ">", "+", "-", "*", "/", "%", "=", "|", "@", "_",
 ]
+# The punctuators a character can start, longest first as in _PUNCT.
+_PUNCT_BY_FIRST = {c: [p for p in _PUNCT if p[0] == c] for c in {p[0] for p in _PUNCT}}
 
 _SHAPES = {"box": "box", "unbox": "unbox", "str": "str", "string": "str",
            "array": "array", "sexp": "sexp", "fun": "fun"}
@@ -252,11 +254,11 @@ def tokenize(src: str) -> list:
             i += 1
             col += 1
             continue
-        if src.startswith("--", i):  # line comment
+        if c == "-" and src.startswith("--", i):  # line comment
             while i < n and src[i] != "\n":
                 i += 1
             continue
-        if src.startswith("(*", i):  # block comment
+        if c == "(" and src.startswith("(*", i):  # block comment
             depth, j = 1, i + 2
             while j < n and depth:
                 if src.startswith("(*", j):
@@ -325,7 +327,7 @@ def tokenize(src: str) -> list:
             col += j - i
             i = j
             continue
-        for p in _PUNCT:
+        for p in _PUNCT_BY_FIRST.get(c, ()):
             if src.startswith(p, i):
                 toks.append(Token(p, p, start_line, start_col))
                 col += len(p)

@@ -1,14 +1,18 @@
 """Independent brute-force oracles used by the test-suite.
 
-Nothing here touches the relational engine: ground entailment is decided
-by direct rule application with bounded recursive-type unfolding, and the
-candidate-list enumerator counts bounded constructor lists directly.
+Ground entailment is decided by direct rule application with bounded
+recursive-type unfolding, and the candidate-list enumerator counts bounded
+constructor lists directly; neither touches the relational engine.
+`pick_next` is the list-based reference for the solver's pick order: it
+reads weights through the solver's own `constraint_weight` and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+from shapecheck.solver import constraint_weight
 
 # Ground type syntax for the oracle: plain tuples.
 #   ("int",) ("str",) ("arr", t) ("sexp", ((tag, (t, ...)), ...))
@@ -189,3 +193,20 @@ def count_sexp_candidates(n_constraints_on_fresh: int, max_len: int) -> int:
     """
     per_subject = len([k for k in range(max_len)])
     return per_subject ** n_constraints_on_fresh
+
+
+def pick_next(queue, state):
+    """Index of the minimal-weight pickable constraint in a plain list
+    (ties broken by position); None when every remaining constraint is
+    residual. Scans the whole list at every pick."""
+    best = None
+    best_w = None
+    for i, c in enumerate(queue):
+        w = constraint_weight(c, state)
+        if w is None:
+            continue
+        if best_w is None or w < best_w:
+            best, best_w = i, w
+            if w == 0:
+                break
+    return best

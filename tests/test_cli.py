@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from shapecheck.cli import main
+from shapecheck.checker import EXIT_CODES
+from shapecheck.cli import EXIT_IO_ERROR, main
 
 
 def run_cli(*argv):
@@ -85,6 +86,48 @@ def test_stats_key_value_lines(write):
         int(stats[key])  # numeric
 
 
+def test_check_missing_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.lama"
+    code, out = run_cli("check", str(missing))
+    assert code == EXIT_IO_ERROR
+    assert code not in EXIT_CODES.values()
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == f"shapecheck: cannot read {missing}: No such file or directory\n"
+
+
+def test_check_directory_is_an_io_error(tmp_path, capsys):
+    code, out = run_cli("check", str(tmp_path))
+    assert code == EXIT_IO_ERROR
+    err = capsys.readouterr().err
+    assert err == f"shapecheck: cannot read {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "program, steps, verdict, dispatched, unifications, fuel",
+    [
+        ("case_list", None, "Typed", 37, 230, 659),
+        ("closure_chain", None, "Typed", 22, 64, 123),
+        ("heterogeneous", None, "IllTyped", 2, 2, 5),
+        ("sexp_assign", None, "Typed", 5, 37, 108),
+        ("sort", None, "Typed", 59, 39, 163),
+        ("self_array", 50_000, "Unknown", 9094, 27273, 50000),
+    ],
+)
+def test_corpus_golden_counters(program, steps, verdict, dispatched, unifications, fuel):
+    # The counters follow the solver's pick order exactly; a change of
+    # order moves them even where the verdict stays.
+    argv = ["check", f"corpus/{program}.lama", "--stats"]
+    if steps is not None:
+        argv += ["--max-steps", str(steps)]
+    code, out = run_cli(*argv)
+    lines = out.splitlines()
+    assert lines[0] == verdict
+    stats = dict(ln.split("=", 1) for ln in lines if "=" in ln)
+    got = (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"])
+    assert got == (str(dispatched), str(unifications), str(fuel))
+
+
 def test_emit_constraints(write):
     path = write("p.lama", "var a = [1];\na [0]")
     code, out = run_cli("check", path, "--emit-constraints")
@@ -109,6 +152,15 @@ def test_corpus_empty_dir(tmp_path):
     code, out = run_cli("corpus", str(tmp_path))
     assert code == 0
     assert out.strip() == "checked=0 failed=0"
+
+
+def test_corpus_missing_dir_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent_dir"
+    code, out = run_cli("corpus", str(missing))
+    assert code == EXIT_IO_ERROR
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == f"shapecheck: cannot read {missing}: No such file or directory\n"
 
 
 def test_corpus_skips_missing_expectation(write, tmp_path):

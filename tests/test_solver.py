@@ -1,18 +1,22 @@
 """Constraint dispatch: weights, per-kind solving, pruning."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shapecheck import solver
 from shapecheck.engine import (
     Compound,
     Counters,
+    State,
     Var,
     conj,
     empty_state,
     fresh_many,
     run,
+    shallow_walk,
     unify,
 )
-from shapecheck.solver import SolverOpts, constraint_weight, entail_all, pick_next
+from shapecheck.solver import ConstraintQueue, SolverOpts, constraint_weight, entail_all
 from shapecheck.types import (
     LNIL,
     T_INT,
@@ -33,6 +37,8 @@ from shapecheck.types import (
     t_name,
     t_sexp,
 )
+
+from oracles import pick_next
 
 OK = Compound("ok", ())
 
@@ -84,7 +90,8 @@ def test_weight_order_eq_before_everything():
         ground_sexp,
         c_eq(T_INT, T_INT),
     ]
-    assert pick_next(queue, st) == 3  # the equality wins
+    item, _ = ConstraintQueue().push_all(queue).pop(st)
+    assert item is queue[3]  # the equality wins
 
 
 def test_weight_ground_vs_free_subjects():
@@ -106,10 +113,119 @@ def test_free_subject_all_box_match_is_unpickable():
     x, st = st.fresh_var()
     residual = c_match(x, llist([p_shape("box")]))
     assert constraint_weight(residual, st) is None
-    assert pick_next([residual], st) is None
+    queue = ConstraintQueue().push_all([residual])
+    assert queue.pop(st) is None
     # Once the subject is determined it becomes pickable.
     st2 = st.__class__(st.subst.set(x.id, T_INT), st.diseqs, st.hooks, st.counter, st.counters)
     assert constraint_weight(residual, st2) is not None
+    assert queue.pop(st2)[0] is residual
+
+
+# ---------------------------------------------------------------------------
+# The two-lane queue against the list-based reference
+# ---------------------------------------------------------------------------
+
+_TYPE_VARS = 3  # subjects; a binding makes one ground or links it onward
+_CONSTRAINT_VARS = 2  # raw queue items a binding may turn into a constraint
+
+
+def _queue_item(kind, subject, tvars, cvars):
+    """A fresh constraint: kind 0-5 picks Eq/Ind/Call/SexpC/box Match/
+    wildcard Match over a type variable or, for subject _TYPE_VARS, over
+    Int; kind 6 is a raw constraint variable."""
+    subj = tvars[subject] if subject < _TYPE_VARS else T_INT
+    if kind == 0:
+        return c_eq(subj, T_INT)
+    if kind == 1:
+        return c_ind(subj, T_INT)
+    if kind == 2:
+        return c_call(subj, LNIL, T_INT)
+    if kind == 3:
+        return c_sexp(0, subj, LNIL)
+    if kind == 4:
+        return c_match(subj, llist([p_shape("box")]))
+    if kind == 5:
+        return c_match(subj, llist([P_WILD]))
+    return cvars[subject % _CONSTRAINT_VARS]
+
+
+def _bind(state, var, value):
+    """Bind var to value when it is still unbound."""
+    if shallow_walk(var, state.subst) is not var:
+        return state
+    return State(state.subst.set(var.id, value), state.diseqs, state.hooks, state.counter, state.counters)
+
+
+_item = st.tuples(st.integers(0, 6), st.integers(0, _TYPE_VARS))
+_binding = st.tuples(st.integers(0, _TYPE_VARS + _CONSTRAINT_VARS - 1), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_item, max_size=12),
+    st.lists(st.tuples(st.lists(_binding, max_size=2), st.lists(_item, max_size=4)), max_size=25),
+)
+def test_queue_picks_as_the_list_reference(initial, steps):
+    # Each step binds some variables, picks from both queues, then
+    # appends what the step spawns.
+    state = empty_state(Counters())
+    tvars, cvars = [], []
+    for vs, n in ((tvars, _TYPE_VARS), (cvars, _CONSTRAINT_VARS)):
+        for _ in range(n):
+            v, state = state.fresh_var()
+            vs.append(v)
+    ground = (T_INT, T_STR, t_array(T_INT), T_INT)
+    box = llist([p_shape("box")])
+    cvalues = (c_eq(T_INT, T_INT), c_ind(tvars[0], T_INT), c_match(tvars[1], box), c_sexp(0, tvars[2], LNIL))
+
+    def fresh_items(descs):
+        return [_queue_item(k, s, tvars, cvars) for k, s in descs]
+
+    reference = fresh_items(initial)
+    queue = ConstraintQueue().push_all(reference)
+    for bindings, spawned in steps:
+        for i, value in bindings:
+            if i < _TYPE_VARS:
+                # Links only point to a later variable, so no cycle forms.
+                link = value == 3 and i + 1 < _TYPE_VARS
+                state = _bind(state, tvars[i], tvars[i + 1] if link else ground[value])
+            else:
+                state = _bind(state, cvars[i - _TYPE_VARS], cvalues[value])
+        idx = pick_next(reference, state)
+        picked = queue.pop(state)
+        if idx is None:
+            assert picked is None
+            assert bool(queue) == bool(reference)
+            return
+        item, rest = picked
+        assert item is reference[idx]
+        assert queue.pop(state)[0] is item  # popping left the queue intact
+        new = fresh_items(spawned)
+        reference = reference[:idx] + reference[idx + 1 :] + new
+        queue = rest.push_all(new)
+
+
+def test_push_nothing_returns_the_same_queue():
+    queue = ConstraintQueue().push_all([c_eq(T_INT, T_INT)])
+    assert queue.push_all([]) is queue
+    assert not ConstraintQueue() and queue
+
+
+def test_dispatching_equalities_computes_no_weight(monkeypatch):
+    calls = []
+    original = solver.constraint_weight
+
+    def counting(c, state):
+        calls.append(c)
+        return original(c, state)
+
+    monkeypatch.setattr(solver, "constraint_weight", counting)
+    n = 200
+    counters = Counters()
+    res = solve(lambda vs: [c_eq(v, T_INT) for v in vs], n, counters=counters)
+    assert answers_of(res) == [[T_INT] * n]
+    assert counters.dispatched == n
+    assert calls == []
 
 
 def test_stuck_queue_of_residuals_fails():
