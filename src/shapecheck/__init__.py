@@ -2,8 +2,8 @@
 
 The pipeline: parse mini-Lama source, extract atomic typing constraints,
 and decide their consistency with a relational solver that supports
-equirecursive types via occurs hooks, wildcard variables, search pruning
-and weight-based constraint scheduling.
+equirecursive types via occurs hooks, search pruning and weight-based
+constraint scheduling.
 """
 
 from .checker import (

@@ -18,14 +18,10 @@ from .syntax import ParseError, ResolveError, parse_program
 from .types import (
     TagTable,
     _NameGen,
-    constraint_from_term,
-    constraint_to_term,
-    free_ty_vars,
     llist,
     pretty_type,
     render_constraint,
     ty_from_term,
-    ty_to_term,
     _list_from_term,
 )
 
@@ -51,7 +47,7 @@ class CheckOptions:
 @dataclass
 class Report:
     verdict: str
-    bindings: list = field(default_factory=list)  # of (name, Ty)
+    bindings: list = field(default_factory=list)  # of (name, reified type term)
     table: Optional[TagTable] = None
     message: str = ""
     stats: dict = field(default_factory=dict)
@@ -79,25 +75,18 @@ def _stats_dict(counters: Counters, generated: int, fuel_used: int) -> dict:
 
 def solve_gen(genr: GenResult, options: CheckOptions):
     """Run the solver over a generation result. Returns (RunResult,
-    Counters, root names)."""
+    Counters)."""
     opts = SolverOpts(genr.table, prune=options.prune, max_ctors=options.max_constructors)
-    all_vars = []
-    for c in genr.constraints:
-        all_vars += free_ty_vars(c)
-    for _, t in genr.roots:
-        all_vars += free_ty_vars(t)
-    var_names = list(dict.fromkeys(all_vars))
     counters = Counters()
     counters.generated = len(genr.constraints)
+    roots = llist([t for _, t in genr.roots])
 
     def query(q):
-        def with_vars(vs):
-            varmap = dict(zip(var_names, vs))
-            roots = llist([ty_to_term(t, varmap) for _, t in genr.roots])
-            queue = [constraint_to_term(c, varmap) for c in genr.constraints]
-            return conj(unify(q, roots), entail_all(queue, opts))
-
-        return fresh_many(len(var_names), with_vars)
+        # q is Var(0); the generator's variables are Var(1) ... Var(n),
+        # so n more are taken before the solver allocates its own.
+        return fresh_many(
+            genr.var_count, lambda _: conj(unify(q, roots), entail_all(genr.constraints, opts))
+        )
 
     result = run(query, max_answers=options.max_answers, fuel=options.fuel, counters=counters)
     return result, counters
@@ -134,13 +123,18 @@ def check_source(source: str, options: Optional[CheckOptions] = None) -> Report:
         term, subst = counters.last_constraint
         reified = reify_term(term, subst)
         try:
-            c = constraint_from_term(reified)
-            message = render_constraint(c, genr.table)
+            message = render_constraint(reified, genr.table)
         except (ValueError, IndexError):
             message = repr(reified)
     return Report(ILL_TYPED, table=genr.table, message=message, stats=stats, constraints_rendered=rendered)
 
 
 def check_file(path: str, options: Optional[CheckOptions] = None) -> Report:
-    with open(path, encoding="utf-8") as fh:
-        return check_source(fh.read(), options)
+    """Check the program in a UTF-8 file. Raises OSError, naming the
+    path, when the file cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(None, f"not UTF-8: {exc.reason} at offset {exc.start}", path) from exc
+    return check_source(source, options)

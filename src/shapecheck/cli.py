@@ -4,8 +4,8 @@
 Typed, 1 IllTyped, 2 Unknown, 3 Malformed). `corpus DIR` checks every
 `.lama` file against its sibling `.expected` file, comparing verdicts and
 (when given) reported types modulo recursive-type unfolding. A file or
-directory that cannot be read ends the run with one line on standard
-error and exit code 4.
+directory that cannot be read, or a program that is not UTF-8, ends the
+run with one line on standard error and exit code 4.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .checker import CheckOptions, Report, check_file, DEFAULT_FUEL, TYPED
-from .types import TypeParseError, parse_type, types_equal
+from .types import ComparisonExhausted, TypeParseError, parse_type, pretty_type, types_equal
 
 EXIT_IO_ERROR = 4
 
@@ -113,9 +113,12 @@ def cmd_corpus(args, out) -> int:
                 except TypeParseError as exc:
                     problems.append(f"bad expected type for {name}: {exc}")
                     continue
-                if not types_equal(got[name], want):
-                    from .types import pretty_type
-
+                try:
+                    same = types_equal(got[name], want)
+                except ComparisonExhausted:
+                    problems.append(f"{name}: type comparison ran out of budget")
+                    continue
+                if not same:
                     problems.append(
                         f"{name} : {pretty_type(got[name], report.table)}, expected {ty_text}"
                     )

@@ -1,9 +1,9 @@
 """Embedded relational-logic engine.
 
-First-order terms over logic variables and wildcards, triangular
-substitutions, goals as state-to-stream functions with fair interleaving,
-disequality constraints, and per-variable occurs hooks that may substitute
-a finite term when the occurs check would otherwise fail.
+First-order terms over logic variables, triangular substitutions, goals
+as state-to-stream functions with fair interleaving, disequality
+constraints, and per-variable occurs hooks that may substitute a finite
+term when the occurs check would otherwise fail.
 """
 
 from __future__ import annotations
@@ -29,22 +29,6 @@ class Var:
 
     def __hash__(self):
         return hash(("var", self.id))
-
-
-class Wildcard:
-    """Unifies with anything and records no binding.
-
-    Under disequality a wildcard acts as a "don't care" position, so
-    disunify(t, C(_, _)) is a pure head-constructor test.
-    """
-
-    __slots__ = ("id",)
-
-    def __init__(self, vid: int):
-        self.id = vid
-
-    def __repr__(self):
-        return f"_any{self.id}"
 
 
 class Compound:
@@ -76,8 +60,8 @@ class Compound:
 class FreeVar:
     """A reified free variable: display index plus the original engine id.
 
-    Keeping the engine id makes the hook-side "bag of variables" lookup
-    total: a reified term can always be converted back to an engine term.
+    Keeping the engine id means a reified term can always be converted
+    back to an engine term, as an occurs hook does.
     """
 
     __slots__ = ("index", "var_id")
@@ -97,7 +81,7 @@ class FreeVar:
 
 
 # Atoms are plain Python ints and strings; anything that is not a Var,
-# Wildcard, Compound or FreeVar is treated as an atom.
+# Compound or FreeVar is treated as an atom.
 Term = Any
 
 
@@ -230,11 +214,6 @@ class State:
         st = State(self.subst, self.diseqs, self.hooks, self.counter + 1, self.counters)
         return v, st
 
-    def fresh_wildcard(self):
-        w = Wildcard(self.counter)
-        st = State(self.subst, self.diseqs, self.hooks, self.counter + 1, self.counters)
-        return w, st
-
 
 def empty_state(counters: Optional[Counters] = None) -> State:
     return State(PMap(), (), {}, 0, counters or Counters())
@@ -289,21 +268,6 @@ def occurs(vid: int, t: Term, subst: PMap) -> bool:
     return False
 
 
-def deep_walk(t: Term, subst: PMap) -> Term:
-    t = shallow_walk(t, subst)
-    if isinstance(t, Compound):
-        return Compound(t.tag, tuple(deep_walk(a, subst) for a in t.args))
-    return t
-
-
-class _VarBag:
-    """Lookup from a reified variable id back to the engine variable."""
-
-    @staticmethod
-    def get(vid: int) -> Var:
-        return Var(vid)
-
-
 def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
     """Deep-walk a term, renaming free variables in first-occurrence order."""
     if numbering is None:
@@ -330,8 +294,6 @@ def _unify_terms(a, b, subst, hooks):
     """
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
-    if isinstance(a, Wildcard) or isinstance(b, Wildcard):
-        return subst, 0
     if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
         return subst, 0
     if isinstance(a, Var):
@@ -357,7 +319,7 @@ def _extend(v: Var, t, subst, hooks):
         hook = hooks.get(v.id) if hooks is not None else None
         if hook is None:
             return None
-        suggested = hook(_VarBag, v.id, reify_term(t, subst))
+        suggested = hook(v.id, reify_term(t, subst))
         # The suggestion is re-checked with hooks disabled.
         if occurs(v.id, suggested, subst):
             return None
@@ -465,19 +427,15 @@ def fresh_with(k: Callable[[Var], Goal]) -> Goal:
     return goal
 
 
-def fresh_wild_with(k: Callable[[Wildcard], Goal]) -> Goal:
+def fresh_many(n: int, k: Callable[[list], Goal]) -> Goal:
+    """Allocate n fresh variables, ids in order, and continue."""
+
     def goal(state):
-        w, st = state.fresh_wildcard()
-        return k(w)(st)
+        vs = [Var(state.counter + i) for i in range(n)]
+        st = State(state.subst, state.diseqs, state.hooks, state.counter + n, state.counters)
+        return k(vs)(st)
 
     return goal
-
-
-def fresh_many(n: int, k: Callable[[list], Goal]) -> Goal:
-    """Chain n fresh allocations through fresh_with, then continue."""
-    if n == 0:
-        return k([])
-    return fresh_with(lambda v: fresh_many(n - 1, lambda vs: k([v] + vs)))
 
 
 def unify(a: Term, b: Term) -> Goal:
@@ -506,7 +464,7 @@ def disunify(a: Term, b: Term) -> Goal:
             return succeed(state)  # can never be equal: nothing to record
         _, ext = res
         if ext == 0:
-            return None  # already equal modulo wildcards
+            return None  # already equal
         diseqs = state.diseqs + ((a, b),)
         return succeed(State(state.subst, diseqs, state.hooks, state.counter, state.counters))
 
@@ -516,7 +474,7 @@ def disunify(a: Term, b: Term) -> Goal:
 def is_var(t: Term) -> Goal:
     def goal(state):
         w = shallow_walk(t, state.subst)
-        if isinstance(w, (Var, Wildcard)):
+        if isinstance(w, Var):
             return succeed(state)
         return None
 
@@ -526,7 +484,7 @@ def is_var(t: Term) -> Goal:
 def is_not_var(t: Term) -> Goal:
     def goal(state):
         w = shallow_walk(t, state.subst)
-        if isinstance(w, (Var, Wildcard)):
+        if isinstance(w, Var):
             return None
         return succeed(state)
 
@@ -534,7 +492,11 @@ def is_not_var(t: Term) -> Goal:
 
 
 def bind_occurs_hook(t: Term, hook) -> Goal:
-    """Register an occurs hook; t must walk to an unbound variable."""
+    """Register an occurs hook; t must walk to an unbound variable.
+
+    When binding that variable fails the occurs check, hook(variable id,
+    reified target) is called and may return a term to bind instead.
+    """
 
     def goal(state):
         w = shallow_walk(t, state.subst)

@@ -6,41 +6,68 @@ each construct contributes a type and a list of atomic constraints.
 Function literals are generalized on the spot: variables not free in the
 environment are quantified and the body constraints that mention them move
 into the arrow, to be instantiated at call sites.
+
+Types, constraints and patterns are built as engine terms; a type variable
+is an engine variable, so the solver takes them as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax as S
+from .engine import Compound, Var
 from .types import (
-    CCall,
-    CEq,
-    CInd,
-    CMatch,
-    CSexp,
-    PatArray,
-    PatAt,
-    PatSexp,
-    PatShape,
-    PatWild,
+    LNIL,
+    P_WILD,
+    T_INT,
+    T_STR,
     TagTable,
-    TyArray,
-    TyFun,
-    TyInt,
-    TyStr,
-    TyVar,
-    free_ty_vars,
-    rename_ty,
+    c_call,
+    c_eq,
+    c_ind,
+    c_match,
+    c_sexp,
+    llist,
+    map_args,
+    p_array,
+    p_at,
+    p_sexp,
+    p_shape,
+    t_array,
+    t_arrow,
+    t_name,
 )
 
 
 @dataclass
 class GenResult:
-    constraints: list
+    constraints: list  # of constraint terms
     table: TagTable
-    roots: list  # of (name, Ty) in declaration order
-    env_types: dict = field(default_factory=dict)  # binder id -> Ty
+    roots: list  # of (name, type term) in declaration order
+    var_count: int  # the type variables are Var(1) ... Var(var_count)
+
+
+def _vars(t, out: dict) -> dict:
+    """Add the engine variables of t to out, an ordered set, in
+    first-occurrence order."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            out[x] = None
+        elif isinstance(x, Compound):
+            todo.extend(reversed(x.args))
+    return out
+
+
+def _rename(t, mapping: dict):
+    """t with each variable in mapping replaced by a type name."""
+    if isinstance(t, Var):
+        return t_name(mapping[t]) if t in mapping else t
+    if isinstance(t, Compound) and t.args:
+        return map_args(t, lambda a: _rename(a, mapping))
+    return t
 
 
 class _Gen:
@@ -50,9 +77,10 @@ class _Gen:
         self.bound_counter = 0
         self.env: dict[int, object] = {}
 
-    def fresh(self) -> TyVar:
+    def fresh(self) -> Var:
+        # Var(0) is left to the solver's query variable.
         self.counter += 1
-        return TyVar(f"t{self.counter}")
+        return Var(self.counter)
 
     def fresh_bound_name(self) -> str:
         self.bound_counter += 1
@@ -63,9 +91,9 @@ class _Gen:
     def infer_expr(self, e):
         """Returns (type, constraints)."""
         if isinstance(e, S.IntLit):
-            return TyInt(), []
+            return T_INT, []
         if isinstance(e, S.StrLit):
-            return TyStr(), []
+            return T_STR, []
         if isinstance(e, S.VarRef):
             return self.env[e.binder], []
         if isinstance(e, S.ArrayLit):
@@ -74,8 +102,8 @@ class _Gen:
             for x in e.elems:
                 t, c = self.infer_expr(x)
                 cs += c
-                cs.append(CEq(t, elem))
-            return TyArray(elem), cs
+                cs.append(c_eq(t, elem))
+            return t_array(elem), cs
         if isinstance(e, S.SexpLit):
             tid = self.table.intern(e.label, len(e.args))
             subject = self.fresh()
@@ -85,13 +113,13 @@ class _Gen:
                 t, c = self.infer_expr(x)
                 cs += c
                 args.append(t)
-            cs.append(CSexp(tid, subject, tuple(args)))
+            cs.append(c_sexp(tid, subject, llist(args)))
             return subject, cs
         if isinstance(e, S.Index):
             ts, cs = self.infer_expr(e.subject)
             ti, ci = self.infer_expr(e.index)
             elem = self.fresh()
-            return elem, cs + ci + [CEq(ti, TyInt()), CInd(ts, elem)]
+            return elem, cs + ci + [c_eq(ti, T_INT), c_ind(ts, elem)]
         if isinstance(e, S.CallE):
             tf, cs = self.infer_expr(e.fn)
             args = []
@@ -100,37 +128,37 @@ class _Gen:
                 cs += c
                 args.append(t)
             r = self.fresh()
-            return r, cs + [CCall(tf, tuple(args), r)]
+            return r, cs + [c_call(tf, llist(args), r)]
         if isinstance(e, S.Length):
             ts, cs = self.infer_expr(e.subject)
-            return TyInt(), cs + [CMatch(ts, (PatShape("box"),))]
+            return T_INT, cs + [c_match(ts, llist([p_shape("box")]))]
         if isinstance(e, S.Assign):
             tl, cl = self.infer_expr(e.lhs)
             tr, cr = self.infer_expr(e.rhs)
-            return TyInt(), cl + cr + [CEq(tl, tr)]
+            return T_INT, cl + cr + [c_eq(tl, tr)]
         if isinstance(e, S.Binop):
             tl, cl = self.infer_expr(e.left)
             tr, cr = self.infer_expr(e.right)
-            return TyInt(), cl + cr + [CEq(tl, TyInt()), CEq(tr, TyInt())]
+            return T_INT, cl + cr + [c_eq(tl, T_INT), c_eq(tr, T_INT)]
         if isinstance(e, S.If):
             tc, cs = self.infer_expr(e.cond)
-            cs.append(CEq(tc, TyInt()))
+            cs.append(c_eq(tc, T_INT))
             tt, ct = self.infer_expr(e.then)
             cs += ct
             if e.orelse is None:
-                return TyInt(), cs
+                return T_INT, cs
             te, ce = self.infer_expr(e.orelse)
-            return tt, cs + ce + [CEq(tt, te)]
+            return tt, cs + ce + [c_eq(tt, te)]
         if isinstance(e, S.While):
             tc, cs = self.infer_expr(e.cond)
             _, cb = self.infer_expr(e.body)
-            return TyInt(), cs + cb + [CEq(tc, TyInt())]
+            return T_INT, cs + cb + [c_eq(tc, T_INT)]
         if isinstance(e, S.For):
             _, c0 = self.infer_expr(e.init)
             tc, c1 = self.infer_expr(e.cond)
             _, c2 = self.infer_expr(e.step)
             _, c3 = self.infer_expr(e.body)
-            return TyInt(), c0 + c1 + [CEq(tc, TyInt())] + c2 + c3
+            return T_INT, c0 + c1 + [c_eq(tc, T_INT)] + c2 + c3
         if isinstance(e, S.Case):
             ts, cs = self.infer_expr(e.scrutinee)
             res = self.fresh()
@@ -140,8 +168,8 @@ class _Gen:
                 pats.append(tp)
                 tb, cb = self.infer_expr(body)
                 cs += cb
-                cs.append(CEq(tb, res))
-            cs.append(CMatch(ts, tuple(pats)))
+                cs.append(c_eq(tb, res))
+            cs.append(c_match(ts, llist(pats)))
             return res, cs
         if isinstance(e, S.FunLit):
             return self.infer_fun(e)
@@ -150,7 +178,7 @@ class _Gen:
         raise TypeError(f"unexpected expression: {e!r}")
 
     def infer_scope(self, scope: S.Scope):
-        ty = TyInt()
+        ty = T_INT
         cs = []
         for item in scope.items:
             if isinstance(item, S.VarDecl):
@@ -159,25 +187,25 @@ class _Gen:
                 if item.init is not None:
                     ti, ci = self.infer_expr(item.init)
                     cs += ci
-                    cs.append(CEq(t, ti))
-                ty = TyInt()
+                    cs.append(c_eq(t, ti))
+                ty = T_INT
             elif isinstance(item, S.FunDecl):
                 # The function sees itself monomorphically.
                 m = self.fresh()
                 self.env[item.binder] = m
                 arrow, ci = self.infer_fun(item.fun)
                 cs += ci
-                cs.append(CEq(m, arrow))
-                ty = TyInt()
+                cs.append(c_eq(m, arrow))
+                ty = T_INT
             else:
                 ty, ci = self.infer_expr(item)
                 cs += ci
         return ty, cs
 
     def infer_fun(self, fn: S.FunLit):
-        env_ftv = set()
+        env_ftv = {}
         for t in self.env.values():
-            env_ftv.update(free_ty_vars(t))
+            _vars(t, env_ftv)
         params = []
         for name, binder in fn.params:
             t = self.fresh()
@@ -189,26 +217,26 @@ class _Gen:
     def generalize(self, env_ftv, params, result, body_cs):
         """Quantify everything not free in the environment; constraints
         touching a quantified variable travel with the arrow."""
-        own = []
+        own = {}
         for t in params:
-            own += free_ty_vars(t)
-        own += free_ty_vars(result)
-        for c in body_cs:
-            own += free_ty_vars(c)
-        quantified = [v for v in dict.fromkeys(own) if v not in env_ftv]
-        mapping = {v: self.fresh_bound_name() for v in quantified}
+            _vars(t, own)
+        _vars(result, own)
+        body_vars = [_vars(c, {}) for c in body_cs]
+        for vs in body_vars:
+            own.update(vs)
+        mapping = {v: self.fresh_bound_name() for v in own if v not in env_ftv}
         moved = []
         residual = []
-        for c in body_cs:
-            if any(v in mapping for v in free_ty_vars(c)):
-                moved.append(rename_ty(c, mapping))
+        for c, vs in zip(body_cs, body_vars):
+            if any(v in mapping for v in vs):
+                moved.append(_rename(c, mapping))
             else:
                 residual.append(c)
-        arrow = TyFun(
-            tuple(mapping[v] for v in quantified),
-            tuple(moved),
-            tuple(rename_ty(p, mapping) for p in params),
-            rename_ty(result, mapping),
+        arrow = t_arrow(
+            llist(list(mapping.values())),
+            llist(moved),
+            llist([_rename(p, mapping) for p in params]),
+            _rename(result, mapping),
         )
         return arrow, residual
 
@@ -219,24 +247,24 @@ class _Gen:
         environment with binder types. Integer literals become an
         integer-typed hole so the subject is pinned wherever it nests."""
         if isinstance(p, S.PWild):
-            return PatWild()
+            return P_WILD
         if isinstance(p, S.PInt):
-            return PatAt(TyInt(), PatWild())
+            return p_at(T_INT, P_WILD)
         if isinstance(p, S.PBind):
             t = self.fresh()
             self.env[p.binder] = t
-            return PatAt(t, PatWild())
+            return p_at(t, P_WILD)
         if isinstance(p, S.PAt):
             t = self.fresh()
             self.env[p.binder] = t
-            return PatAt(t, self.infer_pattern(p.pat))
+            return p_at(t, self.infer_pattern(p.pat))
         if isinstance(p, S.PSexp):
             tid = self.table.intern(p.label, len(p.args))
-            return PatSexp(tid, tuple(self.infer_pattern(x) for x in p.args))
+            return p_sexp(tid, llist([self.infer_pattern(x) for x in p.args]))
         if isinstance(p, S.PArray):
-            return PatArray(tuple(self.infer_pattern(x) for x in p.elems))
+            return p_array(llist([self.infer_pattern(x) for x in p.elems]))
         if isinstance(p, S.PShape):
-            return PatShape(p.kind)
+            return p_shape(p.kind)
         raise TypeError(f"unexpected pattern: {p!r}")
 
 
@@ -267,8 +295,8 @@ def _intern_all(table: TagTable, node):
 
 
 BUILTIN_TYPES = {
-    "read": TyFun((), (), (), TyInt()),
-    "write": TyFun((), (), (TyInt(),), TyInt()),
+    "read": t_arrow(LNIL, LNIL, LNIL, T_INT),
+    "write": t_arrow(LNIL, LNIL, llist([T_INT]), T_INT),
 }
 
 
@@ -283,4 +311,4 @@ def infer_program(prog: S.Program) -> GenResult:
     for item in prog.body.items:
         if isinstance(item, (S.VarDecl, S.FunDecl)) and item.binder in gen.env:
             roots.append((item.name, gen.env[item.binder]))
-    return GenResult(constraints, table, roots, dict(gen.env))
+    return GenResult(constraints, table, roots, gen.counter)

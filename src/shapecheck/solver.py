@@ -16,7 +16,6 @@ from itertools import combinations
 from .engine import (
     Compound,
     Var,
-    Wildcard,
     conj,
     delay,
     disj,
@@ -81,7 +80,7 @@ _W_CALL_FREE = 7
 
 
 def _is_free(t, subst) -> bool:
-    return isinstance(shallow_walk(t, subst), (Var, Wildcard))
+    return isinstance(shallow_walk(t, subst), Var)
 
 
 def constraint_weight(c, state):
@@ -89,7 +88,7 @@ def constraint_weight(c, state):
     that cannot make progress yet (a boxedness check on a still-free
     subject) and must not be picked."""
     w = shallow_walk(c, state.subst)
-    if isinstance(w, (Var, Wildcard)):
+    if isinstance(w, Var):
         return None
     if w.tag == "Eq":
         return _W_EQ
@@ -277,7 +276,7 @@ def solve_ind(container, elem, opts: SolverOpts, kont):
     def dispatch(u):
         def goal(state):
             w = shallow_walk(u, state.subst)
-            if isinstance(w, (Var, Wildcard)):
+            if isinstance(w, Var):
                 branches = [
                     conj(unify(w, T_STR), eq_t(elem, T_INT)),
                     fresh_with(lambda t: conj(unify(w, t_array(t)), eq_t(elem, t))),
@@ -413,59 +412,47 @@ def solve_sexp(tag, subject, args, opts: SolverOpts, kont):
         # xs must not contain the tag; the disequality is a pure tag test,
         # so generated cells keep a free argument-list variable that later
         # constraints can still fill in.
-        def cell():
-            return fresh_with(
-                lambda tv: fresh_with(
-                    lambda cargs: fresh_with(
-                        lambda rest: conj(
-                            unify(xs, lcons(t_ctor(tv, cargs), rest)),
-                            disunify(tag, tv),
-                            not_in_tail(n + 1, rest),
-                        )
-                    )
-                )
+        def cell(tv, cargs, rest):
+            return conj(
+                unify(xs, lcons(t_ctor(tv, cargs), rest)),
+                disunify(tag, tv),
+                not_in_tail(n + 1, rest),
             )
 
-        return conj(check_n(n), disj(unify(xs, LNIL), delay(cell)))
+        more = delay(lambda: fresh_many(3, lambda vs: cell(*vs)))
+        return conj(check_n(n), disj(unify(xs, LNIL), more))
 
     def hlp(n, xs):
         # xs contains exactly one entry with this tag, matching args; any
         # entry scanned past must already have a determined, distinct tag.
-        def cell():
-            return fresh_with(
-                lambda tv: fresh_with(
-                    lambda tsv: fresh_with(
-                        lambda rest: conj(
-                            unify(xs, lcons(t_ctor(tv, tsv), rest)),
-                            disj(
-                                conj(
-                                    unify(tag, tv),
-                                    eq_ts(want_args, tsv),
-                                    not_in_tail(n + 1, rest),
-                                ),
-                                conj(
-                                    is_not_var(tv),
-                                    disunify(tag, tv),
-                                    hlp(n + 1, rest),
-                                ),
-                            ),
-                        )
-                    )
-                )
+        def cell(tv, tsv, rest):
+            return conj(
+                unify(xs, lcons(t_ctor(tv, tsv), rest)),
+                disj(
+                    conj(
+                        unify(tag, tv),
+                        eq_ts(want_args, tsv),
+                        not_in_tail(n + 1, rest),
+                    ),
+                    conj(
+                        is_not_var(tv),
+                        disunify(tag, tv),
+                        hlp(n + 1, rest),
+                    ),
+                ),
             )
 
-        return conj(check_n(n), delay(cell))
+        return conj(check_n(n), delay(lambda: fresh_many(3, lambda vs: cell(*vs))))
 
-    return fresh_with(
-        lambda u: fresh_with(
-            lambda cl: conj(
-                unmu(subject, u),
-                unify(u, t_sexp(cl)),
-                hlp(0, cl),
-                kont([]),
-            )
+    def solve(u, cl):
+        return conj(
+            unmu(subject, u),
+            unify(u, t_sexp(cl)),
+            hlp(0, cl),
+            kont([]),
         )
-    )
+
+    return fresh_many(2, lambda vs: solve(*vs))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +511,7 @@ def solve_match(subject, pats, opts: SolverOpts, kont):
                         goals.append(_force_empty(fc, opts))
                     elif kind == "box":
                         w = shallow_walk(subj, st.subst)
-                        if isinstance(w, (Var, Wildcard)):
+                        if isinstance(w, Var):
                             # Cannot decide boxedness yet: leave a residual
                             # that reschedules once the subject determines.
                             spawned.append(c_match(subj, llist([p_shape("box")])))

@@ -2,13 +2,14 @@
 
 Types cover integers, strings, homogeneous arrays, S-expression unions,
 quantified arrows carrying a constraint list, and equirecursive mu-types.
-This module houses the engine-term encodings, tag interning, mu-unfolding,
-the hook-aware equality relations, and the rendering / parsing of types.
+Types, constraints and patterns are engine `Compound`s and nothing else,
+from the generator through the solver to the report. This module houses
+their constructors, tag interning, mu-unfolding, the hook-aware equality
+relations, and the rendering / parsing of types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import (
@@ -16,14 +17,15 @@ from .engine import (
     FreeVar,
     Goal,
     Var,
-    Wildcard,
     bind_occurs_hook,
     conj,
     delay,
     disj,
     disunify,
-    fresh_with,
+    fresh_many,
+    run,
     shallow_walk,
+    succeed,
     unify,
 )
 
@@ -40,8 +42,8 @@ def lcons(h, t):
     return Compound("lcons", (h, t))
 
 
-def llist(items):
-    out = LNIL
+def llist(items, tail=LNIL):
+    out = tail
     for x in reversed(items):
         out = lcons(x, out)
     return out
@@ -115,9 +117,6 @@ def p_shape(kind: str):
     return Compound("PShape", (kind,))
 
 
-SHAPE_KINDS = ("box", "unbox", "str", "array", "sexp", "fun")
-
-
 # ---------------------------------------------------------------------------
 # Tag interning.
 # ---------------------------------------------------------------------------
@@ -127,8 +126,7 @@ class TagTable:
     """Bijection between (label, arity) pairs and numeric tag ids.
 
     Also tracks the total number of distinct constructors (the bound on
-    generated constructor-list lengths) and the maximal arity (the bound on
-    generated argument lists).
+    generated constructor-list lengths).
     """
 
     def __init__(self):
@@ -144,9 +142,6 @@ class TagTable:
             self._info.append(key)
         return tid
 
-    def lookup(self, tid: int) -> tuple[str, int]:
-        return self._info[tid]
-
     def label(self, tid: int) -> str:
         return self._info[tid][0]
 
@@ -160,10 +155,6 @@ class TagTable:
     def sexp_max_length(self) -> int:
         return len(self._info)
 
-    @property
-    def max_arity(self) -> int:
-        return max((a for _, a in self._info), default=0)
-
 
 # ---------------------------------------------------------------------------
 # Mu-unfolding and type substitution.
@@ -175,7 +166,7 @@ def apply_type_subst(mapping: dict, term, subst):
     it goes. Binders in TMu / TArrow shadow identically-named entries.
     """
     t = shallow_walk(term, subst)
-    if isinstance(t, (Var, Wildcard)) or not isinstance(t, Compound):
+    if not isinstance(t, Compound):
         return t
     if t.tag == "TName":
         return mapping.get(t.args[0], t)
@@ -225,20 +216,9 @@ def unmu(t, out) -> Goal:
 
     def goal(state):
         w = shallow_walk(t, state.subst)
-        if isinstance(w, (Var, Wildcard)):
-            return unify(w, out)(state)
         if isinstance(w, Compound) and w.tag == "TMu":
             return unify(out, unfold_mu(w, state.subst))(state)
         return unify(w, out)(state)
-
-    return goal
-
-
-def subst_t(mapping: dict, t, out) -> Goal:
-    """Relational wrapper over apply_type_subst."""
-
-    def goal(state):
-        return unify(out, apply_type_subst(mapping, t, state.subst))(state)
 
     return goal
 
@@ -248,21 +228,17 @@ def subst_t(mapping: dict, t, out) -> Goal:
 # ---------------------------------------------------------------------------
 
 
-def mu_binder_name(vid: int) -> str:
-    return f"r{vid}"
-
-
-def type_occurs_hook(vars_bag, vid: int, reified):
+def type_occurs_hook(vid: int, reified):
     """Replace the offending variable with a type name and wrap in a mu."""
-    name = mu_binder_name(vid)
+    name = f"r{vid}"
 
     def back(t):
         if isinstance(t, FreeVar):
             if t.var_id == vid:
                 return t_name(name)
-            return vars_bag.get(t.var_id)
+            return Var(t.var_id)
         if isinstance(t, Compound):
-            return Compound(t.tag, tuple(back(a) for a in t.args))
+            return map_args(t, back)
         return t
 
     return t_mu(name, back(reified))
@@ -288,8 +264,8 @@ def eq_t(t, u) -> Goal:
     def goal(state):
         a = shallow_walk(t, state.subst)
         b = shallow_walk(u, state.subst)
-        a_var = isinstance(a, (Var, Wildcard))
-        b_var = isinstance(b, (Var, Wildcard))
+        a_var = isinstance(a, Var)
+        b_var = isinstance(b, Var)
         if a_var and b_var:
             return unify(a, b)(state)
         if a_var:
@@ -302,7 +278,7 @@ def eq_t(t, u) -> Goal:
             x1 = shallow_walk(a.args[0], state.subst)
             x2 = shallow_walk(b.args[0], state.subst)
             same = conj(unify(a.args[0], b.args[0]), delay(lambda: eq_t(a.args[1], b.args[1])))
-            if x1 == x2 and not isinstance(x1, (Var, Wildcard)):
+            if x1 == x2 and not isinstance(x1, Var):
                 return same(state)
             # Differing binders: both sides unfold (contractivity keeps
             # ground comparisons productive).
@@ -321,9 +297,7 @@ def _eq_structural(a: Compound, b: Compound) -> Goal:
     if a.tag != b.tag:
         return lambda state: None
     if a.tag in ("TInt", "TStr"):
-        return succeed_goal
-    if a.tag == "TName":
-        return unify(a, b)
+        return succeed
     if a.tag == "TArray":
         return eq_t(a.args[0], b.args[0])
     if a.tag == "TSexp":
@@ -336,10 +310,6 @@ def _eq_structural(a: Compound, b: Compound) -> Goal:
             eq_t(a.args[3], b.args[3]),
         )
     return unify(a, b)
-
-
-def succeed_goal(state):
-    return (state, None)
 
 
 def _eq_list(xs, ys, elem_eq) -> Goal:
@@ -358,39 +328,29 @@ def _eq_list(xs, ys, elem_eq) -> Goal:
         return disj(conj(unify(a, LNIL), unify(b, LNIL)), delay(lambda: step(a, b)))(state)
 
     def step(a, b):
-        return fresh_with(
-            lambda hx: fresh_with(
-                lambda tx: fresh_with(
-                    lambda hy: fresh_with(
-                        lambda ty: conj(
-                            unify(a, lcons(hx, tx)),
-                            unify(b, lcons(hy, ty)),
-                            elem_eq(hx, hy),
-                            _eq_list(tx, ty, elem_eq),
-                        )
-                    )
-                )
+        def cells(hx, tx, hy, ty):
+            return conj(
+                unify(a, lcons(hx, tx)),
+                unify(b, lcons(hy, ty)),
+                elem_eq(hx, hy),
+                _eq_list(tx, ty, elem_eq),
             )
-        )
+
+        return fresh_many(4, lambda vs: cells(*vs))
 
     return goal
 
 
 def _eq_ctor(c, d) -> Goal:
-    return fresh_with(
-        lambda xt: fresh_with(
-            lambda xa: fresh_with(
-                lambda yt: fresh_with(
-                    lambda ya: conj(
-                        unify(c, t_ctor(xt, xa)),
-                        unify(d, t_ctor(yt, ya)),
-                        unify(xt, yt),
-                        eq_ts(xa, ya),
-                    )
-                )
-            )
+    def entries(xt, xa, yt, ya):
+        return conj(
+            unify(c, t_ctor(xt, xa)),
+            unify(d, t_ctor(yt, ya)),
+            unify(xt, yt),
+            eq_ts(xa, ya),
         )
-    )
+
+    return fresh_many(4, lambda vs: entries(*vs))
 
 
 def eq_ts(ts, us) -> Goal:
@@ -398,22 +358,15 @@ def eq_ts(ts, us) -> Goal:
     return _eq_list(ts, us, eq_t)
 
 
-def eq_c(cs, ds) -> Goal:
-    """eq over equal-length constraint lists."""
-    return _eq_list(cs, ds, eq_constraint)
-
-
 def eq_constraint(c, d) -> Goal:
     def goal(state):
         a = shallow_walk(c, state.subst)
         b = shallow_walk(d, state.subst)
-        if isinstance(a, (Var, Wildcard)) or isinstance(b, (Var, Wildcard)):
+        if isinstance(a, Var) or isinstance(b, Var):
             return unify(a, b)(state)
         if a.tag != b.tag:
             return None
-        if a.tag == "Ind":
-            return conj(eq_t(a.args[0], b.args[0]), eq_t(a.args[1], b.args[1]))(state)
-        if a.tag == "Eq":
+        if a.tag in ("Ind", "Eq"):
             return conj(eq_t(a.args[0], b.args[0]), eq_t(a.args[1], b.args[1]))(state)
         if a.tag == "Call":
             return conj(
@@ -438,12 +391,10 @@ def eq_pattern(p, q) -> Goal:
     def goal(state):
         a = shallow_walk(p, state.subst)
         b = shallow_walk(q, state.subst)
-        if isinstance(a, (Var, Wildcard)) or isinstance(b, (Var, Wildcard)):
+        if isinstance(a, Var) or isinstance(b, Var):
             return unify(a, b)(state)
         if a.tag != b.tag:
             return None
-        if a.tag == "PWild" or a.tag == "PShape":
-            return unify(a, b)(state)
         if a.tag == "PAt":
             return conj(eq_t(a.args[0], b.args[0]), eq_pattern(a.args[1], b.args[1]))(state)
         if a.tag == "PArray":
@@ -456,407 +407,56 @@ def eq_pattern(p, q) -> Goal:
 
 
 # ---------------------------------------------------------------------------
-# Python-level type syntax (used by the generator, renderer and parser).
+# Reading reified terms.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TyVar:
-    """A free type variable, to be injected as an engine variable."""
-
-    name: str
+_TYPE_TAGS = frozenset(("TInt", "TStr", "TName", "TArray", "TSexp", "TArrow", "TMu"))
 
 
-@dataclass(frozen=True)
-class TyName:
-    """A bound type name (a mu binder or an arrow-quantified variable)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class TyInt:
-    pass
-
-
-@dataclass(frozen=True)
-class TyStr:
-    pass
-
-
-@dataclass(frozen=True)
-class TyArray:
-    elem: "Ty"
-
-
-@dataclass(frozen=True)
-class TySexp:
-    # Each constructor is (tag id, argument types); rest names a free
-    # "further constructors" variable when the union is open.
-    ctors: tuple
-    rest: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class TyFun:
-    bound_vars: tuple
-    bound_constraints: tuple
-    params: tuple
-    result: "Ty"
-
-
-@dataclass(frozen=True)
-class TyMu:
-    binder: str
-    body: "Ty"
-
-
-Ty = object
-
-
-@dataclass(frozen=True)
-class CInd:
-    container: Ty
-    elem: Ty
-
-
-@dataclass(frozen=True)
-class CCall:
-    fn: Ty
-    args: tuple
-    result: Ty
-
-
-@dataclass(frozen=True)
-class CSexp:
-    tag: int
-    subject: Ty
-    args: tuple
-
-
-@dataclass(frozen=True)
-class CMatch:
-    subject: Ty
-    pats: tuple
-
-
-@dataclass(frozen=True)
-class CEq:
-    left: Ty
-    right: Ty
-
-
-@dataclass(frozen=True)
-class PatWild:
-    pass
-
-
-@dataclass(frozen=True)
-class PatAt:
-    ty: Ty
-    pat: "Pat"
-
-
-@dataclass(frozen=True)
-class PatArray:
-    pats: tuple
-
-
-@dataclass(frozen=True)
-class PatSexp:
-    tag: int
-    pats: tuple
-
-
-@dataclass(frozen=True)
-class PatShape:
-    kind: str
-
-
-Pat = object
-
-
-# ---------------------------------------------------------------------------
-# Injection: Python types -> engine terms.
-# ---------------------------------------------------------------------------
-
-
-def ty_to_term(ty: Ty, varmap: dict):
-    """varmap maps TyVar names to engine variables (must be prefilled)."""
-    if isinstance(ty, TyVar):
-        return varmap[ty.name]
-    if isinstance(ty, TyName):
-        return t_name(ty.name)
-    if isinstance(ty, TyInt):
-        return T_INT
-    if isinstance(ty, TyStr):
-        return T_STR
-    if isinstance(ty, TyArray):
-        return t_array(ty_to_term(ty.elem, varmap))
-    if isinstance(ty, TySexp):
-        if ty.rest is None:
-            tail = LNIL
-        elif ty.rest in varmap:
-            tail = varmap[ty.rest]
-        else:
-            tail = t_name(ty.rest)
-        out = tail
-        for tag, args in reversed(ty.ctors):
-            out = lcons(t_ctor(tag, llist([ty_to_term(a, varmap) for a in args])), out)
-        return t_sexp(out)
-    if isinstance(ty, TyFun):
-        return t_arrow(
-            llist([n for n in ty.bound_vars]),
-            llist([constraint_to_term(c, varmap) for c in ty.bound_constraints]),
-            llist([ty_to_term(p, varmap) for p in ty.params]),
-            ty_to_term(ty.result, varmap),
-        )
-    if isinstance(ty, TyMu):
-        return t_mu(ty.binder, ty_to_term(ty.body, varmap))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def constraint_to_term(c, varmap: dict):
-    if isinstance(c, CInd):
-        return c_ind(ty_to_term(c.container, varmap), ty_to_term(c.elem, varmap))
-    if isinstance(c, CCall):
-        return c_call(
-            ty_to_term(c.fn, varmap),
-            llist([ty_to_term(a, varmap) for a in c.args]),
-            ty_to_term(c.result, varmap),
-        )
-    if isinstance(c, CSexp):
-        return c_sexp(
-            c.tag,
-            ty_to_term(c.subject, varmap),
-            llist([ty_to_term(a, varmap) for a in c.args]),
-        )
-    if isinstance(c, CMatch):
-        return c_match(
-            ty_to_term(c.subject, varmap),
-            llist([pattern_to_term(p, varmap) for p in c.pats]),
-        )
-    if isinstance(c, CEq):
-        return c_eq(ty_to_term(c.left, varmap), ty_to_term(c.right, varmap))
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def pattern_to_term(p, varmap: dict):
-    if isinstance(p, PatWild):
-        return P_WILD
-    if isinstance(p, PatAt):
-        return p_at(ty_to_term(p.ty, varmap), pattern_to_term(p.pat, varmap))
-    if isinstance(p, PatArray):
-        return p_array(llist([pattern_to_term(x, varmap) for x in p.pats]))
-    if isinstance(p, PatSexp):
-        return p_sexp(p.tag, llist([pattern_to_term(x, varmap) for x in p.pats]))
-    if isinstance(p, PatShape):
-        return p_shape(p.kind)
-    raise TypeError(f"not a pattern: {p!r}")
-
-
-def free_ty_vars(obj) -> list:
-    """TyVar names occurring in a type / constraint / pattern, in order."""
-    seen: list[str] = []
-
-    def go(x):
-        if isinstance(x, TyVar):
-            if x.name not in seen:
-                seen.append(x.name)
-        elif isinstance(x, TyName) or x is None:
-            pass
-        elif isinstance(x, (TyInt, TyStr, PatWild, PatShape)):
-            pass
-        elif isinstance(x, TyArray):
-            go(x.elem)
-        elif isinstance(x, TySexp):
-            for _, args in x.ctors:
-                for a in args:
-                    go(a)
-            if x.rest is not None and x.rest not in seen:
-                seen.append(x.rest)
-        elif isinstance(x, TyFun):
-            for c in x.bound_constraints:
-                go(c)
-            for p in x.params:
-                go(p)
-            go(x.result)
-        elif isinstance(x, TyMu):
-            go(x.body)
-        elif isinstance(x, CInd):
-            go(x.container), go(x.elem)
-        elif isinstance(x, CCall):
-            go(x.fn)
-            for a in x.args:
-                go(a)
-            go(x.result)
-        elif isinstance(x, CSexp):
-            go(x.subject)
-            for a in x.args:
-                go(a)
-        elif isinstance(x, CMatch):
-            go(x.subject)
-            for p in x.pats:
-                go(p)
-        elif isinstance(x, CEq):
-            go(x.left), go(x.right)
-        elif isinstance(x, PatAt):
-            go(x.ty), go(x.pat)
-        elif isinstance(x, (PatArray, PatSexp)):
-            for p in x.pats:
-                go(p)
-        elif isinstance(x, (list, tuple)):
-            for y in x:
-                go(y)
-        else:
-            raise TypeError(f"unexpected node: {x!r}")
-
-    go(obj)
-    return seen
-
-
-def rename_ty(obj, mapping: dict):
-    """Rename TyVar occurrences to TyName (generalization support)."""
-
-    def go(x):
-        if isinstance(x, TyVar):
-            return TyName(mapping[x.name]) if x.name in mapping else x
-        if isinstance(x, (TyInt, TyStr, TyName, PatWild, PatShape)):
-            return x
-        if isinstance(x, TyArray):
-            return TyArray(go(x.elem))
-        if isinstance(x, TySexp):
-            return TySexp(tuple((t, tuple(go(a) for a in args)) for t, args in x.ctors), x.rest)
-        if isinstance(x, TyFun):
-            return TyFun(
-                x.bound_vars,
-                tuple(go(c) for c in x.bound_constraints),
-                tuple(go(p) for p in x.params),
-                go(x.result),
-            )
-        if isinstance(x, TyMu):
-            return TyMu(x.binder, go(x.body))
-        if isinstance(x, CInd):
-            return CInd(go(x.container), go(x.elem))
-        if isinstance(x, CCall):
-            return CCall(go(x.fn), tuple(go(a) for a in x.args), go(x.result))
-        if isinstance(x, CSexp):
-            return CSexp(x.tag, go(x.subject), tuple(go(a) for a in x.args))
-        if isinstance(x, CMatch):
-            return CMatch(go(x.subject), tuple(go(p) for p in x.pats))
-        if isinstance(x, CEq):
-            return CEq(go(x.left), go(x.right))
-        if isinstance(x, PatAt):
-            return PatAt(go(x.ty), go(x.pat))
-        if isinstance(x, PatArray):
-            return PatArray(tuple(go(p) for p in x.pats))
-        if isinstance(x, PatSexp):
-            return PatSexp(x.tag, tuple(go(p) for p in x.pats))
-        raise TypeError(f"unexpected node: {x!r}")
-
-    return go(obj)
-
-
-# ---------------------------------------------------------------------------
-# Reified engine terms -> Python types.
-# ---------------------------------------------------------------------------
-
-
-def ty_from_term(t) -> Ty:
-    if isinstance(t, FreeVar):
-        return TyVar(f"v{t.var_id}")
-    if isinstance(t, (Var, Wildcard)):
-        return TyVar(f"v{t.id}")
-    if not isinstance(t, Compound):
-        raise ValueError(f"not a reified type: {t!r}")
-    if t.tag == "TInt":
-        return TyInt()
-    if t.tag == "TStr":
-        return TyStr()
-    if t.tag == "TName":
-        return TyName(t.args[0])
-    if t.tag == "TArray":
-        return TyArray(ty_from_term(t.args[0]))
-    if t.tag == "TSexp":
-        ctors, rest = _list_from_term(t.args[0])
-        out = []
-        for c in ctors:
-            if isinstance(c, Compound) and c.tag == "ctor" and isinstance(c.args[0], int):
-                args, _ = _list_from_term(c.args[1])
-                out.append((c.args[0], tuple(ty_from_term(a) for a in args)))
-            elif isinstance(c, Compound) and c.tag == "ctor":
-                # entry whose tag is still free: show it as a variable
-                out.append((-1, (ty_from_term(c.args[0]),)))
-            else:
-                out.append((-1, (ty_from_term(c),)))
-        return TySexp(tuple(out), rest)
-    if t.tag == "TArrow":
-        bvars, _ = _list_from_term(t.args[0])
-        bcs, _ = _list_from_term(t.args[1])
-        params, _ = _list_from_term(t.args[2])
-        return TyFun(
-            tuple(b if isinstance(b, str) else f"v{b.var_id}" for b in bvars),
-            tuple(constraint_from_term(c) for c in bcs),
-            tuple(ty_from_term(p) for p in params),
-            ty_from_term(t.args[3]),
-        )
-    if t.tag == "TMu":
-        binder = t.args[0]
-        if not isinstance(binder, str):
-            binder = f"v{binder.var_id}"
-        return TyMu(binder, ty_from_term(t.args[1]))
+def ty_from_term(t):
+    """A reified type, checked: a variable or a type constructor at the
+    top. The term itself is the type; nothing is converted."""
+    if isinstance(t, (Var, FreeVar)) or (isinstance(t, Compound) and t.tag in _TYPE_TAGS):
+        return t
     raise ValueError(f"not a reified type: {t!r}")
 
 
 def _list_from_term(t):
+    """The items of an engine list and the term ending its spine: LNIL
+    for a proper list, a variable or another term for an open one."""
     out = []
     while isinstance(t, Compound) and t.tag == "lcons":
         out.append(t.args[0])
         t = t.args[1]
-    if isinstance(t, Compound) and t.tag == "lnil":
-        return out, None
+    return out, t
+
+
+def _items(t) -> list:
+    return _list_from_term(t)[0]
+
+
+def map_args(t: Compound, f) -> Compound:
+    """t with f applied to each argument. A list spine is walked in a
+    loop, so a long list (a large function's constraints) takes no stack."""
+    if t.tag != "lcons":
+        return Compound(t.tag, tuple(f(a) for a in t.args))
+    items, tail = _list_from_term(t)
+    return llist([f(x) for x in items], f(tail))
+
+
+def _var_id(t) -> Optional[int]:
+    """The engine id of a variable, live or reified; None for any other term."""
+    if isinstance(t, Var):
+        return t.id
     if isinstance(t, FreeVar):
-        return out, f"v{t.var_id}"
-    if isinstance(t, (Var, Wildcard)):
-        return out, f"v{t.id}"
-    return out, None
+        return t.var_id
+    return None
 
 
-def constraint_from_term(t):
-    if isinstance(t, (FreeVar, Var, Wildcard)):
-        return CEq(ty_from_term(t), ty_from_term(t))
-    if t.tag == "Ind":
-        return CInd(ty_from_term(t.args[0]), ty_from_term(t.args[1]))
-    if t.tag == "Call":
-        args, _ = _list_from_term(t.args[1])
-        return CCall(ty_from_term(t.args[0]), tuple(ty_from_term(a) for a in args), ty_from_term(t.args[2]))
-    if t.tag == "SexpC":
-        args, _ = _list_from_term(t.args[2])
-        return CSexp(t.args[0], ty_from_term(t.args[1]), tuple(ty_from_term(a) for a in args))
-    if t.tag == "Match":
-        pats, _ = _list_from_term(t.args[1])
-        return CMatch(ty_from_term(t.args[0]), tuple(pattern_from_term(p) for p in pats))
-    if t.tag == "Eq":
-        return CEq(ty_from_term(t.args[0]), ty_from_term(t.args[1]))
-    raise ValueError(f"not a reified constraint: {t!r}")
-
-
-def pattern_from_term(t):
-    if isinstance(t, (FreeVar, Var, Wildcard)):
-        return PatWild()
-    if t.tag == "PWild":
-        return PatWild()
-    if t.tag == "PAt":
-        return PatAt(ty_from_term(t.args[0]), pattern_from_term(t.args[1]))
-    if t.tag == "PArray":
-        pats, _ = _list_from_term(t.args[0])
-        return PatArray(tuple(pattern_from_term(p) for p in pats))
-    if t.tag == "PSexp":
-        pats, _ = _list_from_term(t.args[1])
-        return PatSexp(t.args[0], tuple(pattern_from_term(p) for p in pats))
-    if t.tag == "PShape":
-        return PatShape(t.args[0])
-    raise ValueError(f"not a reified pattern: {t!r}")
+def _binder_name(b) -> str:
+    """A mu or arrow binder is a name; one still free prints as the name
+    `v<id>`."""
+    return b if isinstance(b, str) else f"v{_var_id(b)}"
 
 
 # ---------------------------------------------------------------------------
@@ -872,64 +472,90 @@ def _letter(i: int) -> str:
 
 
 class _NameGen:
+    """Letters for variables and names, in first-request order. A key is
+    ("var", engine id) or ("name", binder name)."""
+
     def __init__(self):
-        self.names: dict[str, str] = {}
+        self.names: dict[tuple, str] = {}
 
-    def get(self, raw: str) -> str:
-        if raw not in self.names:
-            self.names[raw] = _letter(len(self.names))
-        return self.names[raw]
+    def get(self, key: tuple) -> str:
+        if key not in self.names:
+            self.names[key] = _letter(len(self.names))
+        return self.names[key]
 
 
-def pretty_type(ty: Ty, table: TagTable, names: Optional[_NameGen] = None) -> str:
+def pretty_type(ty, table: TagTable, names: Optional[_NameGen] = None) -> str:
     """Deterministic rendering with variables lettered in
     first-occurrence order; re-parseable by parse_type. Pass a shared
     name generator to letter several types consistently."""
-    return _render(ty, table, names or _NameGen(), top=True)
+    return _render(ty, table, names or _NameGen())
 
 
-def _render(ty, table, names, top=False) -> str:
-    def atomish(t):
-        s = _render(t, table, names)
-        if isinstance(t, (TyFun, TyMu)) or (isinstance(t, TySexp) and (len(t.ctors) + (1 if t.rest else 0)) > 1):
-            return f"({s})"
-        return s
+def _union_size(t: Compound) -> int:
+    entries, tail = _list_from_term(t.args[0])
+    return len(entries) + (_var_id(tail) is not None)
 
-    if isinstance(ty, TyVar):
-        return names.get("var:" + ty.name)
-    if isinstance(ty, TyName):
-        return names.get("name:" + ty.name)
-    if isinstance(ty, TyInt):
+
+def _atomish(t, table, names) -> str:
+    s = _render(t, table, names)
+    if isinstance(t, Compound) and (t.tag in ("TArrow", "TMu") or (t.tag == "TSexp" and _union_size(t) > 1)):
+        return f"({s})"
+    return s
+
+
+def _is_ctor(t) -> bool:
+    return isinstance(t, Compound) and t.tag == "ctor"
+
+
+def _render_entry(e, table, names) -> str:
+    """One member of a union: a constructor, or a variable standing for
+    one (a free list cell, or a constructor whose tag is still free)."""
+    if not _is_ctor(e):
+        return _atomish(e, table, names)
+    tag = e.args[0]
+    if not isinstance(tag, int):
+        return _atomish(tag, table, names)
+    label = table.label(tag) if 0 <= tag < table.sexp_max_length else "?"
+    args = _items(e.args[1])
+    if args:
+        return f"{label}({', '.join(_atomish(a, table, names) for a in args)})"
+    return label
+
+
+def _render(t, table, names) -> str:
+    vid = _var_id(t)
+    if vid is not None:
+        return names.get(("var", vid))
+    if not isinstance(t, Compound):
+        raise ValueError(f"not a type: {t!r}")
+    if t.tag == "TName":
+        return names.get(("name", t.args[0]))
+    if t.tag == "TInt":
         return "Int"
-    if isinstance(ty, TyStr):
+    if t.tag == "TStr":
         return "Str"
-    if isinstance(ty, TyArray):
-        return f"[{_render(ty.elem, table, names)}]"
-    if isinstance(ty, TySexp):
-        parts = []
-        for tag, args in ty.ctors:
-            label = table.label(tag) if 0 <= tag < table.sexp_max_length else "?"
-            if args and tag >= 0:
-                parts.append(f"{label}({', '.join(atomish(a) for a in args)})")
-            elif tag < 0:
-                parts.append(atomish(args[0]))
-            else:
-                parts.append(label)
-        if ty.rest is not None:
-            parts.append(names.get("var:" + ty.rest))
+    if t.tag == "TArray":
+        return f"[{_render(t.args[0], table, names)}]"
+    if t.tag == "TSexp":
+        entries, tail = _list_from_term(t.args[0])
+        parts = [_render_entry(e, table, names) for e in entries]
+        # An open union shows its tail variable; any other tail is not shown.
+        if _var_id(tail) is not None:
+            parts.append(_render(tail, table, names))
         return " | ".join(parts)
-    if isinstance(ty, TyFun):
+    if t.tag == "TArrow":
+        bvars, bcs, params = (_items(a) for a in t.args[:3])
         quant = ""
-        if ty.bound_vars:
-            quant = "forall " + " ".join(names.get("name:" + b) for b in ty.bound_vars) + ". "
+        if bvars:
+            quant = "forall " + " ".join(names.get(("name", _binder_name(b))) for b in bvars) + ". "
         constr = ""
-        if ty.bound_constraints:
-            constr = " & ".join(render_constraint(c, table, names) for c in ty.bound_constraints) + " => "
-        params = ", ".join(atomish(p) for p in ty.params)
-        return f"{quant}{constr}({params}) -> {atomish(ty.result)}"
-    if isinstance(ty, TyMu):
-        return f"mu {names.get('name:' + ty.binder)}. {_render(ty.body, table, names)}"
-    raise TypeError(f"not a type: {ty!r}")
+        if bcs:
+            constr = " & ".join(render_constraint(c, table, names) for c in bcs) + " => "
+        ps = ", ".join(_atomish(p, table, names) for p in params)
+        return f"{quant}{constr}({ps}) -> {_atomish(t.args[3], table, names)}"
+    if t.tag == "TMu":
+        return f"mu {names.get(('name', _binder_name(t.args[0])))}. {_render(t.args[1], table, names)}"
+    raise ValueError(f"not a type: {t!r}")
 
 
 def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> str:
@@ -938,35 +564,46 @@ def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> s
     def r(t):
         return _render(t, table, names)
 
-    if isinstance(c, CInd):
-        return f"Ind({r(c.container)}, {r(c.elem)})"
-    if isinstance(c, CCall):
-        return f"Call({r(c.fn)}; {', '.join(r(a) for a in c.args)}; {r(c.result)})"
-    if isinstance(c, CSexp):
-        return f"Sexp[{table.label(c.tag)}]({r(c.subject)}; {', '.join(r(a) for a in c.args)})"
-    if isinstance(c, CMatch):
-        return f"Match({r(c.subject)}; {', '.join(render_pattern(p, table, names) for p in c.pats)})"
-    if isinstance(c, CEq):
-        return f"Eq({r(c.left)}, {r(c.right)})"
-    raise TypeError(f"not a constraint: {c!r}")
+    def rs(ts):
+        return ", ".join(r(x) for x in _items(ts))
+
+    if _var_id(c) is not None:
+        # A constraint that is still a variable constrains nothing.
+        return f"Eq({r(c)}, {r(c)})"
+    tag = c.tag if isinstance(c, Compound) else None
+    if tag == "Ind":
+        return f"Ind({r(c.args[0])}, {r(c.args[1])})"
+    if tag == "Call":
+        return f"Call({r(c.args[0])}; {rs(c.args[1])}; {r(c.args[2])})"
+    if tag == "SexpC":
+        return f"Sexp[{table.label(c.args[0])}]({r(c.args[1])}; {rs(c.args[2])})"
+    if tag == "Match":
+        pats = ", ".join(render_pattern(p, table, names) for p in _items(c.args[1]))
+        return f"Match({r(c.args[0])}; {pats})"
+    if tag == "Eq":
+        return f"Eq({r(c.args[0])}, {r(c.args[1])})"
+    raise ValueError(f"not a constraint: {c!r}")
 
 
 def render_pattern(p, table: TagTable, names: Optional[_NameGen] = None) -> str:
     names = names or _NameGen()
-    if isinstance(p, PatWild):
+
+    def rs(ps):
+        return ", ".join(render_pattern(x, table, names) for x in _items(ps))
+
+    tag = p.tag if isinstance(p, Compound) else None
+    if tag == "PWild" or _var_id(p) is not None:
         return "_"
-    if isinstance(p, PatAt):
-        return f"{_render(p.ty, table, names)} @ {render_pattern(p.pat, table, names)}"
-    if isinstance(p, PatArray):
-        return f"[{', '.join(render_pattern(x, table, names) for x in p.pats)}]"
-    if isinstance(p, PatSexp):
-        label = table.label(p.tag)
-        if p.pats:
-            return f"{label}({', '.join(render_pattern(x, table, names) for x in p.pats)})"
-        return label
-    if isinstance(p, PatShape):
-        return f"#{p.kind}"
-    raise TypeError(f"not a pattern: {p!r}")
+    if tag == "PAt":
+        return f"{_render(p.args[0], table, names)} @ {render_pattern(p.args[1], table, names)}"
+    if tag == "PArray":
+        return f"[{rs(p.args[0])}]"
+    if tag == "PSexp":
+        label = table.label(p.args[0])
+        return f"{label}({rs(p.args[1])})" if _items(p.args[1]) else label
+    if tag == "PShape":
+        return f"#{p.args[0]}"
+    raise ValueError(f"not a pattern: {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -984,6 +621,7 @@ class _TypeParser:
         self.pos = 0
         self.table = table
         self.bound: list[str] = []  # mu / forall binders in scope
+        self.free: dict[str, FreeVar] = {}  # free variables, numbered in order
 
     def error(self, msg):
         raise TypeParseError(f"{msg} at offset {self.pos} in {self.text!r}")
@@ -1018,14 +656,14 @@ class _TypeParser:
         self.pos = i
         return word
 
-    def parse(self) -> Ty:
+    def parse(self):
         ty = self.type_()
         self.skip()
         if self.pos != len(self.text):
             self.error("trailing input")
         return ty
 
-    def type_(self) -> Ty:
+    def type_(self):
         save = self.pos
         word = self.ident()
         if word == "mu":
@@ -1035,7 +673,7 @@ class _TypeParser:
             self.expect(".")
             self.bound.append(binder)
             try:
-                return TyMu(binder, self.type_())
+                return t_mu(binder, self.type_())
             finally:
                 self.bound.pop()
         if word == "forall":
@@ -1048,20 +686,20 @@ class _TypeParser:
             self.expect(".")
             self.bound.extend(bvars)
             try:
-                fn = self.arrow(tuple(bvars))
+                fn = self.arrow(bvars)
             finally:
                 del self.bound[len(self.bound) - len(bvars) :]
             if fn is None:
                 self.error("expected arrow after forall")
             return fn
         self.pos = save
-        fn = self.arrow(())
+        fn = self.arrow([])
         if fn is not None:
             return fn
         self.pos = save
         return self.union()
 
-    def arrow(self, bvars) -> Optional[TyFun]:
+    def arrow(self, bvars) -> Optional[Compound]:
         save = self.pos
         constraints = []
         while True:
@@ -1090,7 +728,7 @@ class _TypeParser:
             self.pos = save
             return None
         result = self.type_()
-        return TyFun(tuple(bvars), tuple(constraints), tuple(params), result)
+        return t_arrow(llist(bvars), llist(constraints), llist(params), result)
 
     def try_constraint(self):
         word = self.ident()
@@ -1099,13 +737,13 @@ class _TypeParser:
             self.expect(",")
             b = self.type_()
             self.expect(")")
-            return CInd(a, b)
+            return c_ind(a, b)
         if word == "Eq" and self.eat("("):
             a = self.type_()
             self.expect(",")
             b = self.type_()
             self.expect(")")
-            return CEq(a, b)
+            return c_eq(a, b)
         if word == "Call" and self.eat("("):
             fn = self.type_()
             self.expect(";")
@@ -1119,7 +757,7 @@ class _TypeParser:
             self.expect(";")
             res = self.type_()
             self.expect(")")
-            return CCall(fn, tuple(args), res)
+            return c_call(fn, llist(args), res)
         if word == "Sexp" and self.eat("["):
             label = self.ident()
             self.expect("]")
@@ -1134,32 +772,33 @@ class _TypeParser:
                         break
                     self.expect(",")
             self.expect(")")
-            return CSexp(self.table.intern(label, len(args)), subj, tuple(args))
+            return c_sexp(self.table.intern(label, len(args)), subj, llist(args))
         return None
 
-    def union(self) -> Ty:
+    def union(self):
         members = [self.member()]
         while self.eat("|"):
             members.append(self.member())
-        if len(members) == 1 and not isinstance(members[0], tuple):
+        if len(members) == 1 and not _is_ctor(members[0]):
             return members[0]
         ctors = []
-        rest = None
+        rest = LNIL
         for m in members:
-            if isinstance(m, tuple):
+            if _is_ctor(m):
                 ctors.append(m)
-            elif isinstance(m, TyVar):
-                rest = m.name
+            elif isinstance(m, FreeVar):
+                rest = m
             else:
                 self.error("bad union member")
-        return TySexp(tuple(ctors), rest)
+        return t_sexp(llist(ctors, rest))
 
     def member(self):
+        """A type, or a constructor entry of a union."""
         self.skip()
         if self.eat("["):
             elem = self.type_()
             self.expect("]")
-            return TyArray(elem)
+            return t_array(elem)
         if self.eat("("):
             ty = self.type_()
             self.expect(")")
@@ -1168,9 +807,9 @@ class _TypeParser:
         if word is None:
             self.error("expected a type")
         if word == "Int":
-            return TyInt()
+            return T_INT
         if word == "Str":
-            return TyStr()
+            return T_STR
         if word[0].isupper():
             args = []
             if self.eat("("):
@@ -1179,90 +818,64 @@ class _TypeParser:
                     if self.eat(")"):
                         break
                     self.expect(",")
-            return (self.table.intern(word, len(args)), tuple(args))
+            return t_ctor(self.table.intern(word, len(args)), llist(args))
         if word in self.bound:
-            return TyName(word)
-        return TyVar(word)
+            return t_name(word)
+        if word not in self.free:
+            self.free[word] = FreeVar(len(self.free), len(self.free))
+        return self.free[word]
 
 
-def parse_type(text: str, table: TagTable) -> Ty:
+def parse_type(text: str, table: TagTable):
+    """The type term a rendered type stands for; its free variables are
+    reified ones, numbered in first-occurrence order."""
     return _TypeParser(text, table).parse()
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization and equality checks over Python-level types.
+# Canonicalization and equality of reified or parsed types.
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(ty: Ty) -> Ty:
+def canonicalize(t):
     """Rename every variable and binder, free or bound, to n0, n1, ... in
-    first-occurrence order; result contains only TyName leaves."""
-    names: dict[str, str] = {}
+    first-occurrence order; the result is ground, with TName leaves in
+    place of variables."""
+    names: dict[tuple, str] = {}
 
-    def fresh(kind, raw):
-        key = f"{kind}:{raw}"
-        if key not in names:
-            names[key] = f"n{len(names)}"
-        return names[key]
+    def fresh(key):
+        return names.setdefault(key, f"n{len(names)}")
 
     def go(x):
-        if isinstance(x, TyVar):
-            return TyName(fresh("v", x.name))
-        if isinstance(x, TyName):
-            return TyName(fresh("n", x.name))
-        if isinstance(x, (TyInt, TyStr)):
-            return x
-        if isinstance(x, TyArray):
-            return TyArray(go(x.elem))
-        if isinstance(x, TySexp):
-            ctors = tuple((t, tuple(go(a) for a in args)) for t, args in x.ctors)
-            rest = fresh("v", x.rest) if x.rest is not None else None
-            return TySexp(ctors, rest)
-        if isinstance(x, TyFun):
-            bvars = tuple(fresh("n", b) for b in x.bound_vars)
-            return TyFun(
-                bvars,
-                tuple(go_c(c) for c in x.bound_constraints),
-                tuple(go(p) for p in x.params),
-                go(x.result),
-            )
-        if isinstance(x, TyMu):
-            return TyMu(fresh("n", x.binder), go(x.body))
-        raise TypeError(f"not a type: {x!r}")
+        vid = _var_id(x)
+        if vid is not None:
+            return t_name(fresh(("var", vid)))
+        if not isinstance(x, Compound):
+            return x  # constructor ids, shape kinds
+        if x.tag == "TName":
+            return t_name(fresh(("name", x.args[0])))
+        if x.tag == "TMu":
+            return t_mu(fresh(("name", _binder_name(x.args[0]))), go(x.args[1]))
+        if x.tag == "TArrow":
+            bvars = [fresh(("name", _binder_name(b))) for b in _items(x.args[0])]
+            return t_arrow(llist(bvars), *(go(a) for a in x.args[1:]))
+        return map_args(x, go)
 
-    def go_c(c):
-        if isinstance(c, CInd):
-            return CInd(go(c.container), go(c.elem))
-        if isinstance(c, CCall):
-            return CCall(go(c.fn), tuple(go(a) for a in c.args), go(c.result))
-        if isinstance(c, CSexp):
-            return CSexp(c.tag, go(c.subject), tuple(go(a) for a in c.args))
-        if isinstance(c, CMatch):
-            return CMatch(go(c.subject), tuple(go_p(p) for p in c.pats))
-        if isinstance(c, CEq):
-            return CEq(go(c.left), go(c.right))
-        raise TypeError(f"not a constraint: {c!r}")
-
-    def go_p(p):
-        if isinstance(p, (PatWild, PatShape)):
-            return p
-        if isinstance(p, PatAt):
-            return PatAt(go(p.ty), go_p(p.pat))
-        if isinstance(p, PatArray):
-            return PatArray(tuple(go_p(x) for x in p.pats))
-        if isinstance(p, PatSexp):
-            return PatSexp(p.tag, tuple(go_p(x) for x in p.pats))
-        raise TypeError(f"not a pattern: {p!r}")
-
-    return go(ty)
+    return go(t)
 
 
-def types_equal(a: Ty, b: Ty, fuel: int = 200_000) -> bool:
+class ComparisonExhausted(Exception):
+    """types_equal ran out of fuel before it could decide."""
+
+
+def types_equal(a, b, fuel: int = 200_000) -> bool:
     """eq_t over canonicalized (hence ground) types: syntactic equality
-    modulo mu-unfolding, with binder names normalized away."""
-    from .engine import run
-
-    ta = ty_to_term(canonicalize(a), {})
-    tb = ty_to_term(canonicalize(b), {})
+    modulo mu-unfolding, with binder names normalized away. Raises
+    ComparisonExhausted when `fuel` engine steps do not decide it."""
+    ta, tb = canonicalize(a), canonicalize(b)
     res = run(lambda q: conj(unify(q, 1), eq_t(ta, tb)), max_answers=1, fuel=fuel)
-    return bool(res.answers)
+    if res.answers:
+        return True
+    if res.fuel_exhausted:
+        raise ComparisonExhausted(f"type comparison undecided after {fuel} steps")
+    return False

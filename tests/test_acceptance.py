@@ -74,12 +74,17 @@ def _grow(children):
 
 _terms_d4 = st.recursive(_atoms, _grow, max_leaves=8)
 
-_t0 = time.monotonic()
+
+@pytest.fixture(scope="module")
+def law_clock():
+    """Set up when the first law test starts, so the runtime sentinel
+    times the law batteries and nothing collected or run before them."""
+    return time.monotonic()
 
 
 @settings(max_examples=250, deadline=None)
 @given(_terms_d4, _terms_d4)
-def test_law_unification_symmetry(a, b):
+def test_law_unification_symmetry(law_clock, a, b):
     fwd = ok(lambda q: unify(a, b))
     bwd = ok(lambda q: unify(b, a))
     assert fwd == bwd
@@ -87,7 +92,7 @@ def test_law_unification_symmetry(a, b):
 
 @settings(max_examples=250, deadline=None)
 @given(_terms_d4)
-def test_law_triangular_soundness(t):
+def test_law_triangular_soundness(law_clock, t):
     # Binding q via a chain of intermediate variables resolves, on
     # reification, to the same term as a direct binding.
     def chained(q):
@@ -102,7 +107,7 @@ def test_law_triangular_soundness(t):
 
 @settings(max_examples=250, deadline=None)
 @given(_terms_d4, _terms_d4)
-def test_law_disequality_persistence(a, b):
+def test_law_disequality_persistence(law_clock, a, b):
     # A recorded disequality keeps holding after later bindings: binding
     # x to a after x =/= b succeeds exactly when a and b differ.
     def goal(q):
@@ -114,12 +119,12 @@ def test_law_disequality_persistence(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(_terms_d4)
-def test_law_hook_clearing(t):
+def test_law_hook_clearing(law_clock, t):
     # After any successful unification the hook registry is empty, so a
     # later cyclic bind fails plainly instead of consulting the hook.
     fired = []
 
-    def hook(state, vid, reified):
+    def hook(vid, reified):
         fired.append(vid)
         return Compound("sub", ())
 
@@ -139,7 +144,7 @@ def test_law_hook_clearing(t):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=30))
-def test_law_disjunction_fairness(depth):
+def test_law_disjunction_fairness(law_clock, depth):
     # A diverging branch never starves a producing one.
     def never(x):
         return delay(lambda: never(x))
@@ -153,10 +158,10 @@ def test_law_disjunction_fairness(depth):
     assert res.answers == [OKC]
 
 
-def test_law_suite_runtime():
+def test_law_suite_runtime(law_clock):
     # The five law batteries above run 1050 cases in total; they all
     # execute before this sentinel within the module.
-    assert time.monotonic() - _t0 < 10.0
+    assert time.monotonic() - law_clock < 10.0
 
 
 # ---------------------------------------------------------------------------

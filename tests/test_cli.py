@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from shapecheck import cli, types
 from shapecheck.checker import EXIT_CODES
 from shapecheck.cli import EXIT_IO_ERROR, main
 
@@ -103,6 +104,19 @@ def test_check_directory_is_an_io_error(tmp_path, capsys):
     assert err == f"shapecheck: cannot read {tmp_path}: Is a directory\n"
 
 
+NOT_UTF8 = b"x\xff\xfe"
+NOT_UTF8_REASON = "not UTF-8: invalid start byte at offset 1"
+
+
+def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "p.lama"
+    path.write_bytes(NOT_UTF8)
+    code, out = run_cli("check", str(path))
+    assert code == EXIT_IO_ERROR
+    assert out == ""
+    assert capsys.readouterr().err == f"shapecheck: cannot read {path}: {NOT_UTF8_REASON}\n"
+
+
 @pytest.mark.parametrize(
     "program, steps, verdict, dispatched, unifications, fuel",
     [
@@ -126,6 +140,28 @@ def test_corpus_golden_counters(program, steps, verdict, dispatched, unification
     stats = dict(ln.split("=", 1) for ln in lines if "=" in ln)
     got = (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"])
     assert got == (str(dispatched), str(unifications), str(fuel))
+
+
+@pytest.mark.parametrize(
+    "program, steps",
+    [
+        ("case_list", None),
+        ("closure_chain", None),
+        ("heterogeneous", None),
+        ("self_array", 50_000),
+        ("sexp_assign", None),
+        ("sort", None),
+    ],
+)
+def test_corpus_golden_output(program, steps):
+    # The exact text of `check --emit-constraints --stats`, rendered
+    # constraints and types included, as stored in tests/golden/.
+    argv = ["check", f"corpus/{program}.lama", "--emit-constraints", "--stats"]
+    if steps is not None:
+        argv += ["--max-steps", str(steps)]
+    _, out = run_cli(*argv)
+    with open(f"tests/golden/{program}.out", encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
 
 
 def test_emit_constraints(write):
@@ -161,6 +197,16 @@ def test_corpus_missing_dir_is_an_io_error(tmp_path, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err == f"shapecheck: cannot read {missing}: No such file or directory\n"
+
+
+def test_corpus_non_utf8_program_is_an_io_error(write, tmp_path, capsys):
+    path = tmp_path / "a.lama"
+    path.write_bytes(NOT_UTF8)
+    write("a.expected", "Typed\n")
+    code, out = run_cli("corpus", str(tmp_path))
+    assert code == EXIT_IO_ERROR
+    assert out == ""
+    assert capsys.readouterr().err == f"shapecheck: cannot read {path}: {NOT_UTF8_REASON}\n"
 
 
 def test_corpus_skips_missing_expectation(write, tmp_path):
@@ -213,6 +259,18 @@ def test_corpus_type_compared_modulo_unfolding(write, tmp_path):
     assert code == 0, out
     assert "a.lama: PASS (Typed)" in out
     assert "b.lama: PASS (Typed)" in out
+
+
+def test_corpus_comparison_out_of_fuel_fails_by_name(write, tmp_path, monkeypatch):
+    import pathlib
+
+    # An undecided comparison is a failure that says so, not a mismatch.
+    monkeypatch.setattr(cli, "types_equal", lambda a, b: types.types_equal(a, b, fuel=3))
+    write("a.lama", pathlib.Path("corpus/case_list.lama").read_text(encoding="utf-8"))
+    write("a.expected", "Typed\ny : mu a. Nil | Cons(Int, a)\n")
+    code, out = run_cli("corpus", str(tmp_path))
+    assert code == 1
+    assert "a.lama: FAIL (y: type comparison ran out of budget)" in out
 
 
 def test_shipped_corpus_passes():

@@ -10,7 +10,6 @@ from shapecheck.engine import (
     FreeVar,
     PMap,
     Var,
-    Wildcard,
     bind_occurs_hook,
     conj,
     delay,
@@ -19,7 +18,6 @@ from shapecheck.engine import (
     empty_state,
     fail,
     fresh_many,
-    fresh_wild_with,
     fresh_with,
     is_not_var,
     is_var,
@@ -134,24 +132,6 @@ def test_reify_numbers_free_vars_in_order():
     assert ans == C("p", FreeVar(0, ans.args[0].var_id), FreeVar(1, ans.args[1].var_id), ans.args[0])
 
 
-def test_wildcard_unifies_without_binding():
-    def goal(q):
-        def k(w):
-            return conj(unify(w, C("a")), unify(w, C("b")), unify(q, C("ok")))
-
-        return fresh_wild_with(k)
-
-    res = run(goal)
-    assert res.answers == [C("ok")]
-
-
-def test_wildcard_inside_structure():
-    def goal(q):
-        return fresh_wild_with(lambda w: conj(unify(C("f", w), C("f", C("x"))), unify(q, C("ok"))))
-
-    assert run(goal).answers == [C("ok")]
-
-
 # ---------------------------------------------------------------------------
 # Disequality
 # ---------------------------------------------------------------------------
@@ -177,28 +157,6 @@ def test_disunify_then_other_value_fine():
         return fresh_with(lambda x: conj(disunify(x, C("a")), unify(x, C("b")), unify(q, x)))
 
     assert run(goal).answers == [C("b")]
-
-
-def test_disunify_wildcard_checks_head_only():
-    # q may not be any two-argument "c" term, whatever the arguments.
-    def goal(q):
-        def k(ws):
-            return conj(disunify(q, C("c", ws[0], ws[1])), unify(q, C("c", C("x"), C("y"))))
-
-        def k_named(w1):
-            return fresh_wild_with(lambda w2: conj(disunify(q, C("c", w1, w2)), unify(q, C("c", C("x"), C("y")))))
-
-        return fresh_wild_with(k_named)
-
-    assert run(goal).answers == []
-
-
-def test_disunify_wildcard_other_head_ok():
-    def goal(q):
-        return fresh_wild_with(lambda w: conj(disunify(q, C("c", w)), unify(q, C("d", C("x")))))
-
-    (ans,) = run(goal).answers
-    assert ans == C("d", C("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +187,7 @@ def test_is_not_var_on_fresh_fails():
 
 def test_occurs_hook_fires_and_suggestion_accepted():
     # On x = f(x), suggest binding x to the constant "fix" instead.
-    def hook(state, vid, reified):
+    def hook(vid, reified):
         return C("fix")
 
     def goal(q):
@@ -245,8 +203,8 @@ def test_occurs_hook_fires_and_suggestion_accepted():
 
 def test_occurs_hook_bad_suggestion_rejected():
     # A suggestion that itself fails occurs (hooks disabled) kills the branch.
-    def hook(state, vid, reified):
-        return C("f", state.get(vid))  # still cyclic once re-checked
+    def hook(vid, reified):
+        return C("f", Var(vid))  # still cyclic once re-checked
 
     def goal(q):
         def k(x):
@@ -260,7 +218,7 @@ def test_occurs_hook_bad_suggestion_rejected():
 def test_occurs_hook_cleared_after_successful_unification():
     calls = []
 
-    def hook(state, vid, reified):
+    def hook(vid, reified):
         calls.append(vid)
         return C("fix")
 
@@ -293,7 +251,7 @@ def test_occurs_hook_cleared_after_successful_unification():
 
 
 def test_hook_not_consulted_without_occurs_failure():
-    def hook(state, vid, reified):
+    def hook(vid, reified):
         raise AssertionError("hook must not fire")
 
     def goal(q):

@@ -1,30 +1,24 @@
 """Constraint extraction from resolved programs."""
 
+import inspect
+import sys
+
+from shapecheck.engine import Compound, Var
 from shapecheck.gen import infer_program
 from shapecheck.syntax import parse_program
-from shapecheck.types import (
-    CCall,
-    CEq,
-    CInd,
-    CMatch,
-    CSexp,
-    PatShape,
-    TyFun,
-    TyInt,
-    TyName,
-    TyStr,
-    TyVar,
-    canonicalize,
-    pretty_type,
-)
+from shapecheck.types import LNIL, T_INT, T_STR, _list_from_term, canonicalize, pretty_type
 
 
 def gen(src):
     return infer_program(parse_program(src))
 
 
-def kinds(constraints):
-    return [type(c).__name__ for c in constraints]
+def of_kind(g, tag):
+    return [c for c in g.constraints if c.tag == tag]
+
+
+def items(lst):
+    return _list_from_term(lst)[0]
 
 
 def root_type(g, name):
@@ -38,9 +32,10 @@ def declared_arrow(g, name):
     # A declaration's root type is a linkage variable; the generalized
     # arrow sits on the other side of its equality constraint.
     var = root_type(g, name)
-    for c in g.constraints:
-        if isinstance(c, CEq) and c.left == var and isinstance(c.right, TyFun):
-            return c.right
+    for c in of_kind(g, "Eq"):
+        left, right = c.args
+        if left == var and isinstance(right, Compound) and right.tag == "TArrow":
+            return right
     raise KeyError(name)
 
 
@@ -55,56 +50,51 @@ def test_int_literal_generates_nothing():
 
 def test_array_literal_equates_elements():
     g = gen('["a", "b"]')
-    eqs = [c for c in g.constraints if isinstance(c, CEq)]
+    eqs = of_kind(g, "Eq")
     assert len(eqs) == 2
-    assert all(isinstance(c.right, TyStr) or isinstance(c.left, TyStr) for c in eqs)
+    assert all(T_STR in c.args for c in eqs)
 
 
 def test_sexp_literal_emits_membership():
     g = gen("A (1)")
-    cs = [c for c in g.constraints if isinstance(c, CSexp)]
+    cs = of_kind(g, "SexpC")
     assert len(cs) == 1
-    assert g.table.lookup(cs[0].tag) == ("A", 1)
-    assert cs[0].args == (TyInt(),) or list(cs[0].args) == [TyInt()]
+    tag, _, args = cs[0].args
+    assert (g.table.label(tag), g.table.arity(tag)) == ("A", 1)
+    assert items(args) == [T_INT]
 
 
 def test_two_assignments_accumulate_on_one_variable():
     # Both constructor memberships constrain the same subject variable.
     g = gen('var x = A (42);\nx := B ("s")')
-    cs = [c for c in g.constraints if isinstance(c, CSexp)]
+    cs = of_kind(g, "SexpC")
     assert len(cs) == 2
-    subjects = {c.subject for c in cs} if all(
-        isinstance(c.subject, TyVar) for c in cs
-    ) else None
     # x's type variable appears via Eq links; solving must merge them.
-    labels = sorted(g.table.label(c.tag) for c in cs)
+    labels = sorted(g.table.label(c.args[0]) for c in cs)
     assert labels == ["A", "B"]
 
 
 def test_indexing_emits_ind_and_int_index():
     g = gen("var a = [1];\na [0]")
-    inds = [c for c in g.constraints if isinstance(c, CInd)]
+    inds = of_kind(g, "Ind")
     assert len(inds) == 1
     # The index expression itself is pinned to Int.
-    assert any(
-        isinstance(c, CEq) and (isinstance(c.left, TyInt) or isinstance(c.right, TyInt))
-        for c in g.constraints
-    )
+    assert any(T_INT in c.args for c in of_kind(g, "Eq"))
 
 
 def test_call_emits_call_constraint():
     g = gen("fun f (x) { x } ;\nf (1)")
-    calls = [c for c in g.constraints if isinstance(c, CCall)]
+    calls = of_kind(g, "Call")
     assert len(calls) == 1
-    assert len(calls[0].args) == 1
+    assert len(items(calls[0].args[1])) == 1
 
 
 def test_length_emits_box_match():
     g = gen("var a = [1];\na.length")
-    ms = [c for c in g.constraints if isinstance(c, CMatch)]
+    ms = of_kind(g, "Match")
     assert len(ms) == 1
-    (p,) = ms[0].pats
-    assert isinstance(p, PatShape) and p.kind == "box"
+    (p,) = items(ms[0].args[1])
+    assert p.tag == "PShape" and p.args == ("box",)
 
 
 def test_case_emits_match_and_branch_equations():
@@ -117,14 +107,14 @@ def test_case_emits_match_and_branch_equations():
         esac
         """
     )
-    ms = [c for c in g.constraints if isinstance(c, CMatch)]
+    ms = of_kind(g, "Match")
     assert len(ms) == 1
-    assert len(ms[0].pats) == 2
+    assert len(items(ms[0].args[1])) == 2
 
 
 def test_binop_pins_operands_to_int():
     g = gen("1 + 2")
-    eqs = [c for c in g.constraints if isinstance(c, CEq)]
+    eqs = of_kind(g, "Eq")
     assert len(eqs) == 2
 
 
@@ -142,7 +132,7 @@ def test_identity_function_generalizes():
 def test_indexing_function_keeps_constraint_in_arrow():
     g = gen("fun get (a) { a [0] } ;\nget")
     ty = declared_arrow(g, "get")
-    assert isinstance(ty, TyFun)
+    assert ty.tag == "TArrow"
     assert pretty_type(canonicalize(ty), g.table) == "forall a b. Ind(a, b) => (a) -> b"
 
 
@@ -156,30 +146,35 @@ def test_generalization_skips_environment_variables():
     # y is bound outside f, so f's arrow may not quantify y's variable.
     g = gen("var y = [1];\nfun f (i) { y [i] } ;\nf")
     ty = declared_arrow(g, "f")
-    assert isinstance(ty, TyFun)
+    assert ty.tag == "TArrow"
     # The container variable stays free (referenced, not bound).
-    free_names = {v for v in _free_tyvars(ty)}
-    assert free_names, "expected f's type to mention the outer variable"
+    free_vars = _free_tyvars(ty)
+    assert free_vars, "expected f's type to mention the outer variable"
 
 
-def _free_tyvars(ty, bound=frozenset()):
-    out = set()
+def _free_tyvars(t):
+    if isinstance(t, Var):
+        return {t}
+    if isinstance(t, Compound):
+        return set().union(*map(_free_tyvars, t.args))
+    return set()
 
-    def walk(t):
-        if isinstance(t, TyVar):
-            out.add(t.name)
-        for f in getattr(t, "__dataclass_fields__", {}):
-            v = getattr(t, f)
-            items = v if isinstance(v, (list, tuple)) else [v]
-            for item in items:
-                if hasattr(item, "__dataclass_fields__"):
-                    walk(item)
-                elif isinstance(item, tuple):
-                    for sub in item:
-                        if hasattr(sub, "__dataclass_fields__"):
-                            walk(sub)
-    walk(ty)
-    return out
+
+def test_long_inner_function_generalizes_in_little_stack():
+    # The inner arrow's constraint list is an engine list as long as its
+    # body; the outer generalization walks it without a frame per item.
+    body = "\n".join(f"x := x + {i};" for i in range(1500))
+    g_src = f"fun outer (z) {{ fun f (y) {{ var x = y;\n{body}\nx }} ;\nf (z) }} ;\nouter"
+    prog = parse_program(g_src)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        g = infer_program(prog)
+        text = pretty_type(canonicalize(declared_arrow(g, "outer")), g.table)
+    finally:
+        sys.setrecursionlimit(limit)
+    # Two equalities per statement, the copy of y, and the outer link.
+    assert text.count("Eq(") == 2 * 1500 + 2
 
 
 def test_recursive_function_sees_monomorphic_self():
@@ -198,20 +193,21 @@ def test_recursive_function_sees_monomorphic_self():
     # variable (monomorphic self), carried inside the arrow's bound
     # constraints after generalization.
     arrow = declared_arrow(g, "size")
-    inner_calls = [c for c in arrow.bound_constraints if isinstance(c, CCall)]
+    inner_calls = [c for c in items(arrow.args[1]) if c.tag == "Call"]
     assert len(inner_calls) == 1
-    assert inner_calls[0].fn == root_type(g, "size")
+    assert inner_calls[0].args[0] == root_type(g, "size")
 
 
 def test_builtins_have_ground_arrows():
     g = gen("write (read ())")
-    calls = [c for c in g.constraints if isinstance(c, CCall)]
+    calls = of_kind(g, "Call")
     assert len(calls) == 2
-    fn_types = {type(c.fn).__name__ for c in calls}
-    assert fn_types == {"TyFun"}
+    fn_types = {c.args[0].tag for c in calls}
+    assert fn_types == {"TArrow"}
     for c in calls:
-        assert c.fn.bound_vars == ()
-        assert isinstance(c.fn.result, TyInt)
+        bound_vars, _, _, result = c.args[0].args
+        assert bound_vars == LNIL
+        assert result == T_INT
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapecheck.engine import Compound, conj, fresh_with, run, unify
+from shapecheck.engine import Compound, FreeVar, PMap, Var, conj, fresh_with, run, unify
 from shapecheck.types import (
     LNIL,
     T_INT,
     T_STR,
-    CEq,
-    CInd,
+    ComparisonExhausted,
     TagTable,
-    TyArray,
-    TyFun,
-    TyInt,
-    TyMu,
-    TyName,
-    TySexp,
-    TyStr,
-    TyVar,
     TypeParseError,
+    apply_type_subst,
+    c_eq,
+    c_ind,
     canonicalize,
     eq_t,
     llist,
@@ -27,14 +21,13 @@ from shapecheck.types import (
     pretty_type,
     render_constraint,
     set_type_hook,
-    subst_t,
     t_array,
+    t_arrow,
     t_ctor,
     t_mu,
     t_name,
     t_sexp,
     ty_from_term,
-    ty_to_term,
     types_equal,
     unmu,
 )
@@ -60,10 +53,8 @@ def test_intern_is_bijective_per_label_arity():
     a2 = tb.intern("A", 2)
     assert tb.intern("A", 1) == a1
     assert len({a1, b2, a2}) == 3
-    assert tb.lookup(a1) == ("A", 1)
     assert tb.label(b2) == "B" and tb.arity(b2) == 2
     assert tb.sexp_max_length == 3
-    assert tb.max_arity == 2
     assert tb.all_ids() == [a1, b2, a2]
 
 
@@ -73,7 +64,7 @@ def test_intern_same_label_different_arity_distinct():
 
 
 # ---------------------------------------------------------------------------
-# unmu / subst_t
+# unmu / apply_type_subst
 # ---------------------------------------------------------------------------
 
 
@@ -113,15 +104,13 @@ def test_unmu_on_fresh_var_is_identity():
     assert run(goal).answers == [T_STR]
 
 
-def test_subst_t_replaces_names_capture_avoiding():
+def test_apply_type_subst_replaces_names_capture_avoiding():
     # [x -> Int] over  (x, mu x. x)  touches only the free occurrence.
     t = Compound("TArray", (t_name("x"),))
-    res = run(lambda q: subst_t({"x": T_INT}, t, q))
-    assert res.answers == [t_array(T_INT)]
+    assert apply_type_subst({"x": T_INT}, t, PMap()) == t_array(T_INT)
 
     shadowed = t_mu("x", t_array(t_name("x")))
-    res = run(lambda q: subst_t({"x": T_INT}, shadowed, q))
-    assert res.answers == [shadowed]
+    assert apply_type_subst({"x": T_INT}, shadowed, PMap()) == shadowed
 
 
 # ---------------------------------------------------------------------------
@@ -217,52 +206,68 @@ def test_eq_t_ground_agrees_with_oracle_on_samples():
 
 def test_pretty_atoms():
     tb = TagTable()
-    assert pretty_type(TyInt(), tb) == "Int"
-    assert pretty_type(TyStr(), tb) == "Str"
-    assert pretty_type(TyArray(TyInt()), tb) == "[Int]"
+    assert pretty_type(T_INT, tb) == "Int"
+    assert pretty_type(T_STR, tb) == "Str"
+    assert pretty_type(t_array(T_INT), tb) == "[Int]"
 
 
 def test_pretty_sexp_union():
     tb = TagTable()
     nil = tb.intern("Nil", 0)
     cons = tb.intern("Cons", 2)
-    ty = TySexp(((nil, ()), (cons, (TyInt(), TyVar("t")))), None)
+    ty = t_sexp(llist([t_ctor(nil, LNIL), t_ctor(cons, llist([T_INT, Var(7)]))]))
     assert pretty_type(ty, tb) == "Nil | Cons(Int, a)"
 
 
 def test_pretty_identity_arrow():
     tb = TagTable()
-    ty = TyFun(("a",), (), (TyName("a"),), TyName("a"))
+    ty = t_arrow(llist(["a"]), LNIL, llist([t_name("a")]), t_name("a"))
     assert pretty_type(ty, tb) == "forall a. (a) -> a"
 
 
 def test_pretty_arrow_with_constraints():
     tb = TagTable()
-    ty = TyFun(
-        ("a", "b"),
-        (CInd(TyName("a"), TyName("b")),),
-        (TyName("a"),),
-        TyName("b"),
+    ty = t_arrow(
+        llist(["a", "b"]),
+        llist([c_ind(t_name("a"), t_name("b"))]),
+        llist([t_name("a")]),
+        t_name("b"),
     )
     assert pretty_type(ty, tb) == "forall a b. Ind(a, b) => (a) -> b"
 
 
 def test_pretty_mu():
     tb = TagTable()
-    assert pretty_type(TyMu("r", TyArray(TyName("r"))), tb) == "mu a. [a]"
+    assert pretty_type(t_mu("r", t_array(t_name("r"))), tb) == "mu a. [a]"
 
 
 def test_pretty_vars_numbered_in_first_occurrence_order():
     tb = TagTable()
-    ty = TyFun((), (), (TyVar("u"), TyVar("v"), TyVar("u")), TyVar("v"))
+    u, v = Var(5), Var(2)
+    ty = t_arrow(LNIL, LNIL, llist([u, v, u]), v)
     assert pretty_type(ty, tb) == "(a, b, a) -> b"
+
+
+def test_pretty_reified_special_forms():
+    # Reified answers can hold forms the generator never builds: a
+    # constructor whose tag is still free, an open union, a free binder
+    # in an arrow's binder list, and a constraint that is still a variable.
+    tb = TagTable()
+    a = tb.intern("A", 0)
+    x, y = FreeVar(0, 11), FreeVar(1, 12)
+    union = t_sexp(llist([t_ctor(a, LNIL), t_ctor(x, llist([T_INT]))], y))
+    assert pretty_type(union, tb) == "A | a | b"
+    # A tail that is neither a list nor a variable is not shown.
+    assert pretty_type(t_sexp(llist([t_ctor(a, LNIL)], t_name("r"))), tb) == "A"
+    arrow = t_arrow(llist([x]), llist([y]), llist([x]), T_INT)
+    assert pretty_type(arrow, tb) == "forall a. Eq(b, b) => (c) -> Int"
 
 
 def test_render_constraint_forms():
     tb = TagTable()
     a = tb.intern("A", 1)
-    assert render_constraint(CInd(TyArray(TyInt()), TyInt()), tb) == "Ind([Int], Int)"
-    assert render_constraint(CEq(TyInt(), TyStr()), tb) == "Eq(Int, Str)"
+    assert render_constraint(c_ind(t_array(T_INT), T_INT), tb) == "Ind([Int], Int)"
+    assert render_constraint(c_eq(T_INT, T_STR), tb) == "Eq(Int, Str)"
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +308,19 @@ def test_parse_rejects_garbage():
 
 
 def test_ty_term_round_trip():
+    # A parsed type goes through the engine and comes back reified equal;
+    # ty_from_term checks a reified type and hands the term back.
     tb = TagTable()
     nil = tb.intern("Nil", 0)
     cons = tb.intern("Cons", 2)
-    for text in ["Int", "[Str]", "mu a. Nil | Cons(Int, a)", "forall a. (a) -> a"]:
+    for text in ["Int", "[Str]", "mu a. Nil | Cons(Int, a)", "forall a. (a) -> a", "Nil | a"]:
         ty = parse_type(text, tb)
-        term = ty_to_term(ty, {})
+        (term,) = run(lambda q: unify(q, ty)).answers
         back = ty_from_term(term)
+        assert back is term
         assert types_equal(ty, back)
+    with pytest.raises(ValueError):
+        ty_from_term(c_eq(T_INT, T_INT))
 
 
 def test_types_equal_mu_folded_unfolded():
@@ -321,6 +331,18 @@ def test_types_equal_mu_folded_unfolded():
     unfolded = parse_type("Nil | Cons(Int, (mu a. Nil | Cons(Int, a)))", tb)
     assert types_equal(folded, unfolded)
     assert not types_equal(folded, parse_type("Nil | Cons(Str, (mu a. Nil | Cons(Str, a)))", tb))
+
+
+def test_types_equal_out_of_fuel_raises():
+    # Undecided is not "not equal": a comparison that runs out of fuel
+    # says so instead of answering False.
+    tb = TagTable()
+    tb.intern("Nil", 0)
+    tb.intern("Cons", 2)
+    folded = parse_type("mu a. Nil | Cons(Int, a)", tb)
+    unfolded = parse_type("Nil | Cons(Int, (mu a. Nil | Cons(Int, a)))", tb)
+    with pytest.raises(ComparisonExhausted):
+        types_equal(folded, unfolded, fuel=3)
 
 
 def test_types_equal_alpha_invariant():
@@ -335,10 +357,10 @@ def test_types_equal_alpha_invariant():
 
 _ground = st.deferred(
     lambda: st.one_of(
-        st.just(TyInt()),
-        st.just(TyStr()),
-        st.builds(TyArray, _ground),
-        st.builds(lambda p, r: TyFun((), (), (p,), r), _ground, _ground),
+        st.just(T_INT),
+        st.just(T_STR),
+        st.builds(t_array, _ground),
+        st.builds(lambda p, r: t_arrow(LNIL, LNIL, llist([p]), r), _ground, _ground),
     )
 )
 
