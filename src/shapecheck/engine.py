@@ -102,12 +102,11 @@ class PMap:
     a copy-on-write dict would make long runs quadratic.
     """
 
-    __slots__ = ("_root", "_depth", "_size")
+    __slots__ = ("_root", "_depth")
 
-    def __init__(self, root=None, depth: int = 0, size: int = 0):
+    def __init__(self, root=None, depth: int = 0):
         self._root = root
         self._depth = depth
-        self._size = size
 
     def get(self, key: int, default=None):
         node = self._root
@@ -122,13 +121,6 @@ class PMap:
         slot = node[key & _MASK]
         return default if slot is None else slot[0]
 
-    def __contains__(self, key: int) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def __len__(self) -> int:
-        return self._size
-
     def set(self, key: int, value) -> "PMap":
         root, depth = self._root, self._depth
         if root is None:
@@ -138,8 +130,7 @@ class PMap:
             wrapped[0] = root
             root = tuple(wrapped)
             depth += 1
-        grew = 0 if key in self else 1
-        return PMap(self._assoc(root, depth, key, value), depth, self._size + grew)
+        return PMap(self._assoc(root, depth, key, value), depth)
 
     @staticmethod
     def _assoc(node, depth, key, value):
@@ -195,9 +186,10 @@ def _active_counters() -> Optional[Counters]:
 class State:
     """An immutable search state.
 
-    Fields: triangular substitution, pending disequality pairs, the occurs
-    hook registry (emptied by every successful unification), the next fresh
-    id, and a shared counters object (not logical state).
+    Fields: triangular substitution, pending disequalities (each pair
+    with its watch, see `_watched`), the occurs hook registry (emptied by
+    every successful unification), the next fresh id, and a shared
+    counters object (not logical state).
     """
 
     __slots__ = ("subst", "diseqs", "hooks", "counter", "counters")
@@ -287,7 +279,8 @@ def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
 
 
 def _unify_terms(a, b, subst, hooks):
-    """Triangular unification. Returns (subst, extension count) or None.
+    """Triangular unification. Returns (subst, first) or None, where first
+    is the first binding made, (variable, term), or None if there was none.
 
     hooks is None when occurs hooks are disabled (trial unification and
     hook-suggestion re-checks).
@@ -295,7 +288,7 @@ def _unify_terms(a, b, subst, hooks):
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
     if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-        return subst, 0
+        return subst, None
     if isinstance(a, Var):
         return _extend(a, b, subst, hooks)
     if isinstance(b, Var):
@@ -303,15 +296,16 @@ def _unify_terms(a, b, subst, hooks):
     if isinstance(a, Compound) and isinstance(b, Compound):
         if a.tag != b.tag or len(a.args) != len(b.args):
             return None
-        n = 0
+        first = None
         for x, y in zip(a.args, b.args):
             res = _unify_terms(x, y, subst, hooks)
             if res is None:
                 return None
-            subst, k = res
-            n += k
-        return subst, n
-    return (subst, 0) if a == b else None
+            subst, bound = res
+            if first is None:
+                first = bound
+        return subst, first
+    return (subst, None) if a == b else None
 
 
 def _extend(v: Var, t, subst, hooks):
@@ -323,22 +317,45 @@ def _extend(v: Var, t, subst, hooks):
         # The suggestion is re-checked with hooks disabled.
         if occurs(v.id, suggested, subst):
             return None
-        return subst.set(v.id, suggested), 1
-    return subst.set(v.id, t), 1
+        return subst.set(v.id, suggested), (v, suggested)
+    return subst.set(v.id, t), (v, t)
 
 
-def _diseq_survives(pairs, subst):
-    """Recheck pending disequalities; None signals a violated pair."""
-    keep = []
-    for a, b in pairs:
+def _watched(a, b, first):
+    """A pending disequality: the pair plus the ids of its watch, the
+    variables of the first binding a trial unification of the pair made.
+
+    Until one of them is bound, every step of the trial before that
+    binding still succeeds without binding anything, and the binding
+    itself still binds, so the pair cannot have become equal. The second
+    watch is the other side when it is a variable (binding it to the
+    first makes the two equal), and None otherwise."""
+    v, t = first
+    return (a, b, v.id, t.id if isinstance(t, Var) else None)
+
+
+def _diseq_survives(pending, subst):
+    """Recheck the pending disequalities whose watch subst binds; None
+    signals a violated pair. Returns pending itself when no watch is
+    bound."""
+    get = subst.get
+    keep = None
+    for i, entry in enumerate(pending):
+        a, b, v, w = entry
+        if get(v, _MISSING) is _MISSING and (w is None or get(w, _MISSING) is _MISSING):
+            if keep is not None:
+                keep.append(entry)
+            continue
+        if keep is None:
+            keep = list(pending[:i])
         res = _unify_terms(a, b, subst, None)
         if res is None:
             continue  # can never become equal again: drop
-        _, ext = res
-        if ext == 0:
+        _, first = res
+        if first is None:
             return None  # equal now: violation
-        keep.append((a, b))
-    return tuple(keep)
+        keep.append(_watched(a, b, first))
+    return pending if keep is None else tuple(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +464,12 @@ def unify(a: Term, b: Term) -> Goal:
         res = _unify_terms(a, b, state.subst, state.hooks)
         if res is None:
             return None
-        subst, _ = res
-        diseqs = _diseq_survives(state.diseqs, subst)
-        if diseqs is None:
-            return None
+        subst, first = res
+        diseqs = state.diseqs
+        if first is not None and diseqs:
+            diseqs = _diseq_survives(diseqs, subst)
+            if diseqs is None:
+                return None
         # Hook registry is emptied by every successful unification.
         return succeed(State(subst, diseqs, {}, state.counter, state.counters))
 
@@ -462,10 +481,10 @@ def disunify(a: Term, b: Term) -> Goal:
         res = _unify_terms(a, b, state.subst, None)
         if res is None:
             return succeed(state)  # can never be equal: nothing to record
-        _, ext = res
-        if ext == 0:
+        _, first = res
+        if first is None:
             return None  # already equal
-        diseqs = state.diseqs + ((a, b),)
+        diseqs = state.diseqs + (_watched(a, b, first),)
         return succeed(State(state.subst, diseqs, state.hooks, state.counter, state.counters))
 
     return goal

@@ -347,11 +347,34 @@ _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _ADD_OPS = ("+", "-")
 _MUL_OPS = ("*", "/", "%")
 
+# Deepest nesting of expressions, blocks, patterns and `elif` links the
+# parser accepts. Every recursive pass after it (scope resolution,
+# generation, rendering) recurses per level too, and the whole pipeline
+# must fit Python's default recursion limit.
+MAX_NESTING = 64
+
+
+def _nested(method):
+    """Count one nesting level around a recursive parser method; past
+    MAX_NESTING, raise ParseError at the token that opens the level."""
+
+    def wrapper(self, *args):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.peek()
+            raise ParseError(t.line, t.col, f"nesting deeper than {MAX_NESTING} levels")
+        result = method(self, *args)
+        self.depth -= 1
+        return result
+
+    return wrapper
+
 
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -377,6 +400,7 @@ class _Parser:
 
     # Blocks: items separated by ';' (optional after a fun declaration).
 
+    @_nested
     def block(self, stops) -> Scope:
         items = []
         while not self.peek().kind in stops:
@@ -436,6 +460,7 @@ class _Parser:
 
     # Expressions.
 
+    @_nested
     def expr(self) -> Node:
         lhs = self.comparison()
         if self.eat(":="):
@@ -597,6 +622,7 @@ class _Parser:
         self.expect("fi")
         return If(cond, then, None)
 
+    @_nested
     def elif_chain(self) -> Node:
         cond = self.expr()
         self.expect("then")
@@ -615,6 +641,7 @@ class _Parser:
 
     # Patterns.
 
+    @_nested
     def pattern(self) -> Node:
         t = self.peek()
         if t.kind == "_":

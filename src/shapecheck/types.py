@@ -622,6 +622,7 @@ class _TypeParser:
         self.table = table
         self.bound: list[str] = []  # mu / forall binders in scope
         self.free: dict[str, FreeVar] = {}  # free variables, numbered in order
+        self.parsed: dict = {}  # (offset, binders in scope) -> (type, end offset)
 
     def error(self, msg):
         raise TypeParseError(f"{msg} at offset {self.pos} in {self.text!r}")
@@ -664,6 +665,18 @@ class _TypeParser:
         return ty
 
     def type_(self):
+        # `arrow` parses a parenthesized group before it can see whether
+        # `->` follows, and `union` parses it again when none does;
+        # remembering each parse keeps nested groups linear, not
+        # exponential in their depth.
+        key = (self.pos, tuple(self.bound))
+        done = self.parsed.get(key)
+        if done is None:
+            done = self.parsed[key] = (self._type(), self.pos)
+        ty, self.pos = done
+        return ty
+
+    def _type(self):
         save = self.pos
         word = self.ident()
         if word == "mu":

@@ -5,6 +5,9 @@ recursive-type unfolding, and the candidate-list enumerator counts bounded
 constructor lists directly; neither touches the relational engine.
 `pick_next` is the list-based reference for the solver's pick order: it
 reads weights through the solver's own `constraint_weight` and nothing else.
+`recheck_unify`/`recheck_disunify` are the reference disequality store,
+built on the engine's own `_unify_terms`: it rechecks every pending pair
+after every unification, without watches.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from shapecheck.engine import State, _unify_terms
 from shapecheck.solver import constraint_weight
 
 # Ground type syntax for the oracle: plain tuples.
@@ -210,3 +214,51 @@ def pick_next(queue, state):
             if w == 0:
                 break
     return best
+
+
+def diseq_survives(pairs, subst):
+    """Recheck every pending disequality by a trial unification; None
+    signals a violated pair."""
+    keep = []
+    for a, b in pairs:
+        res = _unify_terms(a, b, subst, None)
+        if res is None:
+            continue  # can never become equal again: drop
+        _, first = res
+        if first is None:
+            return None  # equal now: violation
+        keep.append((a, b))
+    return tuple(keep)
+
+
+def recheck_unify(a, b):
+    """`engine.unify` over a store of plain (a, b) pairs, every one of
+    them rechecked after every unification."""
+
+    def goal(state):
+        res = _unify_terms(a, b, state.subst, state.hooks)
+        if res is None:
+            return None
+        subst, _ = res
+        diseqs = diseq_survives(state.diseqs, subst)
+        if diseqs is None:
+            return None
+        return (State(subst, diseqs, {}, state.counter, state.counters), None)
+
+    return goal
+
+
+def recheck_disunify(a, b):
+    """`engine.disunify` over the store of `recheck_unify`."""
+
+    def goal(state):
+        res = _unify_terms(a, b, state.subst, None)
+        if res is None:
+            return (state, None)
+        _, first = res
+        if first is None:
+            return None
+        diseqs = state.diseqs + ((a, b),)
+        return (State(state.subst, diseqs, state.hooks, state.counter, state.counters), None)
+
+    return goal

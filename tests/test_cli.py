@@ -1,12 +1,19 @@
 """Command-line behavior: verdicts, exit codes, stats, corpus mode."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shapecheck import cli, types
 from shapecheck.checker import EXIT_CODES
 from shapecheck.cli import EXIT_IO_ERROR, main
+from shapecheck.syntax import MAX_NESTING, ParseError, parse_program
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -85,6 +92,66 @@ def test_stats_key_value_lines(write):
     ):
         assert key in stats, key
         int(stats[key])  # numeric
+
+
+def test_constructor_case_golden_counters(write):
+    # Each constructor cell the solver scans records a disequality, so
+    # the fuel and unification counts pin the disequality store's work.
+    branches = " | ".join(f"C{i} (x) -> x" for i in range(12))
+    path = write("p.lama", f"fun f (s) {{ case s of {branches} esac }} ;\nf (C3 (1))\n")
+    code, out = run_cli("check", path, "--stats")
+    lines = out.splitlines()
+    assert (code, lines[0]) == (0, "Typed")
+    stats = dict(ln.split("=", 1) for ln in lines if "=" in ln)
+    assert (stats["fuel-used"], stats["engine-unifications"]) == ("9073", "2487")
+
+
+def _nested_tags(k):
+    return "var x;\nx := " + "A (" * k + "1" + ")" * k
+
+
+def _nested_funs(k):
+    return "fun f (x) { " * k + "x" + " }" * k + ";\nf (1)"
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        # The 65th level opens at the 63rd `A (`, and at the 32nd `(`
+        # (a parenthesized block and its expression are one level each).
+        (_nested_tags(300), "2:192"),
+        ("(" * 3000 + "1" + ")" * 3000, "1:33"),
+    ],
+)
+def test_too_deep_nesting_is_malformed(write, source, where):
+    code, out = run_cli("check", write("p.lama", source))
+    assert code == EXIT_CODES["Malformed"]
+    assert out.splitlines() == ["Malformed", f"{where}: nesting deeper than {MAX_NESTING} levels"]
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [
+        # Levels: the top block, the assignment, its right side, k tags.
+        (_nested_tags, MAX_NESTING - 3),
+        # Levels: the top block, k function bodies, the innermost expression.
+        (_nested_funs, MAX_NESTING - 2),
+    ],
+)
+def test_program_at_the_nesting_bound_still_checks(tmp_path, build, k):
+    with pytest.raises(ParseError):
+        parse_program(build(k + 1))
+    path = tmp_path / "p.lama"
+    path.write_text(build(k), encoding="utf-8")
+    # A fresh interpreter, whose recursion limit no earlier run raised.
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapecheck", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "Typed"
 
 
 def test_check_missing_file_is_an_io_error(tmp_path, capsys):

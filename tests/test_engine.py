@@ -4,11 +4,14 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from shapecheck import engine
 from shapecheck.engine import (
     Compound,
     Counters,
     FreeVar,
     PMap,
+    State,
     Var,
     bind_occurs_hook,
     conj,
@@ -157,6 +160,85 @@ def test_disunify_then_other_value_fine():
         return fresh_with(lambda x: conj(disunify(x, C("a")), unify(x, C("b")), unify(q, x)))
 
     assert run(goal).answers == [C("b")]
+
+
+# Small terms over three shared variables.
+_VARS = [Var(i) for i in range(3)]
+_small_terms = st.deferred(
+    lambda: st.one_of(
+        st.sampled_from([C("a"), C("b")]),
+        st.sampled_from(_VARS),
+        st.builds(lambda x: C("s", x), _small_terms),
+        st.builds(lambda x, y: C("p", x, y), _small_terms, _small_terms),
+    )
+)
+
+
+def test_disunify_var_var_then_reverse_binding_fails():
+    # The trial of x =/= y binds x := y; binding y := x instead must also
+    # wake the pair.
+    def goal(q):
+        return fresh_many(2, lambda vs: conj(disunify(vs[0], vs[1]), unify(vs[1], vs[0])))
+
+    assert run(goal).answers == []
+
+
+def test_disunify_rewatched_after_inner_binding_fails():
+    # x =/= C(y); y := a binds no watched variable, x := C(a) does.
+    def goal(q):
+        return fresh_many(
+            2,
+            lambda vs: conj(
+                disunify(vs[0], C("C", vs[1])),
+                unify(vs[1], C("a")),
+                unify(vs[0], C("C", C("a"))),
+            ),
+        )
+
+    assert run(goal).answers == []
+
+
+def test_unwatched_binding_makes_no_trial_unification(monkeypatch):
+    x, y, z = Var(0), Var(1), Var(2)
+    plain = State(PMap(), (), {}, 3, Counters())
+    (pending, _) = conj(*(disunify(x, C("k", C(f"c{i}"), y)) for i in range(20)))(plain)
+    calls = []
+    original = engine._unify_terms
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_unify_terms", counting)
+    assert unify(z, C("a"))(plain) is not None
+    bare = len(calls)
+    del calls[:]
+    assert unify(z, C("a"))(pending) is not None
+    assert len(calls) == bare == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["==", "=/="]), _small_terms, _small_terms), max_size=12))
+def test_watched_disequalities_agree_with_recheck_all(ops):
+    # Every prefix of a random unify/disunify sequence succeeds or fails
+    # alike under both stores and leaves the same substitution answer.
+    # After each prefix, every var-var unification, in both directions,
+    # must also succeed or fail alike.
+    watched = reference = State(PMap(), (), {}, len(_VARS), Counters())
+    answer = C("vars", *_VARS)
+    goals = {"==": (unify, oracles.recheck_unify), "=/=": (disunify, oracles.recheck_disunify)}
+    for op, a, b in ops:
+        mine, ref = goals[op]
+        w, r = mine(a, b)(watched), ref(a, b)(reference)
+        assert (w is None) == (r is None), (op, a, b)
+        if w is None:
+            return
+        watched, reference = w[0], r[0]
+        assert reify_term(answer, watched.subst) == reify_term(answer, reference.subst)
+        for x in _VARS:
+            for y in _VARS:
+                fails = unify(x, y)(watched) is None
+                assert fails == (oracles.recheck_unify(x, y)(reference) is None), (x, y)
 
 
 # ---------------------------------------------------------------------------

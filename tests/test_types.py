@@ -373,6 +373,16 @@ def test_ground_render_parse_round_trip(ty):
     assert types_equal(ty, parse_type(text, tb))
 
 
+def test_nested_arrow_results_parse_back():
+    # Each level renders its result in parentheses; parsing once took
+    # time doubling per level, so 40 levels did not finish.
+    ty = T_STR
+    for _ in range(40):
+        ty = t_arrow(LNIL, LNIL, llist([T_STR]), ty)
+    tb = TagTable()
+    assert parse_type(pretty_type(ty, tb), tb) == ty
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ground, _ground)
 def test_types_equal_is_syntactic_on_mufree_ground(a, b):
