@@ -8,7 +8,6 @@ term when the occurs check would otherwise fail.
 
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Any, Callable, Optional
 
@@ -238,8 +237,25 @@ def var_free(t: Term) -> bool:
         return True
     flag = t._var_free
     if flag is None:
+        if t.tag == "lcons":
+            return _spine_var_free(t)
         flag = all(var_free(a) for a in t.args)
         t._var_free = flag
+    return flag
+
+
+def _spine_var_free(t: Compound) -> bool:
+    """var_free of a list (a chain of `lcons` cells, see types.llist),
+    caching every cell of its spine; the spine is walked in a loop, so a
+    long list takes no stack."""
+    cells = []
+    while isinstance(t, Compound) and t.tag == "lcons" and t._var_free is None:
+        cells.append(t)
+        t = t.args[1]
+    flag = var_free(t)
+    for cell in reversed(cells):
+        flag = flag and var_free(cell.args[0])
+        cell._var_free = flag
     return flag
 
 
@@ -272,6 +288,15 @@ def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
                 numbering[t.id] = len(numbering)
             return FreeVar(numbering[t.id], t.id)
         if isinstance(t, Compound):
+            if t.tag == "lcons":  # a list spine, walked in a loop
+                heads = []
+                while isinstance(t, Compound) and t.tag == "lcons":
+                    heads.append(go(t.args[0]))
+                    t = shallow_walk(t.args[1], subst)
+                out = go(t)
+                for h in reversed(heads):
+                    out = Compound("lcons", (h, out))
+                return out
             return Compound(t.tag, tuple(go(a) for a in t.args))
         return t
 
@@ -558,8 +583,6 @@ def run(
     """
     counters = counters or Counters()
     counters.answers_requested = max_answers if max_answers is not None else -1
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)
 
     holder = {}
 

@@ -1,11 +1,12 @@
 """Syntax-directed constraint extraction.
 
-A resolved program is traversed once: every S-expression label is interned
-first (the solver needs global constructor counts before it starts), then
-each construct contributes a type and a list of atomic constraints.
-Function literals are generalized on the spot: variables not free in the
-environment are quantified and the body constraints that mention them move
-into the arrow, to be instantiated at call sites.
+A resolved program is traversed once: each construct contributes a type
+and a list of atomic constraints, and each S-expression label is interned
+where it occurs (the solver needs the global constructor count, which is
+complete before it starts). Function literals are generalized on the
+spot: variables created inside the function are quantified and the body
+constraints that mention them move into the arrow, to be instantiated at
+call sites.
 
 Types, constraints and patterns are built as engine terms; a type variable
 is an engine variable, so the solver takes them as they are.
@@ -203,20 +204,22 @@ class _Gen:
         return ty, cs
 
     def infer_fun(self, fn: S.FunLit):
-        env_ftv = {}
-        for t in self.env.values():
-            _vars(t, env_ftv)
+        # Every environment value is a fresh variable or a ground builtin
+        # arrow, so the variables free in the environment here are exactly
+        # the ones created so far: those with ids up to the counter.
+        env_top = self.counter
         params = []
         for name, binder in fn.params:
             t = self.fresh()
             self.env[binder] = t
             params.append(t)
         result, body_cs = self.infer_expr(fn.body)
-        return self.generalize(env_ftv, params, result, body_cs)
+        return self.generalize(env_top, params, result, body_cs)
 
-    def generalize(self, env_ftv, params, result, body_cs):
-        """Quantify everything not free in the environment; constraints
-        touching a quantified variable travel with the arrow."""
+    def generalize(self, env_top, params, result, body_cs):
+        """Quantify every variable newer than env_top, that is, not free
+        in the environment; constraints touching a quantified variable
+        travel with the arrow."""
         own = {}
         for t in params:
             _vars(t, own)
@@ -224,7 +227,7 @@ class _Gen:
         body_vars = [_vars(c, {}) for c in body_cs]
         for vs in body_vars:
             own.update(vs)
-        mapping = {v: self.fresh_bound_name() for v in own if v not in env_ftv}
+        mapping = {v: self.fresh_bound_name() for v in own if v.id > env_top}
         moved = []
         residual = []
         for c, vs in zip(body_cs, body_vars):
@@ -268,32 +271,6 @@ class _Gen:
         raise TypeError(f"unexpected pattern: {p!r}")
 
 
-def _intern_all(table: TagTable, node):
-    """Pre-pass interning every constructor label/arity in the program."""
-    if isinstance(node, S.SexpLit):
-        table.intern(node.label, len(node.args))
-        for a in node.args:
-            _intern_all(table, a)
-        return
-    if isinstance(node, S.PSexp):
-        table.intern(node.label, len(node.args))
-        for a in node.args:
-            _intern_all(table, a)
-        return
-    for name in getattr(node, "__dataclass_fields__", {}):
-        v = getattr(node, name)
-        if isinstance(v, S.Node):
-            _intern_all(table, v)
-        elif isinstance(v, (list, tuple)):
-            for x in v:
-                if isinstance(x, S.Node):
-                    _intern_all(table, x)
-                elif isinstance(x, tuple):
-                    for y in x:
-                        if isinstance(y, S.Node):
-                            _intern_all(table, y)
-
-
 BUILTIN_TYPES = {
     "read": t_arrow(LNIL, LNIL, LNIL, T_INT),
     "write": t_arrow(LNIL, LNIL, llist([T_INT]), T_INT),
@@ -301,9 +278,7 @@ BUILTIN_TYPES = {
 
 
 def infer_program(prog: S.Program) -> GenResult:
-    table = TagTable()
-    _intern_all(table, prog.body)
-    gen = _Gen(table)
+    gen = _Gen(TagTable())
     for name, binder in prog.builtins.items():
         gen.env[binder] = BUILTIN_TYPES[name]
     _, constraints = gen.infer_scope(prog.body)
@@ -311,4 +286,4 @@ def infer_program(prog: S.Program) -> GenResult:
     for item in prog.body.items:
         if isinstance(item, (S.VarDecl, S.FunDecl)) and item.binder in gen.env:
             roots.append((item.name, gen.env[item.binder]))
-    return GenResult(constraints, table, roots, gen.counter)
+    return GenResult(constraints, gen.table, roots, gen.counter)

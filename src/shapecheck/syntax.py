@@ -1,16 +1,17 @@
-"""Frontend for the mini-Lama subset: lexer, parser, scope resolution.
+"""Frontend for the mini-Lama subset: lexer and a parser that resolves
+names as it parses.
 
 The grammar covers exactly the constructs the checker analyzes: scalar
 literals, variables, arrays, S-expressions, function literals and named
 (recursive) functions, application, indexing, `.length`, assignment,
 sequencing, `if`/`while`/`for`, and `case` with the shape-pattern
-catalogue. Scope resolution gives every binder a unique id and resolves
-every reference to one of them.
+catalogue. The parser gives every binder a unique id, in source order,
+and resolves every reference to one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -119,7 +120,6 @@ class SexpLit(Node):
 class FunLit(Node):
     params: list  # of (name, binder id)
     body: Node
-    name: Optional[str] = None
 
 
 @dataclass
@@ -201,8 +201,7 @@ class PInt(Node):
 @dataclass
 class Program:
     body: Scope
-    n_binders: int = 0
-    builtins: dict = field(default_factory=dict)  # name -> binder id
+    builtins: dict  # name -> binder id
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +347,12 @@ _ADD_OPS = ("+", "-")
 _MUL_OPS = ("*", "/", "%")
 
 # Deepest nesting of expressions, blocks, patterns and `elif` links the
-# parser accepts. Every recursive pass after it (scope resolution,
-# generation, rendering) recurses per level too, and the whole pipeline
-# must fit Python's default recursion limit.
+# parser accepts. Every recursive pass after it (generation, rendering)
+# recurses per level too, and the whole pipeline must fit Python's
+# default recursion limit.
 MAX_NESTING = 64
+
+BUILTINS = ("read", "write")
 
 
 def _nested(method):
@@ -371,10 +372,40 @@ def _nested(method):
 
 
 class _Parser:
+    """Recursive descent that resolves names on the way.
+
+    A scope opens at each block, at each function (parameters and body)
+    and at each case branch (pattern and body). A named `fun` sees itself
+    (recursion) and a `var` is visible in its own initializer as well as
+    the remainder of its scope. The first unbound reference is kept in
+    `unbound`, to be raised only once the whole program has parsed."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
         self.depth = 0
+        self.env: dict[str, int] = {}  # name -> binder id in scope
+        self.trail: list = []  # (name, shadowed binder id or None), to undo
+        self.binders = 0
+        self.unbound: Optional[ResolveError] = None
+        self.builtins = {name: self.bind(name) for name in BUILTINS}
+
+    def bind(self, name: str) -> int:
+        """A new binder id for name, in scope until the enclosing scope ends."""
+        binder = self.binders
+        self.binders += 1
+        self.trail.append((name, self.env.get(name)))
+        self.env[name] = binder
+        return binder
+
+    def end_scope(self, mark: int):
+        """Undo every binding made since the trail was `mark` long."""
+        while len(self.trail) > mark:
+            name, shadowed = self.trail.pop()
+            if shadowed is None:
+                del self.env[name]
+            else:
+                self.env[name] = shadowed
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -402,6 +433,7 @@ class _Parser:
 
     @_nested
     def block(self, stops) -> Scope:
+        mark = len(self.trail)
         items = []
         while not self.peek().kind in stops:
             new = self.item()
@@ -414,6 +446,7 @@ class _Parser:
         t = self.peek()
         if t.kind not in stops:
             raise ParseError(t.line, t.col, f"expected one of {sorted(stops)}")
+        self.end_scope(mark)
         return Scope(items)
 
     def item(self) -> list:
@@ -429,10 +462,11 @@ class _Parser:
         decls = []
         while True:
             name = self.expect("ident")
+            binder = self.bind(name.value)
             init = None
             if self.eat("="):
                 init = self.expr()
-            decls.append(VarDecl(name.value, init, name.line, name.col))
+            decls.append(VarDecl(name.value, init, name.line, name.col, binder))
             if not self.eat(","):
                 break
         return decls
@@ -440,23 +474,26 @@ class _Parser:
     def fun_decl(self) -> FunDecl:
         kw = self.expect("fun")
         name = self.expect("ident")
-        params = self.param_list()
-        self.expect("{")
-        body = self.block({"}"})
-        self.expect("}")
-        return FunDecl(name.value, FunLit(params, body, name.value), kw.line, kw.col)
+        binder = self.bind(name.value)
+        return FunDecl(name.value, self.fun_rest(), kw.line, kw.col, binder)
 
-    def param_list(self) -> list:
+    def fun_rest(self) -> FunLit:
+        """Parameters and body of a function, in a scope of their own."""
+        mark = len(self.trail)
         self.expect("(")
         params = []
         if not self.eat(")"):
             while True:
                 p = self.expect("ident")
-                params.append((p.value, -1))
+                params.append((p.value, self.bind(p.value)))
                 if self.eat(")"):
                     break
                 self.expect(",")
-        return params
+        self.expect("{")
+        body = self.block({"}"})
+        self.expect("}")
+        self.end_scope(mark)
+        return FunLit(params, body)
 
     # Expressions.
 
@@ -529,7 +566,10 @@ class _Parser:
             return StrLit(t.value)
         if t.kind == "ident":
             self.next()
-            return VarRef(t.value, t.line, t.col)
+            binder = self.env.get(t.value, -1)
+            if binder < 0 and self.unbound is None:
+                self.unbound = ResolveError(t.value, t.line, t.col)
+            return VarRef(t.value, t.line, t.col, binder)
         if t.kind == "tag":
             self.next()
             args = []
@@ -562,11 +602,7 @@ class _Parser:
             return e
         if t.kind == "fun":
             self.next()
-            params = self.param_list()
-            self.expect("{")
-            body = self.block({"}"})
-            self.expect("}")
-            return FunLit(params, body)
+            return self.fun_rest()
         if t.kind == "if":
             return self.if_expr()
         if t.kind == "while":
@@ -593,9 +629,11 @@ class _Parser:
             self.expect("of")
             branches = []
             while True:
+                mark = len(self.trail)
                 pat = self.pattern()
                 self.expect("->")
                 body = self.block({"|", "esac"})
+                self.end_scope(mark)
                 branches.append((pat, body))
                 if not self.eat("|"):
                     break
@@ -657,9 +695,10 @@ class _Parser:
             return PShape(t.value)
         if t.kind == "ident":
             self.next()
+            binder = self.bind(t.value)
             if self.eat("@"):
-                return PAt(t.value, self.pattern())
-            return PBind(t.value)
+                return PAt(t.value, self.pattern(), binder)
+            return PBind(t.value, binder)
         if t.kind == "tag":
             self.next()
             args = []
@@ -683,130 +722,12 @@ class _Parser:
         raise ParseError(t.line, t.col, f"unexpected token {t.kind!r} in pattern")
 
 
-def parse(source: str) -> Program:
+def parse_program(source: str) -> Program:
+    """Parse and resolve a program. A ParseError anywhere wins over an
+    unbound name; otherwise the first unbound reference is a ResolveError."""
     p = _Parser(tokenize(source))
     body = p.block({"eof"})
     p.expect("eof")
-    return Program(body)
-
-
-# ---------------------------------------------------------------------------
-# Scope resolution.
-# ---------------------------------------------------------------------------
-
-BUILTINS = ("read", "write")
-
-
-def resolve_scopes(prog: Program) -> Program:
-    """Assign unique binder ids. A named `fun` sees itself (recursion) and
-    a `var` is visible in its own initializer as well as the remainder of
-    its scope; case-branch binders are scoped to their branch."""
-    counter = [0]
-
-    def new_binder() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    builtins = {name: new_binder() for name in BUILTINS}
-
-    def resolve(node, env):
-        if isinstance(node, (IntLit, StrLit, PWild, PShape, PInt)):
-            return
-        if isinstance(node, VarRef):
-            if node.name not in env:
-                raise ResolveError(node.name, node.line, node.col)
-            node.binder = env[node.name]
-            return
-        if isinstance(node, Scope):
-            inner = dict(env)
-            for item in node.items:
-                if isinstance(item, VarDecl):
-                    item.binder = new_binder()
-                    inner[item.name] = item.binder
-                    if item.init is not None:
-                        resolve(item.init, inner)
-                elif isinstance(item, FunDecl):
-                    item.binder = new_binder()
-                    inner[item.name] = item.binder
-                    resolve(item.fun, inner)
-                else:
-                    resolve(item, inner)
-            return
-        if isinstance(node, FunLit):
-            inner = dict(env)
-            node.params = [(n, new_binder()) for n, _ in node.params]
-            for n, b in node.params:
-                inner[n] = b
-            resolve(node.body, inner)
-            return
-        if isinstance(node, Case):
-            resolve(node.scrutinee, env)
-            new_branches = []
-            for pat, body in node.branches:
-                inner = dict(env)
-                resolve_pattern(pat, inner)
-                resolve(body, inner)
-                new_branches.append((pat, body))
-            node.branches = new_branches
-            return
-        if isinstance(node, Assign):
-            resolve(node.lhs, env), resolve(node.rhs, env)
-            return
-        if isinstance(node, If):
-            resolve(node.cond, env), resolve(node.then, env)
-            if node.orelse is not None:
-                resolve(node.orelse, env)
-            return
-        if isinstance(node, While):
-            resolve(node.cond, env), resolve(node.body, env)
-            return
-        if isinstance(node, For):
-            for part in (node.init, node.cond, node.step, node.body):
-                resolve(part, env)
-            return
-        if isinstance(node, Binop):
-            resolve(node.left, env), resolve(node.right, env)
-            return
-        if isinstance(node, CallE):
-            resolve(node.fn, env)
-            for a in node.args:
-                resolve(a, env)
-            return
-        if isinstance(node, Index):
-            resolve(node.subject, env), resolve(node.index, env)
-            return
-        if isinstance(node, (ArrayLit, SexpLit)):
-            for a in (node.elems if isinstance(node, ArrayLit) else node.args):
-                resolve(a, env)
-            return
-        if isinstance(node, Length):
-            resolve(node.subject, env)
-            return
-        raise TypeError(f"unexpected node: {node!r}")
-
-    def resolve_pattern(pat, env):
-        if isinstance(pat, (PWild, PShape, PInt)):
-            return
-        if isinstance(pat, PBind):
-            pat.binder = new_binder()
-            env[pat.name] = pat.binder
-            return
-        if isinstance(pat, PAt):
-            pat.binder = new_binder()
-            env[pat.name] = pat.binder
-            resolve_pattern(pat.pat, env)
-            return
-        if isinstance(pat, (PSexp, PArray)):
-            for sub in (pat.args if isinstance(pat, PSexp) else pat.elems):
-                resolve_pattern(sub, env)
-            return
-        raise TypeError(f"unexpected pattern: {pat!r}")
-
-    resolve(prog.body, dict(builtins))
-    prog.n_binders = counter[0]
-    prog.builtins = builtins
-    return prog
-
-
-def parse_program(source: str) -> Program:
-    return resolve_scopes(parse(source))
+    if p.unbound is not None:
+        raise p.unbound
+    return Program(body, p.builtins)

@@ -187,6 +187,12 @@ def apply_type_subst(mapping: dict, term, subst):
             return t
         args = tuple(apply_type_subst(inner, a, subst) for a in t.args)
         return Compound(t.tag, (t.args[0],) + args[1:])
+    if t.tag == "lcons":  # a list spine, walked in a loop
+        heads = []
+        while isinstance(t, Compound) and t.tag == "lcons":
+            heads.append(apply_type_subst(mapping, t.args[0], subst))
+            t = shallow_walk(t.args[1], subst)
+        return llist(heads, apply_type_subst(mapping, t, subst))
     return Compound(t.tag, tuple(apply_type_subst(mapping, a, subst) for a in t.args))
 
 
@@ -303,13 +309,48 @@ def _eq_structural(a: Compound, b: Compound) -> Goal:
     if a.tag == "TSexp":
         return _eq_list(a.args[0], b.args[0], _eq_ctor)
     if a.tag == "TArrow":
-        return conj(
-            unify(a.args[0], b.args[0]),
-            _eq_list(a.args[1], b.args[1], eq_constraint),
-            eq_ts(a.args[2], b.args[2]),
-            eq_t(a.args[3], b.args[3]),
-        )
+        return _eq_arrow(a, b)
     return unify(a, b)
+
+
+def _eq_arrow(a: Compound, b: Compound) -> Goal:
+    """Arrows are equal up to the names of their binders. Ground binder
+    lists of one length that differ are renamed, position by position, to
+    the same new names `%<fresh engine id>`, which no parsed or generated
+    type contains, so no free name is captured. Other lists must unify."""
+
+    def goal(state):
+        xs = _ground_names(a.args[0], state.subst)
+        ys = _ground_names(b.args[0], state.subst)
+        if xs is None or ys is None or xs == ys or len(xs) != len(ys):
+            return conj(
+                unify(a.args[0], b.args[0]),
+                _eq_list(a.args[1], b.args[1], eq_constraint),
+                eq_ts(a.args[2], b.args[2]),
+                eq_t(a.args[3], b.args[3]),
+            )(state)
+
+        def renamed(fresh):
+            new = [t_name(f"%{v.id}") for v in fresh]
+            ra, rb = (
+                apply_type_subst(dict(zip(names, new)), t_arrow(LNIL, *t.args[1:]), state.subst)
+                for t, names in ((a, xs), (b, ys))
+            )
+            return _eq_arrow(ra, rb)
+
+        return fresh_many(len(xs), renamed)(state)
+
+    return goal
+
+
+def _ground_names(lst, subst) -> Optional[list]:
+    """The names of a binder list; None unless the spine and every name
+    are ground."""
+    items = _walk_list(lst, subst)
+    if items is None:
+        return None
+    names = [shallow_walk(x, subst) for x in items]
+    return names if all(isinstance(n, str) for n in names) else None
 
 
 def _eq_list(xs, ys, elem_eq) -> Goal:

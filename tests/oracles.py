@@ -7,7 +7,9 @@ constructor lists directly; neither touches the relational engine.
 reads weights through the solver's own `constraint_weight` and nothing else.
 `recheck_unify`/`recheck_disunify` are the reference disequality store,
 built on the engine's own `_unify_terms`: it rechecks every pending pair
-after every unification, without watches.
+after every unification, without watches. `resolve_scopes` is the
+reference scope resolution: a separate walk over a parsed program, one
+case per node kind, copying its environment at every scope.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from shapecheck import syntax as S
 from shapecheck.engine import State, _unify_terms
 from shapecheck.solver import constraint_weight
 
@@ -262,3 +265,111 @@ def recheck_disunify(a, b):
         return (State(state.subst, diseqs, state.hooks, state.counter, state.counters), None)
 
     return goal
+
+
+def resolve_scopes(prog):
+    """Assign unique binder ids, overwriting those the parser gave. A
+    named `fun` sees itself (recursion) and a `var` is visible in its own
+    initializer as well as the remainder of its scope; case-branch
+    binders are scoped to their branch."""
+    counter = [0]
+
+    def new_binder() -> int:
+        counter[0] += 1
+        return counter[0] - 1
+
+    builtins = {name: new_binder() for name in S.BUILTINS}
+
+    def resolve(node, env):
+        if isinstance(node, (S.IntLit, S.StrLit, S.PWild, S.PShape, S.PInt)):
+            return
+        if isinstance(node, S.VarRef):
+            if node.name not in env:
+                raise S.ResolveError(node.name, node.line, node.col)
+            node.binder = env[node.name]
+            return
+        if isinstance(node, S.Scope):
+            inner = dict(env)
+            for item in node.items:
+                if isinstance(item, S.VarDecl):
+                    item.binder = new_binder()
+                    inner[item.name] = item.binder
+                    if item.init is not None:
+                        resolve(item.init, inner)
+                elif isinstance(item, S.FunDecl):
+                    item.binder = new_binder()
+                    inner[item.name] = item.binder
+                    resolve(item.fun, inner)
+                else:
+                    resolve(item, inner)
+            return
+        if isinstance(node, S.FunLit):
+            inner = dict(env)
+            node.params = [(n, new_binder()) for n, _ in node.params]
+            for n, b in node.params:
+                inner[n] = b
+            resolve(node.body, inner)
+            return
+        if isinstance(node, S.Case):
+            resolve(node.scrutinee, env)
+            for pat, body in node.branches:
+                inner = dict(env)
+                resolve_pattern(pat, inner)
+                resolve(body, inner)
+            return
+        if isinstance(node, S.Assign):
+            resolve(node.lhs, env), resolve(node.rhs, env)
+            return
+        if isinstance(node, S.If):
+            resolve(node.cond, env), resolve(node.then, env)
+            if node.orelse is not None:
+                resolve(node.orelse, env)
+            return
+        if isinstance(node, S.While):
+            resolve(node.cond, env), resolve(node.body, env)
+            return
+        if isinstance(node, S.For):
+            for part in (node.init, node.cond, node.step, node.body):
+                resolve(part, env)
+            return
+        if isinstance(node, S.Binop):
+            resolve(node.left, env), resolve(node.right, env)
+            return
+        if isinstance(node, S.CallE):
+            resolve(node.fn, env)
+            for a in node.args:
+                resolve(a, env)
+            return
+        if isinstance(node, S.Index):
+            resolve(node.subject, env), resolve(node.index, env)
+            return
+        if isinstance(node, (S.ArrayLit, S.SexpLit)):
+            for a in (node.elems if isinstance(node, S.ArrayLit) else node.args):
+                resolve(a, env)
+            return
+        if isinstance(node, S.Length):
+            resolve(node.subject, env)
+            return
+        raise TypeError(f"unexpected node: {node!r}")
+
+    def resolve_pattern(pat, env):
+        if isinstance(pat, (S.PWild, S.PShape, S.PInt)):
+            return
+        if isinstance(pat, S.PBind):
+            pat.binder = new_binder()
+            env[pat.name] = pat.binder
+            return
+        if isinstance(pat, S.PAt):
+            pat.binder = new_binder()
+            env[pat.name] = pat.binder
+            resolve_pattern(pat.pat, env)
+            return
+        if isinstance(pat, (S.PSexp, S.PArray)):
+            for sub in (pat.args if isinstance(pat, S.PSexp) else pat.elems):
+                resolve_pattern(sub, env)
+            return
+        raise TypeError(f"unexpected pattern: {pat!r}")
+
+    resolve(prog.body, dict(builtins))
+    prog.builtins = builtins
+    return prog

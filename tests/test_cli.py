@@ -154,6 +154,37 @@ def test_program_at_the_nesting_bound_still_checks(tmp_path, build, k):
     assert proc.stdout.splitlines()[0] == "Typed"
 
 
+_LONG_BODY = "\n".join(f"x := x + {i};" for i in range(1500))
+LONG_PROGRAMS = (
+    "\n".join(f"var v{i} = {i};" for i in range(3000)) + "\nv0",
+    f"fun f (y) {{ var x = y;\n{_LONG_BODY}\nx }} ;\nf (1)",
+    "\n".join(f"fun f{i} (x) {{ x + {i} }}" for i in range(2000)) + "\nf0 (1)",
+    f"fun outer (z) {{ fun f (y) {{ var x = y;\n{_LONG_BODY}\nx }} ;\nf }} ;\nouter (1) (2)",
+)
+
+
+def test_long_programs_check_under_the_default_recursion_limit():
+    # A fresh interpreter: each program reaches its verdict with Python's
+    # default recursion limit, and checking leaves that limit as it was.
+    code = (
+        "import sys\n"
+        "from shapecheck.checker import check_source\n"
+        "limit = sys.getrecursionlimit()\n"
+        "for src in sys.stdin.read().split('\\0'):\n"
+        "    print(check_source(src).verdict)\n"
+        "print(sys.getrecursionlimit() == limit)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input="\0".join(LONG_PROGRAMS),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Typed"] * len(LONG_PROGRAMS) + ["True"]
+
+
 def test_check_missing_file_is_an_io_error(tmp_path, capsys):
     missing = tmp_path / "missing.lama"
     code, out = run_cli("check", str(missing))

@@ -3,6 +3,7 @@
 import inspect
 import sys
 
+from shapecheck import gen as G
 from shapecheck.engine import Compound, Var
 from shapecheck.gen import infer_program
 from shapecheck.syntax import parse_program
@@ -175,6 +176,27 @@ def test_long_inner_function_generalizes_in_little_stack():
         sys.setrecursionlimit(limit)
     # Two equalities per statement, the copy of y, and the outer link.
     assert text.count("Eq(") == 2 * 1500 + 2
+
+
+def test_generalization_does_not_rescan_the_environment(monkeypatch):
+    # Each function quantifies the variables newer than itself, so the
+    # work per function does not grow with the functions declared before.
+    calls = [0]
+    walk = G._vars
+
+    def counting(t, out):
+        calls[0] += 1
+        return walk(t, out)
+
+    monkeypatch.setattr(G, "_vars", counting)
+
+    def vars_calls(n):
+        calls[0] = 0
+        infer_program(parse_program("\n".join(f"fun f{i} (x) {{ x + {i} }}" for i in range(n))))
+        return calls[0]
+
+    small, large = vars_calls(200), vars_calls(400)
+    assert large <= 2.2 * small, (small, large)
 
 
 def test_recursive_function_sees_monomorphic_self():

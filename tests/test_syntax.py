@@ -1,9 +1,15 @@
 """Source language: tokenizing, parsing, scope resolution."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import oracles
 from shapecheck import syntax as S
 from shapecheck.syntax import ParseError, ResolveError, parse_program
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def first(prog):
@@ -243,6 +249,85 @@ def test_shadowing_inner_scope():
     assert isinstance(last, S.VarRef) and last.binder == outer.binder
 
 
-def test_binder_count_recorded():
-    prog = parse_program("var a = 1; var b = 2;\na + b")
-    assert prog.n_binders >= 2
+def test_parse_error_wins_over_an_earlier_unbound_name():
+    with pytest.raises(ParseError):
+        parse_program("y + 1;\nvar = 3")
+
+
+def test_first_unbound_name_is_reported():
+    with pytest.raises(ResolveError) as ei:
+        parse_program("x + y")
+    assert (ei.value.name, ei.value.line, ei.value.col) == ("x", 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The parser's resolution against the reference walk
+# ---------------------------------------------------------------------------
+
+
+def _binders(node, out=None) -> list:
+    """Every binder id in the tree, in field order, with its node kind and
+    name: references, declarations, parameters and pattern binders."""
+    out = [] if out is None else out
+    if isinstance(node, (list, tuple)):
+        for x in node:
+            _binders(x, out)
+        return out
+    if isinstance(node, S.FunLit):
+        out += [("param", name, b) for name, b in node.params]
+    elif hasattr(node, "binder"):
+        out.append((type(node).__name__, node.name, node.binder))
+    for f in getattr(node, "__dataclass_fields__", {}):
+        v = getattr(node, f)
+        if isinstance(v, (S.Node, list, tuple)):
+            _binders(v, out)
+    return out
+
+
+def _assert_resolves_as_reference(src):
+    prog = parse_program(src)
+    got = (_binders(prog.body), dict(prog.builtins))
+    oracles.resolve_scopes(prog)
+    assert got == (_binders(prog.body), prog.builtins)
+
+
+HAND_WRITTEN = {
+    "shadowing": "var x = 1;\nvar y = { var x = x + 2; x };\n{ var y = x; y } + y",
+    "var in its own initializer": "var x = [fun () { x [0] () }] ;\nx [0] ()",
+    "recursive fun": "fun f (n) { if n then f (n - 1) else 0 fi } ;\nf (3)",
+    "per-branch case binders": (
+        "var s = Cons (1, Nil), h = 0, a = 0;\n"
+        "case s of Cons (h, t @ Cons (_, _)) -> h | Cons (h, t) -> t | a -> a | [b, c] -> a + b esac;\n"
+        "h + a"
+    ),
+    "multi-var": "var a = 1, b = a, c;\nc := a + b",
+    "nested functions": (
+        "fun outer (x, y) { fun inner (y) { fun (x) { x + y } } ;\n"
+        "var g = inner (x); g (y) } ;\nouter (1, 2) + write (read ())"
+    ),
+    "builtins shadowed": "var read = 1;\nfun write (write) { write } ;\nwrite (read)",
+    "loops": "var i = 0;\nfor i := 0, i < 3, i := i + 1 do var j = i; j od;\nwhile i do var i = 0; i od",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_binders_match_the_reference_on_hand_written_cases(name):
+    _assert_resolves_as_reference(HAND_WRITTEN[name])
+
+
+def test_binders_match_the_reference_on_the_corpus():
+    paths = sorted(Path("corpus").glob("*.lama"))
+    assert paths
+    for path in paths:
+        _assert_resolves_as_reference(path.read_text(encoding="utf-8"))
+
+
+def test_binders_match_the_reference_on_bench_programs():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(BENCH))
+    for seed in (1, 2, 3):
+        for case in programs.straight_line_cases(seed) + programs.synth_mixed_cases(seed):
+            _assert_resolves_as_reference(case.source)

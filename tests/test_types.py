@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shapecheck.checker import check_source
 from shapecheck.engine import Compound, FreeVar, PMap, Var, conj, fresh_with, run, unify
 from shapecheck.types import (
     LNIL,
@@ -349,6 +350,40 @@ def test_types_equal_alpha_invariant():
     tb = TagTable()
     assert types_equal(parse_type("mu a. [a]", tb), parse_type("mu b. [b]", tb))
     assert types_equal(parse_type("forall a. (a) -> a", tb), parse_type("forall z. (z) -> z", tb))
+
+
+def test_nested_arrows_with_differently_named_binders_are_equal():
+    tb = TagTable()
+    a = parse_type("forall x. (x) -> forall x. (x) -> x", tb)
+    b = parse_type("forall x. (x) -> forall v. (v) -> v", tb)
+    assert types_equal(a, b) and types_equal(b, a)
+
+
+def test_renaming_binders_captures_no_free_name():
+    # Renaming one side's binders to the other's would capture u here.
+    tb = TagTable()
+    a = parse_type("forall x. (x) -> forall v. (v) -> v", tb)
+    b = parse_type("forall x. (x) -> forall x. (x) -> u", tb)
+    assert not types_equal(a, b)
+    assert not types_equal(b, a)
+    # Nor may an inner renaming capture an outer binder.
+    c = parse_type("forall a. (a) -> forall b. (b) -> a", tb)
+    d = parse_type("forall c. (c) -> forall d. (d) -> d", tb)
+    assert not types_equal(c, d) and not types_equal(d, c)
+
+
+def test_arrows_with_different_binder_counts_are_unequal():
+    tb = TagTable()
+    a = parse_type("forall a b. (a) -> a", tb)
+    b = parse_type("forall c. (c) -> c", tb)
+    assert not types_equal(a, b) and not types_equal(b, a)
+
+
+def test_two_polymorphic_functions_in_one_array_are_typed():
+    # Generated binder names are unique per function, so the two arrows
+    # meet with different binder names.
+    src = "fun f (x) { x + 1 } fun g (x) { x + 2 } var h = [f, g]; h[0] (1)"
+    assert check_source(src).verdict == "Typed"
 
 
 # ---------------------------------------------------------------------------
