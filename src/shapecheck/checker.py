@@ -2,8 +2,14 @@
 
 The solver query binds one variable to the list of root type variables
 (one per top-level binding), so a single answer carries every reported
-type. Verdicts: Typed (first answer found), IllTyped (search exhausted
-with no answer), Unknown (fuel ran out), Malformed (frontend error).
+type. Verdicts:
+
+- Typed: the first answer was found;
+- IllTyped: the search ended with no answer and cut no branch;
+- Unknown: the fuel ran out, or the search ended with no answer after
+  cutting at least one branch that repeated an ancestor's state (a cut
+  never yields IllTyped: the repeated state may still have answers);
+- Malformed: a frontend error.
 """
 
 from __future__ import annotations
@@ -110,23 +116,26 @@ def check_source(source: str, options: Optional[CheckOptions] = None) -> Report:
         types, _ = _list_from_term(answer)
         bindings = [(name, ty_from_term(t)) for (name, _), t in zip(genr.roots, types)]
         return Report(TYPED, bindings, genr.table, stats=stats, constraints_rendered=rendered)
+    verdict, message = ILL_TYPED, ""
     if result.fuel_exhausted:
-        return Report(
-            UNKNOWN,
-            table=genr.table,
-            message=f"fuel exhausted after {counters.steps} steps",
-            stats=stats,
-            constraints_rendered=rendered,
-        )
-    message = ""
-    if counters.last_constraint is not None:
-        term, subst = counters.last_constraint
-        reified = reify_term(term, subst)
-        try:
-            message = render_constraint(reified, genr.table)
-        except (ValueError, IndexError):
-            message = repr(reified)
-    return Report(ILL_TYPED, table=genr.table, message=message, stats=stats, constraints_rendered=rendered)
+        verdict, message = UNKNOWN, f"fuel exhausted after {counters.steps} steps"
+    elif counters.cycle is not None:
+        term, subst, at, ancestor = counters.cycle
+        verdict = UNKNOWN
+        where = _render_at(term, subst, genr.table)
+        message = f"search cycles: {where} at dispatch {at} repeats dispatch {ancestor}"
+    elif counters.last_constraint is not None:
+        message = _render_at(*counters.last_constraint, genr.table)
+    return Report(verdict, table=genr.table, message=message, stats=stats, constraints_rendered=rendered)
+
+
+def _render_at(term, subst, table: TagTable) -> str:
+    """A constraint as it reads under subst."""
+    reified = reify_term(term, subst)
+    try:
+        return render_constraint(reified, table)
+    except (ValueError, IndexError):
+        return repr(reified)
 
 
 def check_file(path: str, options: Optional[CheckOptions] = None) -> Report:

@@ -158,6 +158,7 @@ class Counters:
         "answers_found",
         "answers_requested",
         "last_constraint",
+        "cycle",
     )
 
     def __init__(self):
@@ -168,6 +169,9 @@ class Counters:
         self.answers_found = 0
         self.answers_requested = 0
         self.last_constraint = None
+        # The first branch the solver's loop check ended: (item, subst,
+        # its dispatch number, the repeated ancestor's dispatch number).
+        self.cycle = None
 
 
 _tls = threading.local()

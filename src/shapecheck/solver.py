@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .engine import (
     Compound,
+    PMap,
     Var,
     conj,
     delay,
@@ -135,17 +136,19 @@ class ConstraintQueue:
     `mixed` counts other-lane items that may weigh 0: raw variables, and
     equalities queued there because one was waiting. While it is
     nonzero new equalities join the other lane too, so every equality-lane
-    item precedes every other-lane item that may weigh 0.
+    item precedes every other-lane item that may weigh 0. `size` counts
+    the items of both lanes.
     """
 
-    __slots__ = ("eq_front", "eq_rear", "front", "rear", "mixed")
+    __slots__ = ("eq_front", "eq_rear", "front", "rear", "mixed", "size")
 
-    def __init__(self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0):
+    def __init__(self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0, size=0):
         self.eq_front = eq_front  # None only when eq_rear is None too
         self.eq_rear = eq_rear
         self.front = front
         self.rear = rear
         self.mixed = mixed
+        self.size = size
 
     def __bool__(self):
         return not (self.eq_front is None and self.front is None and self.rear is None)
@@ -172,7 +175,7 @@ class ConstraintQueue:
         else:
             for c in eqs:
                 eq_rear = (c, eq_rear)
-        return ConstraintQueue(eq_front, eq_rear, self.front, rear, mixed)
+        return ConstraintQueue(eq_front, eq_rear, self.front, rear, mixed, self.size + len(items))
 
     def pop(self, state):
         """(picked item, the remaining queue), or None when the queue is
@@ -182,7 +185,8 @@ class ConstraintQueue:
             eq_front, eq_rear = cell[1], self.eq_rear
             if eq_front is None and eq_rear is not None:
                 eq_front, eq_rear = _reversed_chain(eq_rear), None
-            return cell[0], ConstraintQueue(eq_front, eq_rear, self.front, self.rear, self.mixed)
+            rest = ConstraintQueue(eq_front, eq_rear, self.front, self.rear, self.mixed, self.size - 1)
+            return cell[0], rest
         front = self.front
         if self.rear is not None:
             front = _reversed_chain(_reversed_chain(front), _reversed_chain(self.rear))
@@ -211,7 +215,123 @@ class ConstraintQueue:
         mixed = self.mixed
         if mixed and (not isinstance(item, Compound) or item.tag == "Eq"):
             mixed -= 1
-        return item, ConstraintQueue(None, None, rest, None, mixed)
+        return item, ConstraintQueue(None, None, rest, None, mixed, self.size - 1)
+
+    def lanes(self):
+        """The equality lane and the other lane, each a list in pop order."""
+        return _lane(self.eq_front, self.eq_rear), _lane(self.front, self.rear)
+
+
+def _lane(front, rear) -> list:
+    out = []
+    while front is not None:
+        out.append(front[0])
+        front = front[1]
+    back = []
+    while rear is not None:
+        back.append(rear[0])
+        rear = rear[1]
+    out.extend(reversed(back))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Variant loop check.
+# ---------------------------------------------------------------------------
+
+_ATOM = object()  # token: the next token is a literal atom
+_RAW = object()  # token: the next queue item was queued as a bare variable
+
+
+def variant_key(item, queue: ConstraintQueue, subst, diseqs) -> tuple:
+    """A flat token tuple naming a dispatch state up to renaming.
+
+    It covers the query variable Var(0) (the roots), the picked item,
+    both lanes of the remaining queue in order, and every pending
+    disequality pair, deep-walked under subst in one iterative pre-order
+    walk, so a long list takes no stack and hashing sees no nested term.
+    Unbound variables become their first-occurrence numbers (0, 1, ...),
+    name strings (TName leaves, mu and arrow binders) theirs as negative
+    numbers (-1, -2, ...); a compound is its tag followed by its
+    arguments (every tag has one arity), and any other atom, such as a
+    PShape kind or a tag id, is `_ATOM` followed by itself. Two states
+    have equal keys iff one is the other with variables and names renamed
+    one-to-one, so both have the same search tree up to that renaming.
+    """
+    eq_lane, other_lane = queue.lanes()
+    out = [queue.mixed, len(eq_lane), len(other_lane), len(diseqs)]
+    todo = []
+    for d in reversed(diseqs):
+        todo += (d[1], d[0])
+    for c in reversed([item, *eq_lane, *other_lane]):
+        todo.append(c)
+        if isinstance(c, Var):
+            todo.append(_RAW)
+    todo.append(Var(0))
+    var_nums, name_nums = {}, {}
+    while todo:
+        t = shallow_walk(todo.pop(), subst)
+        if isinstance(t, Var):
+            n = var_nums.get(t.id)
+            if n is None:
+                n = var_nums[t.id] = len(var_nums)
+            out.append(n)
+        elif isinstance(t, Compound):
+            out.append(t.tag)
+            if t.tag == "PShape":
+                out += (_ATOM, t.args[0])
+            else:
+                todo.extend(reversed(t.args))
+        elif isinstance(t, str):
+            n = name_nums.get(t)
+            if n is None:
+                n = name_nums[t] = -1 - len(name_nums)
+            out.append(n)
+        elif t is _RAW:
+            out.append(t)
+        else:
+            out += (_ATOM, t)
+    return tuple(out)
+
+
+class _Visit:
+    """A quantified Call dispatch on the current branch: its dispatch
+    number and the state it saw, keyed lazily."""
+
+    __slots__ = ("item", "rest", "subst", "diseqs", "dispatch", "_key")
+
+    def __init__(self, item, rest, state):
+        self.item = item
+        self.rest = rest
+        self.subst = state.subst
+        self.diseqs = state.diseqs
+        self.dispatch = state.counters.dispatched
+        self._key = None
+
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = variant_key(self.item, self.rest, self.subst, self.diseqs)
+        return self._key
+
+    def variant_of(self, visits: PMap):
+        """The ancestor on this branch whose state this one renames, or
+        None. visits maps a queue size to a chain (visit, next) of the
+        ancestors that left that many items queued; only those with as
+        many pending disequalities are keyed."""
+        chain = visits.get(self.rest.size)
+        while chain is not None:
+            other, chain = chain
+            if len(other.diseqs) == len(self.diseqs) and other.key() == self.key():
+                return other
+        return None
+
+
+def _is_quantified_call(w, subst) -> bool:
+    fn = shallow_walk(w.args[0], subst)
+    if not (isinstance(fn, Compound) and fn.tag == "TArrow"):
+        return False
+    binders = shallow_walk(fn.args[0], subst)
+    return isinstance(binders, Compound) and binders.tag == "lcons"
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +345,32 @@ def entail_all(constraints, opts: SolverOpts):
     The empty queue succeeds; otherwise one constraint is picked, solved,
     and the loop recurses on the remainder plus whatever it spawned. A
     nonempty queue of only unpickable residuals is stuck and fails.
+
+    A branch that dispatches a Call of a quantified arrow in a state that
+    is a variant of an ancestor's (see `variant_key`) ends there: its
+    search tree is the ancestor's up to renaming, so it can find only
+    answers the ancestor finds sooner. That holds when the query's answer
+    is Var(0) and entail_all is its last goal, as in `checker.solve_gen`.
+    Counters record the first such cut in `cycle`.
     """
-    return _entail(ConstraintQueue().push_all(constraints), opts)
+    return _entail(ConstraintQueue().push_all(constraints), opts, PMap())
 
 
-def _entail(queue: ConstraintQueue, opts: SolverOpts):
+def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
     def goal(state):
         picked = queue.pop(state)
         if picked is None:
             return None if queue else succeed(state)
         item, rest = picked
-        state.counters.dispatched += 1
+        counters = state.counters
+        counters.dispatched += 1
         # Stored lazily (term + persistent substitution); reified only if
         # the failure report needs it.
-        state.counters.last_constraint = (item, state.subst)
+        counters.last_constraint = (item, state.subst)
+        below = visits
 
         def kont(spawned):
-            return delay(lambda: _entail(rest.push_all(spawned), opts))
+            return delay(lambda: _entail(rest.push_all(spawned), opts, below))
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
@@ -252,6 +381,14 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts):
             args = _walk_list(w.args[1], state.subst)
             if args is None:
                 return None
+            if _is_quantified_call(w, state.subst):
+                visit = _Visit(item, rest, state)
+                seen = visit.variant_of(visits)
+                if seen is not None:
+                    if counters.cycle is None:
+                        counters.cycle = (item, state.subst, visit.dispatch, seen.dispatch)
+                    return None
+                below = visits.set(rest.size, (visit, visits.get(rest.size)))
             return solve_call(w.args[0], args, w.args[2], opts, kont)(state)
         if w.tag == "SexpC":
             args = _walk_list(w.args[2], state.subst)

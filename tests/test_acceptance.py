@@ -345,7 +345,9 @@ def test_self_referential_array_is_unknown_for_the_right_reason():
     assert code == 2
     lines = out.splitlines()
     assert lines[0] == "Unknown"
-    assert "fuel exhausted" in out
+    # The search repeats the state of an earlier quantified call.
+    assert lines[1].startswith("search cycles: Call(")
+    assert lines[1].endswith(" at dispatch 8 repeats dispatch 6")
 
 
 # ---------------------------------------------------------------------------

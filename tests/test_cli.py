@@ -223,7 +223,7 @@ def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
         ("heterogeneous", None, "IllTyped", 2, 2, 5),
         ("sexp_assign", None, "Typed", 5, 37, 108),
         ("sort", None, "Typed", 59, 39, 163),
-        ("self_array", 50_000, "Unknown", 9094, 27273, 50000),
+        ("self_array", 50_000, "Unknown", 8, 11, 27),
     ],
 )
 def test_corpus_golden_counters(program, steps, verdict, dispatched, unifications, fuel):

@@ -1,22 +1,36 @@
-"""Constraint dispatch: weights, per-kind solving, pruning."""
+"""Constraint dispatch: weights, per-kind solving, pruning, loop check."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecheck import solver
+from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source
 from shapecheck.engine import (
     Compound,
     Counters,
+    PMap,
     State,
     Var,
     conj,
+    disunify,
     empty_state,
     fresh_many,
     run,
     shallow_walk,
     unify,
 )
-from shapecheck.solver import ConstraintQueue, SolverOpts, constraint_weight, entail_all
+from shapecheck.solver import (
+    ConstraintQueue,
+    SolverOpts,
+    constraint_weight,
+    entail_all,
+    variant_key,
+)
 from shapecheck.types import (
     LNIL,
     T_INT,
@@ -184,6 +198,9 @@ def test_queue_picks_as_the_list_reference(initial, steps):
     reference = fresh_items(initial)
     queue = ConstraintQueue().push_all(reference)
     for bindings, spawned in steps:
+        # Both lanes together hold exactly the reference's items.
+        assert queue.size == len(reference)
+        assert sorted(map(id, sum(queue.lanes(), []))) == sorted(map(id, reference))
         for i, value in bindings:
             if i < _TYPE_VARS:
                 # Links only point to a later variable, so no cycle forms.
@@ -534,3 +551,178 @@ def test_counters_updated_on_dispatch():
     c = Counters()
     solve(lambda vs: [c_eq(vs[0], T_INT)], 1, counters=c)
     assert c.dispatched == 1
+
+
+# ---------------------------------------------------------------------------
+# Variant loop check
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _state(bindings=(), diseqs=()):
+    subst = PMap()
+    for v, t in bindings:
+        subst = subst.set(v.id, t)
+    st = State(subst, (), {}, 100, Counters())
+    for a, b in diseqs:
+        st = disunify(a, b)(st)[0]
+    return st
+
+
+def _scenario(x, y, z, mu_name, queue=None, roots=None, diseq=T_STR, extra=()):
+    """The key of a quantified Call dispatch over x, y, z, with a hook-made
+    mu binder; each keyword varies one part of the state."""
+    arrow = t_arrow(
+        llist(["a"]),
+        llist([c_ind(t_name("a"), y)]),
+        LNIL,
+        t_mu(mu_name, t_array(t_name(mu_name))),
+    )
+    item = c_call(arrow, LNIL, z)
+    if queue is None:
+        queue = ConstraintQueue().push_all([c_eq(x, T_INT), c_ind(x, y)])
+    if roots is None:
+        roots = llist([x, z])
+    diseqs = [(y, diseq)] if diseq is not None else []
+    st = _state([(Var(0), roots), *extra], diseqs)
+    return variant_key(item, queue, st.subst, st.diseqs)
+
+
+def test_variant_key_ignores_variable_ids_and_hook_binder_names():
+    base = _scenario(Var(1), Var(2), Var(3), "r7")
+    # Other ids, another hook name, and x reached through a binding.
+    x = Var(15)
+    renamed = _scenario(
+        x, Var(12), Var(13), "r20", roots=llist([Var(11), Var(13)]), extra=[(Var(11), x)]
+    )
+    assert renamed == base
+
+
+def test_variant_key_sees_lane_split_diseq_and_root_binding():
+    x, y, z = Var(1), Var(2), Var(3)
+    base = _scenario(x, y, z, "r7")
+    # The same two items, the equality waiting in the other lane.
+    other_lane = ConstraintQueue(None, None, (c_eq(x, T_INT), (c_ind(x, y), None)), None, 1, 2)
+    assert other_lane.size == 2
+    assert _scenario(x, y, z, "r7", queue=other_lane) != base
+    assert _scenario(x, y, z, "r7", diseq=None) != base
+    assert _scenario(x, y, z, "r7", diseq=T_INT) != base
+    assert _scenario(x, y, z, "r7", roots=llist([x, Var(4)])) != base
+    assert _scenario(x, y, z, "r7", roots=llist([x, x])) != base
+
+
+def test_variant_key_of_long_terms_needs_no_deep_recursion():
+    # A Call on an arrow with 1500 constraints, 3000 queued items, keyed
+    # and hashed in a fresh interpreter at the default recursion limit.
+    code = (
+        "import sys\n"
+        "from shapecheck.engine import PMap, Var\n"
+        "from shapecheck.solver import ConstraintQueue, variant_key\n"
+        "from shapecheck.types import LNIL, c_call, c_ind, llist, t_arrow, t_name\n"
+        "assert sys.getrecursionlimit() <= 1000\n"
+        "def key(base):\n"
+        "    cs = llist([c_ind(t_name('a'), Var(base + i)) for i in range(1500)])\n"
+        "    item = c_call(t_arrow(llist(['a']), cs, LNIL, t_name('a')), LNIL, Var(base))\n"
+        "    queue = ConstraintQueue().push_all([c_ind(Var(base + i), Var(base)) for i in range(3000)])\n"
+        "    return variant_key(item, queue, PMap(), ())\n"
+        "k = key(1)\n"
+        "assert k == key(5000) and hash(k) == hash(key(5000)) and len(k) > 15000\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_hooks_are_empty_at_every_entail_entry(monkeypatch):
+    # The variant key leaves out the occurs hooks: every unification
+    # empties them, and nothing registers one across a dispatch.
+    seen = []
+    entail = solver._entail
+
+    def spy(*args):
+        goal = entail(*args)
+
+        def wrapped(state):
+            seen.append(state.hooks)
+            return goal(state)
+
+        return wrapped
+
+    monkeypatch.setattr(solver, "_entail", spy)
+    for path in sorted((ROOT / "corpus").glob("*.lama")):
+        check_source(path.read_text(encoding="utf-8"), CheckOptions(fuel=20_000))
+    for source in LOOP_PROGRAMS:
+        check_source(source[0])
+    assert len(seen) > 100
+    assert all(hooks == {} for hooks in seen)
+
+
+SELF_ARRAY = (ROOT / "corpus" / "self_array.lama").read_text(encoding="utf-8")
+
+# Without the loop check the first three ran out of fuel at any budget.
+LOOP_PROGRAMS = [
+    (SELF_ARRAY, UNKNOWN, None),
+    ("fun g (a) { a [0] () } var x = [fun () { g (x) }]; g (x)", UNKNOWN, None),
+    ("var x = [fun (n) { if n then x [0] (n - 1) else 0 fi }]; x [0] (3)", UNKNOWN, None),
+    (
+        "var x = [fun () { x [0] () }]; var y = 1; y",
+        TYPED,
+        ["x : mu a. [forall b c. Ind(a, c) & Call(c; ; b) => () -> b]", "y : Int"],
+    ),
+    ("var x = [fun () { 1 }, fun () { x [0] () }]; x [1] ()", ILL_TYPED, None),
+]
+
+
+@pytest.mark.parametrize("source, verdict, types", LOOP_PROGRAMS)
+def test_loop_check_outcomes(source, verdict, types):
+    report = check_source(source)
+    assert report.verdict == verdict
+    dispatched = report.stats["constraints-dispatched"]
+    if verdict == UNKNOWN:
+        assert report.message.startswith("search cycles: Call(")
+        assert " repeats dispatch " in report.message
+        assert dispatched < 100
+    elif verdict == TYPED:
+        assert report.render_bindings() == types
+    else:
+        assert dispatched == 3
+        assert not report.message.startswith("search cycles")
+
+
+def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatch):
+    # The size and disequality-count prefilter leaves no candidate
+    # ancestor on these programs, so their quantified Call dispatches
+    # cost no key.
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    keyed, visits = [], []
+
+    class CountingVisit(solver._Visit):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            visits.append(1)
+
+    monkeypatch.setattr(solver, "_Visit", CountingVisit)
+    monkeypatch.setattr(solver, "variant_key", lambda *a: keyed.append(1) or ())
+    sources = [
+        (ROOT / "corpus" / f"{name}.lama").read_text(encoding="utf-8")
+        for name in ("case_list", "closure_chain", "heterogeneous", "sexp_assign", "sort")
+    ]
+    for seed in (1, 2):
+        sources += [case.source for case in programs.synth_mixed_cases(seed)]
+    for source in sources:
+        assert check_source(source).verdict in (TYPED, ILL_TYPED)
+    assert len(visits) > 100
+    assert keyed == []
