@@ -43,11 +43,20 @@ EXIT_CODES = {TYPED: 0, ILL_TYPED: 1, UNKNOWN: 2, MALFORMED: 3}
 
 @dataclass
 class CheckOptions:
-    fuel: int = DEFAULT_FUEL
-    max_answers: int = 1
-    max_constructors: Optional[int] = None
+    fuel: int = DEFAULT_FUEL  # at least 1
+    max_answers: int = 1  # at least 1
+    max_constructors: Optional[int] = None  # None, or at least 0
     prune: bool = True
     emit_constraints: bool = False
+
+    def validate(self):
+        """Raise ValueError naming the first option out of its range."""
+        if self.fuel < 1:
+            raise ValueError(f"fuel must be at least 1, not {self.fuel}")
+        if self.max_answers < 1:
+            raise ValueError(f"max_answers must be at least 1, not {self.max_answers}")
+        if self.max_constructors is not None and self.max_constructors < 0:
+            raise ValueError(f"max_constructors must be at least 0, not {self.max_constructors}")
 
 
 @dataclass
@@ -99,7 +108,10 @@ def solve_gen(genr: GenResult, options: CheckOptions):
 
 
 def check_source(source: str, options: Optional[CheckOptions] = None) -> Report:
+    """Check one program. Raises ValueError when an option is out of its
+    range (see `CheckOptions.validate`)."""
     options = options or CheckOptions()
+    options.validate()
     try:
         prog = parse_program(source)
     except (ParseError, ResolveError) as exc:

@@ -5,7 +5,10 @@ Typed, 1 IllTyped, 2 Unknown, 3 Malformed). `corpus DIR` checks every
 `.lama` file against its sibling `.expected` file, comparing verdicts and
 (when given) reported types modulo recursive-type unfolding. A file or
 directory that cannot be read, or a program that is not UTF-8, ends the
-run with one line on standard error and exit code 4.
+run with one line on standard error and exit code 4. A usage error (an
+unknown flag, a missing argument, or an option value out of range, such
+as `--max-answers 0`) prints the usage and the error on standard error
+and exits with code 5, which no verdict uses.
 """
 
 from __future__ import annotations
@@ -18,15 +21,38 @@ from .checker import CheckOptions, Report, check_file, DEFAULT_FUEL, TYPED
 from .types import ComparisonExhausted, TypeParseError, parse_type, pretty_type, types_equal
 
 EXIT_IO_ERROR = 4
+EXIT_USAGE = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_USAGE, not
+    argparse's 2, which is the exit code of Unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return convert
 
 
 def _add_common_flags(p):
-    p.add_argument("--max-steps", type=int, default=DEFAULT_FUEL,
-                   help="engine step budget before giving up (Unknown)")
-    p.add_argument("--max-answers", type=int, default=1,
-                   help="how many solver answers to request")
-    p.add_argument("--max-constructors", type=int, default=None,
-                   help="override the S-expression constructor-list bound")
+    p.add_argument("--max-steps", type=_int_at_least(1), default=DEFAULT_FUEL,
+                   help="engine step budget before giving up (Unknown); at least 1")
+    p.add_argument("--max-answers", type=_int_at_least(1), default=1,
+                   help="how many solver answers to request; at least 1")
+    p.add_argument("--max-constructors", type=_int_at_least(0), default=None,
+                   help="override the S-expression constructor-list bound; at least 0")
     p.add_argument("--stats", action="store_true", help="print run statistics")
     p.add_argument("--emit-constraints", action="store_true",
                    help="print the generated constraints before solving")
@@ -136,8 +162,7 @@ def cmd_corpus(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = argparse.ArgumentParser(prog="shapecheck",
-                                     description="Static shape checker for mini-Lama programs")
+    parser = _Parser(prog="shapecheck", description="Static shape checker for mini-Lama programs")
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="check one program")
     p_check.add_argument("file")

@@ -98,14 +98,17 @@ class PMap:
     """Persistent integer-keyed map: a path-copying 32-way trie.
 
     Substitutions are extended once per binding along every search branch;
-    a copy-on-write dict would make long runs quadratic.
+    a copy-on-write dict would make long runs quadratic. Each version also
+    keeps the chain of keys set to make it, newest first, so a later
+    version can list what it gained (`keys_since`).
     """
 
-    __slots__ = ("_root", "_depth")
+    __slots__ = ("_root", "_depth", "_log")
 
-    def __init__(self, root=None, depth: int = 0):
+    def __init__(self, root=None, depth: int = 0, log=None):
         self._root = root
         self._depth = depth
+        self._log = log  # (key, older log) cells, newest first
 
     def get(self, key: int, default=None):
         node = self._root
@@ -129,7 +132,19 @@ class PMap:
             wrapped[0] = root
             root = tuple(wrapped)
             depth += 1
-        return PMap(self._assoc(root, depth, key, value), depth)
+        return PMap(self._assoc(root, depth, key, value), depth, (key, self._log))
+
+    def keys_since(self, older: Optional["PMap"]) -> list:
+        """The keys set to make this version from `older`, newest first.
+        When `older` is not a version this one was made from (or is None),
+        every key ever set to make this one."""
+        stop = older._log if older is not None else None
+        out = []
+        cell = self._log
+        while cell is not stop and cell is not None:
+            out.append(cell[0])
+            cell = cell[1]
+        return out
 
     @staticmethod
     def _assoc(node, depth, key, value):
@@ -186,27 +201,33 @@ def _active_counters() -> Optional[Counters]:
 # ---------------------------------------------------------------------------
 
 
+_NO_WATCH: dict = {}  # shared, never mutated: indexes are copied on write
+
+
 class State:
     """An immutable search state.
 
-    Fields: triangular substitution, pending disequalities (each pair
-    with its watch, see `_watched`), the occurs hook registry (emptied by
-    every successful unification), the next fresh id, and a shared
-    counters object (not logical state).
+    Fields: triangular substitution, pending disequalities in the order
+    they were recorded (each pair with its watch, see `_watched`), the
+    occurs hook registry (emptied by every successful unification), the
+    next fresh id, a shared counters object (not logical state), and the
+    watch index of the pending disequalities: variable id -> the pairs
+    that watch it (a state built with pending pairs must pass theirs).
     """
 
-    __slots__ = ("subst", "diseqs", "hooks", "counter", "counters")
+    __slots__ = ("subst", "diseqs", "hooks", "counter", "counters", "watch")
 
-    def __init__(self, subst, diseqs, hooks, counter, counters):
+    def __init__(self, subst, diseqs, hooks, counter, counters, watch=_NO_WATCH):
         self.subst = subst
         self.diseqs = diseqs
         self.hooks = hooks
         self.counter = counter
         self.counters = counters
+        self.watch = watch
 
     def fresh_var(self):
         v = Var(self.counter)
-        st = State(self.subst, self.diseqs, self.hooks, self.counter + 1, self.counters)
+        st = State(self.subst, self.diseqs, self.hooks, self.counter + 1, self.counters, self.watch)
         return v, st
 
 
@@ -264,19 +285,26 @@ def _spine_var_free(t: Compound) -> bool:
 
 
 def occurs(vid: int, t: Term, subst: PMap) -> bool:
+    """Whether t, walked under subst, contains the variable vid; compounds
+    known to be variable-free are not entered."""
+    get = subst.get
     stack = [t]
     while stack:
         x = stack.pop()
         while isinstance(x, Var):
-            nxt = subst.get(x.id, _MISSING)
+            nxt = get(x.id, _MISSING)
             if nxt is _MISSING:
+                if x.id == vid:
+                    return True
                 break
             x = nxt
-        if isinstance(x, Var):
-            if x.id == vid:
-                return True
-        elif isinstance(x, Compound) and not var_free(x):
-            stack.extend(x.args)
+        else:
+            if isinstance(x, Compound):
+                flag = x._var_free
+                if flag is None:
+                    flag = var_free(x)
+                if not flag:
+                    stack.extend(x.args)
     return False
 
 
@@ -308,8 +336,10 @@ def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
 
 
 def _unify_terms(a, b, subst, hooks):
-    """Triangular unification. Returns (subst, first) or None, where first
-    is the first binding made, (variable, term), or None if there was none.
+    """Triangular unification: the extended substitution, or None. The
+    result reports every binding made: `result.keys_since(subst)` lists
+    the bound variable ids, newest first, and the result is subst itself
+    when nothing was bound.
 
     hooks is None when occurs hooks are disabled (trial unification and
     hook-suggestion re-checks).
@@ -317,7 +347,7 @@ def _unify_terms(a, b, subst, hooks):
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
     if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-        return subst, None
+        return subst
     if isinstance(a, Var):
         return _extend(a, b, subst, hooks)
     if isinstance(b, Var):
@@ -325,20 +355,18 @@ def _unify_terms(a, b, subst, hooks):
     if isinstance(a, Compound) and isinstance(b, Compound):
         if a.tag != b.tag or len(a.args) != len(b.args):
             return None
-        first = None
         for x, y in zip(a.args, b.args):
-            res = _unify_terms(x, y, subst, hooks)
-            if res is None:
+            subst = _unify_terms(x, y, subst, hooks)
+            if subst is None:
                 return None
-            subst, bound = res
-            if first is None:
-                first = bound
-        return subst, first
-    return (subst, None) if a == b else None
+        return subst
+    return subst if a == b else None
 
 
 def _extend(v: Var, t, subst, hooks):
-    if occurs(v.id, t, subst):
+    # t is walked: an atom, a variable-free compound or another unbound
+    # variable cannot contain v, so only other compounds are searched.
+    if isinstance(t, Compound) and not var_free(t) and occurs(v.id, t, subst):
         hook = hooks.get(v.id) if hooks is not None else None
         if hook is None:
             return None
@@ -346,45 +374,66 @@ def _extend(v: Var, t, subst, hooks):
         # The suggestion is re-checked with hooks disabled.
         if occurs(v.id, suggested, subst):
             return None
-        return subst.set(v.id, suggested), (v, suggested)
-    return subst.set(v.id, t), (v, t)
+        return subst.set(v.id, suggested)
+    return subst.set(v.id, t)
 
 
-def _watched(a, b, first):
+def _watched(a, b, trial, subst):
     """A pending disequality: the pair plus the ids of its watch, the
-    variables of the first binding a trial unification of the pair made.
+    variables of the first binding that `trial`, a trial unification of
+    the pair under subst, made.
 
     Until one of them is bound, every step of the trial before that
     binding still succeeds without binding anything, and the binding
     itself still binds, so the pair cannot have become equal. The second
     watch is the other side when it is a variable (binding it to the
     first makes the two equal), and None otherwise."""
-    v, t = first
-    return (a, b, v.id, t.id if isinstance(t, Var) else None)
+    v = trial.keys_since(subst)[-1]
+    t = trial.get(v)
+    return (a, b, v, t.id if isinstance(t, Var) else None)
 
 
-def _diseq_survives(pending, subst):
-    """Recheck the pending disequalities whose watch subst binds; None
-    signals a violated pair. Returns pending itself when no watch is
-    bound."""
-    get = subst.get
-    keep = None
-    for i, entry in enumerate(pending):
-        a, b, v, w = entry
-        if get(v, _MISSING) is _MISSING and (w is None or get(w, _MISSING) is _MISSING):
-            if keep is not None:
-                keep.append(entry)
+def _watching(watch: dict, entries) -> dict:
+    """watch, copied, with entries added under both of their watch ids."""
+    watch = dict(watch)
+    for entry in entries:
+        for vid in entry[2:]:
+            if vid is not None:
+                watch[vid] = watch.get(vid, ()) + (entry,)
+    return watch
+
+
+def _diseq_survives(pending, watch, subst, before):
+    """Recheck the pending disequalities that watch a variable bound since
+    `before`: (pairs, watch index), or None for a violated pair.
+
+    The watch index is the wake-up list: each bound id looks up only the
+    pairs that watch it, so a binding that no pair watches costs one dict
+    lookup and no trial unification. The woken pairs are rechecked in
+    store order (each is dropped, re-watched in place, or a violation),
+    and the index is rebuilt from the pairs that remain. Returns the
+    arguments themselves when no pair wakes."""
+    woken = None
+    for vid in subst.keys_since(before):
+        pairs = watch.get(vid)
+        if pairs is not None:
+            woken = pairs if woken is None else woken + pairs
+    if woken is None:
+        return pending, watch
+    woken = {id(entry) for entry in woken}
+    keep = []
+    for entry in pending:
+        if id(entry) not in woken:
+            keep.append(entry)
             continue
-        if keep is None:
-            keep = list(pending[:i])
-        res = _unify_terms(a, b, subst, None)
-        if res is None:
+        a, b = entry[0], entry[1]
+        trial = _unify_terms(a, b, subst, None)
+        if trial is None:
             continue  # can never become equal again: drop
-        _, first = res
-        if first is None:
+        if trial is subst:
             return None  # equal now: violation
-        keep.append(_watched(a, b, first))
-    return pending if keep is None else tuple(keep)
+        keep.append(_watched(a, b, trial, subst))
+    return tuple(keep), _watching(_NO_WATCH, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +527,7 @@ def fresh_many(n: int, k: Callable[[list], Goal]) -> Goal:
 
     def goal(state):
         vs = [Var(state.counter + i) for i in range(n)]
-        st = State(state.subst, state.diseqs, state.hooks, state.counter + n, state.counters)
+        st = State(state.subst, state.diseqs, state.hooks, state.counter + n, state.counters, state.watch)
         return k(vs)(st)
 
     return goal
@@ -490,31 +539,32 @@ def unify(a: Term, b: Term) -> Goal:
         # unification-heavy search burns fuel proportionally.
         state.counters.unifications += 1
         state.counters.steps += 1
-        res = _unify_terms(a, b, state.subst, state.hooks)
-        if res is None:
+        subst = _unify_terms(a, b, state.subst, state.hooks)
+        if subst is None:
             return None
-        subst, first = res
-        diseqs = state.diseqs
-        if first is not None and diseqs:
-            diseqs = _diseq_survives(diseqs, subst)
-            if diseqs is None:
+        diseqs, watch = state.diseqs, state.watch
+        if watch and subst is not state.subst:
+            woken = _diseq_survives(diseqs, watch, subst, state.subst)
+            if woken is None:
                 return None
+            diseqs, watch = woken
         # Hook registry is emptied by every successful unification.
-        return succeed(State(subst, diseqs, {}, state.counter, state.counters))
+        return succeed(State(subst, diseqs, {}, state.counter, state.counters, watch))
 
     return goal
 
 
 def disunify(a: Term, b: Term) -> Goal:
     def goal(state):
-        res = _unify_terms(a, b, state.subst, None)
-        if res is None:
+        trial = _unify_terms(a, b, state.subst, None)
+        if trial is None:
             return succeed(state)  # can never be equal: nothing to record
-        _, first = res
-        if first is None:
+        if trial is state.subst:
             return None  # already equal
-        diseqs = state.diseqs + (_watched(a, b, first),)
-        return succeed(State(state.subst, diseqs, state.hooks, state.counter, state.counters))
+        entry = _watched(a, b, trial, state.subst)
+        watch = _watching(state.watch, (entry,))
+        st = State(state.subst, state.diseqs + (entry,), state.hooks, state.counter, state.counters, watch)
+        return succeed(st)
 
     return goal
 
@@ -552,7 +602,7 @@ def bind_occurs_hook(t: Term, hook) -> Goal:
             return None
         hooks = dict(state.hooks)
         hooks[w.id] = hook
-        return succeed(State(state.subst, state.diseqs, hooks, state.counter, state.counters))
+        return succeed(State(state.subst, state.diseqs, hooks, state.counter, state.counters, state.watch))
 
     return goal
 

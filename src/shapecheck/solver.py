@@ -10,6 +10,7 @@ each search branch carries its own queue.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -113,6 +114,30 @@ def constraint_weight(c, state):
     raise ValueError(f"not a constraint: {w!r}")
 
 
+# The weights that can still change: a residual's (None) and a free
+# subject's. An item of such a weight sleeps on the one unbound variable
+# whose binding changes it (see `_sleep_var`).
+_WAITING = (None, _W_SEXP_FREE, _W_IND_FREE, _W_CALL_FREE)
+
+
+def _sleep_var(item, subst, weight):
+    """The id of the variable an item of this weight, just weighed under
+    subst, sleeps on; None when its weight is final.
+
+    A raw queued variable still unbound weighs None and waits on itself;
+    otherwise the weight reads the top of one subject, which for a weight
+    in `_WAITING` is an unbound variable. (A Match's pattern list and the
+    top of each pattern are built concrete, so only its subject can turn
+    a box residual pickable.) Binding that variable to another one leaves
+    the weight as it is; binding it to anything else may change it."""
+    if weight not in _WAITING:
+        return None
+    c = shallow_walk(item, subst)
+    if isinstance(c, Var):
+        return c.id
+    return shallow_walk(c.args[1] if c.tag == "SexpC" else c.args[0], subst).id
+
+
 def _reversed_chain(chain, tail=None):
     """The cons cells of chain, last first, in front of tail."""
     while chain is not None:
@@ -122,16 +147,29 @@ def _reversed_chain(chain, tail=None):
 
 
 class ConstraintQueue:
-    """Persistent queue of pending constraints, in two lanes of cons cells
-    (item, next), shared between search branches.
+    """Persistent queue of pending constraints in two lanes, shared
+    between search branches.
 
     An equality weighs 0 in every state, so equalities wait in their own
-    FIFO lane (a front chain and a reversed rear chain) whose head is the
-    pick, found without computing a weight. Every other item waits in the
-    other lane in enqueue order, scanned by weight only when the equality
-    lane is empty. The pick is the one a scan of a single list in enqueue
-    order makes: minimal weight, ties to the earliest, a residual (weight
-    None) never.
+    FIFO lane of cons cells (a front chain and a reversed rear chain)
+    whose head is the pick, found without computing a weight. Every other
+    item waits in the other lane. The pick is the one a scan of a single
+    list in enqueue order makes: minimal weight, ties to the earliest, a
+    residual (weight None) never.
+
+    The other lane is weighed lazily and once. Items join it unweighed,
+    in a chain (`front`, `rear`); the next pick from that lane weighs them
+    and gives each its enqueue rank. Pickable items then wait in `ranked`,
+    a tuple sorted by (weight, rank), whose head is the pick. An item
+    whose weight can still change (a residual, or a free subject) also
+    sleeps in `sleepers`: variable id -> the (weight, rank, item) entries
+    waiting on it. A pick first wakes the sleepers of every variable
+    bound since `seen`, the substitution the lane was last brought up to
+    date with, listed by the substitution itself (`PMap.keys_since`). A
+    variable bound to another one hands its sleepers to that one; one
+    bound to anything else has them weighed again, once, into their new
+    place. So an item is weighed once when it is first picked past and
+    once per binding that changes its weight, never at every pick.
 
     `mixed` counts other-lane items that may weigh 0: raw variables, and
     equalities queued there because one was waiting. While it is
@@ -140,18 +178,27 @@ class ConstraintQueue:
     the items of both lanes.
     """
 
-    __slots__ = ("eq_front", "eq_rear", "front", "rear", "mixed", "size")
+    __slots__ = (
+        "eq_front", "eq_rear", "front", "rear", "mixed", "size", "ranked", "sleepers", "seen", "rank",
+    )
 
-    def __init__(self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0, size=0):
+    def __init__(
+        self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0, size=0,
+        ranked=(), sleepers=None, seen=None, rank=0,
+    ):
         self.eq_front = eq_front  # None only when eq_rear is None too
         self.eq_rear = eq_rear
-        self.front = front
+        self.front = front  # unweighed other-lane items, in enqueue order
         self.rear = rear
         self.mixed = mixed
         self.size = size
+        self.ranked = ranked
+        self.sleepers = sleepers if sleepers is not None else {}  # copied on write
+        self.seen = seen
+        self.rank = rank  # the next enqueue rank
 
     def __bool__(self):
-        return not (self.eq_front is None and self.front is None and self.rear is None)
+        return self.size != 0
 
     def push_all(self, items) -> "ConstraintQueue":
         """The queue with items appended in order; itself when there are none."""
@@ -175,7 +222,10 @@ class ConstraintQueue:
         else:
             for c in eqs:
                 eq_rear = (c, eq_rear)
-        return ConstraintQueue(eq_front, eq_rear, self.front, rear, mixed, self.size + len(items))
+        return ConstraintQueue(
+            eq_front, eq_rear, self.front, rear, mixed, self.size + len(items),
+            self.ranked, self.sleepers, self.seen, self.rank,
+        )
 
     def pop(self, state):
         """(picked item, the remaining queue), or None when the queue is
@@ -185,41 +235,84 @@ class ConstraintQueue:
             eq_front, eq_rear = cell[1], self.eq_rear
             if eq_front is None and eq_rear is not None:
                 eq_front, eq_rear = _reversed_chain(eq_rear), None
-            rest = ConstraintQueue(eq_front, eq_rear, self.front, self.rear, self.mixed, self.size - 1)
+            rest = ConstraintQueue(
+                eq_front, eq_rear, self.front, self.rear, self.mixed, self.size - 1,
+                self.ranked, self.sleepers, self.seen, self.rank,
+            )
             return cell[0], rest
-        front = self.front
-        if self.rear is not None:
-            front = _reversed_chain(_reversed_chain(front), _reversed_chain(self.rear))
-        # The lowest weight this lane can hold: nothing after an item of
-        # that weight can beat it, so the scan stops there.
-        floor = _W_EQ if self.mixed else _W_SEXP_GROUND
-        best = best_w = None
-        i, cell = 0, front
-        while cell is not None:
-            w = constraint_weight(cell[0], state)
-            if w is not None and (best_w is None or w < best_w):
-                best, best_w = i, w
-                if w <= floor:
-                    break
-            i += 1
-            cell = cell[1]
-        if best is None:
+        ranked, sleepers, rank = self._settle(state)
+        if not ranked:
             return None
-        # Only the cells before the pick are copied; the rest is shared.
-        prefix, cell = None, front
-        for _ in range(best):
-            prefix = (cell[0], prefix)
-            cell = cell[1]
-        item, rest = cell
-        rest = _reversed_chain(prefix, rest)
+        weight, picked, item = ranked[0]
+        ranked = ranked[1:]
+        vid = _sleep_var(item, state.subst, weight)
+        if vid is not None:
+            sleepers = dict(sleepers)
+            waiting = tuple(e for e in sleepers[vid] if e[1] != picked)
+            if waiting:
+                sleepers[vid] = waiting
+            else:
+                del sleepers[vid]
         mixed = self.mixed
         if mixed and (not isinstance(item, Compound) or item.tag == "Eq"):
             mixed -= 1
-        return item, ConstraintQueue(None, None, rest, None, mixed, self.size - 1)
+        rest = ConstraintQueue(None, None, None, None, mixed, self.size - 1, ranked, sleepers, state.subst, rank)
+        return item, rest
+
+    def _settle(self, state):
+        """The other lane brought up to date with state: (ranked,
+        sleepers, next rank), after waking the sleepers of every variable
+        bound since `seen` and weighing the unweighed items."""
+        subst = state.subst
+        ranked, sleepers, rank = self.ranked, self.sleepers, self.rank
+        order = None  # ranked as a list, once something moves
+        if sleepers and self.seen is not subst:
+            for bound in subst.keys_since(self.seen):
+                woken = sleepers.get(bound)
+                if woken is None:
+                    continue
+                if order is None:
+                    order, sleepers = list(ranked), dict(sleepers)
+                del sleepers[bound]
+                to = shallow_walk(subst.get(bound), subst)
+                if isinstance(to, Var):
+                    sleepers[to.id] = sleepers.get(to.id, ()) + woken
+                    continue
+                for entry in woken:
+                    if entry[0] is not None:
+                        del order[bisect_left(order, entry[:2])]
+                    self._place(entry[2], entry[1], state, order, sleepers)
+        if self.front is not None or self.rear is not None:
+            if order is None:
+                order, sleepers = list(ranked), dict(sleepers)
+            for item in _lane(self.front, self.rear):
+                self._place(item, rank, state, order, sleepers)
+                rank += 1
+        if order is not None:
+            ranked = tuple(order)
+        return ranked, sleepers, rank
+
+    @staticmethod
+    def _place(item, rank, state, order, sleepers):
+        """Weigh an item and file it: into order when pickable, into
+        sleepers when its weight can still change."""
+        weight = constraint_weight(item, state)
+        entry = (weight, rank, item)
+        if weight is not None:
+            insort(order, entry)
+        vid = _sleep_var(item, state.subst, weight)
+        if vid is not None:
+            sleepers[vid] = sleepers.get(vid, ()) + (entry,)
 
     def lanes(self):
-        """The equality lane and the other lane, each a list in pop order."""
-        return _lane(self.eq_front, self.eq_rear), _lane(self.front, self.rear)
+        """The equality lane and the other lane, each a list in enqueue
+        order (the equality lane's is its pop order)."""
+        weighed = list(self.ranked)
+        for entries in self.sleepers.values():
+            weighed += [e for e in entries if e[0] is None]
+        weighed.sort(key=lambda e: e[1])
+        other = [e[2] for e in weighed] + _lane(self.front, self.rear)
+        return _lane(self.eq_front, self.eq_rear), other
 
 
 def _lane(front, rear) -> list:
@@ -296,16 +389,22 @@ def variant_key(item, queue: ConstraintQueue, subst, diseqs) -> tuple:
 
 class _Visit:
     """A quantified Call dispatch on the current branch: its dispatch
-    number and the state it saw, keyed lazily."""
+    number and the state it saw, keyed lazily.
 
-    __slots__ = ("item", "rest", "subst", "diseqs", "dispatch", "_key")
+    `shape` holds parts of the state that renaming keeps, cheap to read:
+    the pending disequality count and the tag the Call's function walks
+    to. Two states whose shapes differ have different keys, so only
+    ancestors of the same shape are keyed."""
 
-    def __init__(self, item, rest, state):
+    __slots__ = ("item", "rest", "subst", "diseqs", "dispatch", "shape", "_key")
+
+    def __init__(self, item, rest, state, fn_tag):
         self.item = item
         self.rest = rest
         self.subst = state.subst
         self.diseqs = state.diseqs
         self.dispatch = state.counters.dispatched
+        self.shape = (len(state.diseqs), fn_tag)
         self._key = None
 
     def key(self) -> tuple:
@@ -316,22 +415,28 @@ class _Visit:
     def variant_of(self, visits: PMap):
         """The ancestor on this branch whose state this one renames, or
         None. visits maps a queue size to a chain (visit, next) of the
-        ancestors that left that many items queued; only those with as
-        many pending disequalities are keyed."""
+        ancestors that left that many items queued; only those of the
+        same shape are keyed."""
         chain = visits.get(self.rest.size)
         while chain is not None:
             other, chain = chain
-            if len(other.diseqs) == len(self.diseqs) and other.key() == self.key():
+            if other.shape == self.shape and other.key() == self.key():
                 return other
         return None
 
 
-def _is_quantified_call(w, subst) -> bool:
+def _quantified_fn(w, subst):
+    """The tag a Call's function walks to ("TArrow", or "TMu" for a mu
+    type directly around an arrow, as an occurs hook closes a recursive
+    closure type) when that arrow is quantified; None otherwise."""
     fn = shallow_walk(w.args[0], subst)
+    tag = fn.tag if isinstance(fn, Compound) else None
+    if tag == "TMu":
+        fn = shallow_walk(fn.args[1], subst)
     if not (isinstance(fn, Compound) and fn.tag == "TArrow"):
-        return False
+        return None
     binders = shallow_walk(fn.args[0], subst)
-    return isinstance(binders, Compound) and binders.tag == "lcons"
+    return tag if isinstance(binders, Compound) and binders.tag == "lcons" else None
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +486,9 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
             args = _walk_list(w.args[1], state.subst)
             if args is None:
                 return None
-            if _is_quantified_call(w, state.subst):
-                visit = _Visit(item, rest, state)
+            fn_tag = _quantified_fn(w, state.subst)
+            if fn_tag is not None:
+                visit = _Visit(item, rest, state, fn_tag)
                 seen = visit.variant_of(visits)
                 if seen is not None:
                     if counters.cycle is None:

@@ -224,11 +224,10 @@ def diseq_survives(pairs, subst):
     signals a violated pair."""
     keep = []
     for a, b in pairs:
-        res = _unify_terms(a, b, subst, None)
-        if res is None:
+        trial = _unify_terms(a, b, subst, None)
+        if trial is None:
             continue  # can never become equal again: drop
-        _, first = res
-        if first is None:
+        if trial is subst:
             return None  # equal now: violation
         keep.append((a, b))
     return tuple(keep)
@@ -239,10 +238,9 @@ def recheck_unify(a, b):
     them rechecked after every unification."""
 
     def goal(state):
-        res = _unify_terms(a, b, state.subst, state.hooks)
-        if res is None:
+        subst = _unify_terms(a, b, state.subst, state.hooks)
+        if subst is None:
             return None
-        subst, _ = res
         diseqs = diseq_survives(state.diseqs, subst)
         if diseqs is None:
             return None
@@ -255,11 +253,10 @@ def recheck_disunify(a, b):
     """`engine.disunify` over the store of `recheck_unify`."""
 
     def goal(state):
-        res = _unify_terms(a, b, state.subst, None)
-        if res is None:
+        trial = _unify_terms(a, b, state.subst, None)
+        if trial is None:
             return (state, None)
-        _, first = res
-        if first is None:
+        if trial is state.subst:
             return None
         diseqs = state.diseqs + ((a, b),)
         return (State(state.subst, diseqs, state.hooks, state.counter, state.counters), None)

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from shapecheck import cli, types
-from shapecheck.checker import EXIT_CODES
-from shapecheck.cli import EXIT_IO_ERROR, main
+from shapecheck.checker import EXIT_CODES, CheckOptions, check_source
+from shapecheck.cli import EXIT_IO_ERROR, EXIT_USAGE, main
 from shapecheck.syntax import MAX_NESTING, ParseError, parse_program
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -183,6 +183,60 @@ def test_long_programs_check_under_the_default_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["Typed"] * len(LONG_PROGRAMS) + ["True"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-answers", "0"),
+        ("--max-answers", "-1"),
+        ("--max-steps", "0"),
+        ("--max-steps", "-5"),
+        ("--max-constructors", "-1"),
+        ("--max-steps", "many"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "corpus"])
+def test_option_out_of_range_is_a_usage_error(write, capsys, command, flag, value):
+    # Before this was a usage error, `--max-answers 0` printed IllTyped
+    # for a well-typed program and `--max-steps -5` printed Unknown.
+    path = write("p.lama", "var x = 1; x")
+    target = path if command == "check" else str(Path(path).parent)
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: shapecheck ")
+    assert f"error: argument {flag}: " in err
+
+
+def test_usage_error_code_is_no_verdict_code(capsys):
+    assert EXIT_USAGE not in EXIT_CODES.values() and EXIT_USAGE != EXIT_IO_ERROR
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == EXIT_USAGE
+    assert "required: file" in capsys.readouterr().err
+
+
+def test_option_at_its_bound_is_accepted(write):
+    path = write("p.lama", "var x = 1; x")
+    code, out = run_cli("check", path, "--max-answers", "1", "--max-steps", "1000", "--max-constructors", "0")
+    assert (code, out.splitlines()) == (0, ["Typed", "x : Int"])
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        CheckOptions(max_answers=0),
+        CheckOptions(max_answers=-1),
+        CheckOptions(fuel=0),
+        CheckOptions(fuel=-5),
+        CheckOptions(max_constructors=-1),
+    ],
+)
+def test_check_source_rejects_options_out_of_range(options):
+    with pytest.raises(ValueError):
+        check_source("var x = 1; x", options)
 
 
 def test_check_missing_file_is_an_io_error(tmp_path, capsys):

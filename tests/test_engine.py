@@ -31,6 +31,7 @@ from shapecheck.engine import (
     succeed,
     unify,
 )
+from shapecheck.types import type_occurs_hook
 
 
 def C(tag, *args):
@@ -238,6 +239,102 @@ def test_watched_disequalities_agree_with_recheck_all(ops):
         for x in _VARS:
             for y in _VARS:
                 fails = unify(x, y)(watched) is None
+                assert fails == (oracles.recheck_unify(x, y)(reference) is None), (x, y)
+
+
+# Terms over four shared variables, for var-var chains and occurs hooks.
+_CHAIN_VARS = [Var(i) for i in range(4)]
+_chain_terms = st.deferred(
+    lambda: st.one_of(
+        st.sampled_from([C("a"), C("b")]),
+        st.sampled_from(_CHAIN_VARS),
+        st.sampled_from(_CHAIN_VARS),
+        st.builds(lambda x: C("s", x), _chain_terms),
+        st.builds(lambda x, y: C("p", x, y), _chain_terms, _chain_terms),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_chain_terms, _chain_terms), max_size=4),
+    st.one_of(st.sampled_from(_CHAIN_VARS), _chain_terms),
+    _chain_terms,
+    st.booleans(),
+    st.sets(st.integers(0, len(_CHAIN_VARS) - 1)),
+)
+def test_unification_reports_every_binding(prior, a, b, cyclic, unhooked):
+    # Prior unifications leave chains and compound bindings to walk
+    # through; hooked variables close a failed occurs check into a mu,
+    # which a cyclic pair (b contains a) makes likely.
+    if cyclic:
+        b = C("p", b, a)
+    subst = PMap()
+    for x, y in prior:
+        subst = engine._unify_terms(x, y, subst, None) or subst
+    hooks = {v.id: type_occurs_hook for v in _CHAIN_VARS if v.id not in unhooked}
+    result = engine._unify_terms(a, b, subst, hooks)
+    if result is None:
+        return
+    reported = result.keys_since(subst)
+    gained = [v.id for v in _CHAIN_VARS if subst.get(v.id) is None and result.get(v.id) is not None]
+    assert sorted(reported) == gained
+    assert (result is subst) == (not gained)
+
+
+def test_hook_made_binding_is_reported():
+    x = Var(0)
+    result = engine._unify_terms(x, C("s", x), PMap(), {0: type_occurs_hook})
+    assert result.keys_since(PMap()) == [0]
+    assert result.get(0).tag == "TMu"
+
+
+_leaves = st.sampled_from([C("a"), C("b"), *_CHAIN_VARS])
+_leaf_pairs = st.builds(lambda x, y: C("p", x, y), _leaves, _leaves)
+_store_ops = st.one_of(
+    st.tuples(st.sampled_from(["==", "=/="]), _chain_terms, _chain_terms),
+    # A disequality on a variable, a var-var link, a unification that
+    # binds several variables at once, and one whose occurs failure a hook
+    # closes.
+    st.tuples(st.just("=/="), st.sampled_from(_CHAIN_VARS), _leaves),
+    st.tuples(st.just("=="), st.sampled_from(_CHAIN_VARS), st.sampled_from(_CHAIN_VARS)),
+    st.tuples(st.just("=="), _leaf_pairs, _leaf_pairs),
+    st.tuples(st.just("mu"), st.sampled_from(_CHAIN_VARS), _chain_terms),
+)
+
+
+def test_every_binding_of_a_unification_wakes_its_pairs():
+    # y is bound first, x second; the pair watches only x.
+    x, y = Var(0), Var(1)
+    (state, _) = disunify(x, C("a"))(State(PMap(), (), {}, 2, Counters()))
+    assert unify(C("p", y, x), C("p", C("b"), C("a")))(state) is None
+    assert unify(C("p", y, x), C("p", C("b"), C("c")))(state) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_store_ops, max_size=14))
+def test_indexed_disequalities_agree_with_recheck_all_through_links_and_hooks(ops):
+    # As the test above, with var-var chains and hook-made mu bindings.
+    indexed = reference = State(PMap(), (), {}, len(_CHAIN_VARS), Counters())
+    answer = C("vars", *_CHAIN_VARS)
+    probes = [*_CHAIN_VARS, C("a"), C("s", C("b"))]
+    for op, a, b in ops:
+        if op == "mu":
+            mine = conj(bind_occurs_hook(a, type_occurs_hook), unify(a, b))
+            ref = conj(bind_occurs_hook(a, type_occurs_hook), oracles.recheck_unify(a, b))
+        elif op == "==":
+            mine, ref = unify(a, b), oracles.recheck_unify(a, b)
+        else:
+            mine, ref = disunify(a, b), oracles.recheck_disunify(a, b)
+        w, r = mine(indexed), ref(reference)
+        assert (w is None) == (r is None), (op, a, b)
+        if w is None:
+            return
+        indexed, reference = w[0], r[0]
+        assert reify_term(answer, indexed.subst) == reify_term(answer, reference.subst)
+        for x in _CHAIN_VARS:
+            for y in probes:
+                fails = unify(x, y)(indexed) is None
                 assert fails == (oracles.recheck_unify(x, y)(reference) is None), (x, y)
 
 

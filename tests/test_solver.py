@@ -222,6 +222,99 @@ def test_queue_picks_as_the_list_reference(initial, steps):
         queue = rest.push_all(new)
 
 
+_link_or_bind = st.one_of(
+    # Link type variable i to type variable j, bind it to a ground type,
+    # or bind constraint variable k to a constraint.
+    st.tuples(st.just("link"), st.integers(0, _TYPE_VARS - 1), st.integers(0, _TYPE_VARS - 1)),
+    st.tuples(st.just("type"), st.integers(0, _TYPE_VARS - 1), st.integers(0, 3)),
+    st.tuples(st.just("item"), st.integers(0, _CONSTRAINT_VARS - 1), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_item, max_size=12),
+    st.lists(st.tuples(st.lists(_link_or_bind, max_size=3), st.lists(_item, max_size=4)), max_size=25),
+)
+def test_queue_wakes_as_the_list_reference_under_unification(initial, steps):
+    # As the test above, but every binding is a unification, so a subject
+    # may first be linked to another free variable (its sleepers move)
+    # and only later be bound to a type (they wake); raw constraint
+    # variables become equalities, S-expression constraints on a free
+    # subject or box residuals.
+    state = empty_state(Counters())
+    tvars, cvars = [], []
+    for vs, n in ((tvars, _TYPE_VARS), (cvars, _CONSTRAINT_VARS)):
+        for _ in range(n):
+            v, state = state.fresh_var()
+            vs.append(v)
+    ground = (T_INT, T_STR, t_array(T_INT), t_sexp(LNIL))
+    box = llist([p_shape("box")])
+    cvalues = (c_eq(T_INT, T_INT), c_sexp(0, tvars[0], LNIL), c_match(tvars[1], box), c_ind(tvars[2], T_INT))
+
+    def fresh_items(descs):
+        return [_queue_item(k, s, tvars, cvars) for k, s in descs]
+
+    reference = fresh_items(initial)
+    queue = ConstraintQueue().push_all(reference)
+    for ops, spawned in steps:
+        assert queue.size == len(reference)
+        assert sorted(map(id, sum(queue.lanes(), []))) == sorted(map(id, reference))
+        for op, i, j in ops:
+            if op == "link":
+                goal = unify(tvars[i], tvars[j])
+            elif op == "type":
+                goal = unify(tvars[i], ground[j])
+            else:
+                goal = unify(cvars[i], cvalues[j])
+            state = (goal(state) or (state,))[0]  # a clash leaves the state as it was
+        idx = pick_next(reference, state)
+        picked = queue.pop(state)
+        if idx is None:
+            assert picked is None
+            return
+        item, rest = picked
+        assert item is reference[idx]
+        new = fresh_items(spawned)
+        reference = reference[:idx] + reference[idx + 1 :] + new
+        queue = rest.push_all(new)
+
+
+def test_free_subjects_behind_ground_items_are_weighed_once(monkeypatch):
+    # n S-expression constraints on free subjects queued behind m ground
+    # Inds: picking the Inds weighs every item once, not once per pick,
+    # and binding the subjects weighs each S-expression constraint once
+    # more.
+    calls = []
+    original = solver.constraint_weight
+
+    def counting(c, state):
+        calls.append(c)
+        return original(c, state)
+
+    monkeypatch.setattr(solver, "constraint_weight", counting)
+    n, m = 30, 40
+    state = empty_state(Counters())
+    subjects = []
+    for _ in range(n):
+        v, state = state.fresh_var()
+        subjects.append(v)
+    inds = [c_ind(t_array(T_INT), T_INT) for _ in range(m)]
+    sexps = [c_sexp(0, v, LNIL) for v in subjects]
+    queue = ConstraintQueue().push_all(inds + sexps)
+    for ind in inds:
+        item, queue = queue.pop(state)
+        assert item is ind
+    assert len(calls) == n + m
+    for v in subjects:
+        (state, _) = unify(v, t_sexp(LNIL))(state)
+    for sexp in sexps:
+        item, queue = queue.pop(state)
+        assert item is sexp
+    assert len(calls) == 2 * n + m
+    assert not queue
+
+
 def test_push_nothing_returns_the_same_queue():
     queue = ConstraintQueue().push_all([c_eq(T_INT, T_INT)])
     assert queue.push_all([]) is queue
@@ -677,6 +770,8 @@ LOOP_PROGRAMS = [
         ["x : mu a. [forall b c. Ind(a, c) & Call(c; ; b) => () -> b]", "y : Int"],
     ),
     ("var x = [fun () { 1 }, fun () { x [0] () }]; x [1] ()", ILL_TYPED, None),
+    # The repeating Call's function is a mu around the quantified arrow.
+    ("var x = A (fun () { case x of A (f) -> f () esac }); case x of A (f) -> f () esac", UNKNOWN, None),
 ]
 
 
@@ -697,9 +792,8 @@ def test_loop_check_outcomes(source, verdict, types):
 
 
 def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatch):
-    # The size and disequality-count prefilter leaves no candidate
-    # ancestor on these programs, so their quantified Call dispatches
-    # cost no key.
+    # The size and shape prefilter leaves no candidate ancestor on these
+    # programs, so their quantified Call dispatches cost no key.
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import programs
