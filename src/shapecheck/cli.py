@@ -8,12 +8,15 @@ directory that cannot be read, or a program that is not UTF-8, ends the
 run with one line on standard error and exit code 4. A usage error (an
 unknown flag, a missing argument, or an option value out of range, such
 as `--max-answers 0`) prints the usage and the error on standard error
-and exits with code 5, which no verdict uses.
+and exits with code 5, which no verdict uses. Output cut short because
+standard output was closed (`shapecheck check ... | head -1`) ends the
+run silently with exit code 6.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from .types import ComparisonExhausted, TypeParseError, parse_type, pretty_type,
 
 EXIT_IO_ERROR = 4
 EXIT_USAGE = 5
+EXIT_CLOSED_OUTPUT = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,9 +176,15 @@ def main(argv=None, out=None) -> int:
     _add_common_flags(p_corpus)
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args, out)
-        return cmd_corpus(args, out)
+        code = cmd_check(args, out) if args.command == "check" else cmd_corpus(args, out)
+        out.flush()  # a closed output stream fails here, not at exit
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # The interpreter flushes stdout again at exit; point it at
+            # the null device so that flush has nowhere to fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except OSError as exc:
         if exc.filename is None:
             raise  # not a path that was read, e.g. a closed output stream

@@ -346,9 +346,13 @@ def _unify_terms(a, b, subst, hooks):
     """
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
-    if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-        return subst
     if isinstance(a, Var):
+        if isinstance(b, Var):
+            if a.id == b.id:
+                return subst
+            # The younger variable is bound to the older one, so a variable
+            # unified with fresh ones again and again stays one link away.
+            return subst.set(a.id, b) if a.id > b.id else subst.set(b.id, a)
         return _extend(a, b, subst, hooks)
     if isinstance(b, Var):
         return _extend(b, a, subst, hooks)
@@ -409,31 +413,48 @@ def _diseq_survives(pending, watch, subst, before):
 
     The watch index is the wake-up list: each bound id looks up only the
     pairs that watch it, so a binding that no pair watches costs one dict
-    lookup and no trial unification. The woken pairs are rechecked in
-    store order (each is dropped, re-watched in place, or a violation),
-    and the index is rebuilt from the pairs that remain. Returns the
-    arguments themselves when no pair wakes."""
-    woken = None
+    lookup and no trial unification. Each woken pair leaves the index (its
+    bound id's bucket is dropped whole: nothing watches a bound variable)
+    and is rechecked: dropped, re-watched in place, or a violation. Only
+    the re-watched pairs are filed again, so the index changes by the
+    woken pairs alone. Returns the arguments themselves when no pair
+    wakes."""
+    woken = {}  # id(entry) -> entry
     for vid in subst.keys_since(before):
         pairs = watch.get(vid)
         if pairs is not None:
-            woken = pairs if woken is None else woken + pairs
-    if woken is None:
+            if not woken:
+                watch = dict(watch)
+            del watch[vid]
+            for entry in pairs:
+                woken[id(entry)] = entry
+    if not woken:
         return pending, watch
-    woken = {id(entry) for entry in woken}
-    keep = []
-    for entry in pending:
-        if id(entry) not in woken:
-            keep.append(entry)
-            continue
+    replaced = {}  # id(entry) -> its re-watched entry, or None when dropped
+    for key, entry in woken.items():
+        for vid in entry[2:]:
+            bucket = watch.get(vid)
+            if bucket is not None:
+                bucket = tuple(e for e in bucket if e is not entry)
+                if bucket:
+                    watch[vid] = bucket
+                else:
+                    del watch[vid]
         a, b = entry[0], entry[1]
         trial = _unify_terms(a, b, subst, None)
         if trial is None:
-            continue  # can never become equal again: drop
+            replaced[key] = None  # can never become equal again: drop
+            continue
         if trial is subst:
             return None  # equal now: violation
-        keep.append(_watched(a, b, trial, subst))
-    return tuple(keep), _watching(_NO_WATCH, keep)
+        replaced[key] = again = _watched(a, b, trial, subst)
+        for vid in again[2:]:
+            if vid is not None:
+                watch[vid] = watch.get(vid, ()) + (again,)
+    pending = tuple(
+        entry for entry in (replaced.get(id(e), e) for e in pending) if entry is not None
+    )
+    return pending, watch
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The queue holds atomic constraints as engine terms. One constraint at a
 time is picked by weight, dispatched to its kind-specific solver, and any
 constraints it spawns (instantiated arrow obligations, pattern
 sub-constraints, deferred residuals) are appended; the run succeeds when
-the queue is empty. All forking happens inside the relational engine, so
-each search branch carries its own queue.
+the queue is empty. A queue left holding only residuals has its open
+constructor rows closed by one labeling step (`_label`). All forking
+happens inside the relational engine, so each search branch carries its
+own queue.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .engine import (
     delay,
     disj,
     disunify,
-    fail,
     fresh_many,
     fresh_with,
     is_not_var,
@@ -39,6 +40,9 @@ from .types import (
     TagTable,
     _walk_list,
     apply_type_subst,
+    c_ind_args,
+    c_ind_row,
+    c_lacks,
     c_match,
     c_sexp,
     eq_t,
@@ -80,15 +84,24 @@ _W_IND_FREE = 5
 _W_MATCH = 6
 _W_CALL_FREE = 7
 
+# The residuals that rows leave (see `solve_sexp` and `solve_ind`), each
+# with the weight it takes once the list it reads is bound.
+_ROW_RESIDUALS = {"Lacks": _W_SEXP_GROUND, "IndRow": _W_IND_GROUND, "IndArgs": _W_IND_GROUND}
+
 
 def _is_free(t, subst) -> bool:
     return isinstance(shallow_walk(t, subst), Var)
 
 
+def _subject(c):
+    """The argument of a constraint whose top its weight reads."""
+    return c.args[1] if c.tag in ("SexpC", "Lacks") else c.args[0]
+
+
 def constraint_weight(c, state):
     """Weight of a constraint in the current state; None marks a residual
     that cannot make progress yet (a boxedness check on a still-free
-    subject) and must not be picked."""
+    subject, a row residual on a still-open list) and must not be picked."""
     w = shallow_walk(c, state.subst)
     if isinstance(w, Var):
         return None
@@ -100,6 +113,9 @@ def constraint_weight(c, state):
         return _W_IND_GROUND if not _is_free(w.args[0], state.subst) else _W_IND_FREE
     if w.tag == "Call":
         return _W_CALL_GROUND if not _is_free(w.args[0], state.subst) else _W_CALL_FREE
+    if w.tag in _ROW_RESIDUALS:
+        # A row residual waits while the list it reads is open.
+        return None if _is_free(_subject(w), state.subst) else _ROW_RESIDUALS[w.tag]
     if w.tag == "Match":
         if _is_free(w.args[0], state.subst):
             pats = _walk_list(w.args[1], state.subst)
@@ -125,17 +141,18 @@ def _sleep_var(item, subst, weight):
     subst, sleeps on; None when its weight is final.
 
     A raw queued variable still unbound weighs None and waits on itself;
-    otherwise the weight reads the top of one subject, which for a weight
-    in `_WAITING` is an unbound variable. (A Match's pattern list and the
-    top of each pattern are built concrete, so only its subject can turn
-    a box residual pickable.) Binding that variable to another one leaves
-    the weight as it is; binding it to anything else may change it."""
+    otherwise the weight reads the top of one subject (a row residual's
+    list), which for a weight in `_WAITING` is an unbound variable. (A
+    Match's pattern list and the top of each pattern are built concrete,
+    so only its subject can turn a box residual pickable.) Binding that
+    variable to another one leaves the weight as it is; binding it to
+    anything else may change it."""
     if weight not in _WAITING:
         return None
     c = shallow_walk(item, subst)
     if isinstance(c, Var):
         return c.id
-    return shallow_walk(c.args[1] if c.tag == "SexpC" else c.args[0], subst).id
+    return shallow_walk(_subject(c), subst).id
 
 
 def _reversed_chain(chain, tail=None):
@@ -240,7 +257,7 @@ class ConstraintQueue:
                 self.ranked, self.sleepers, self.seen, self.rank,
             )
             return cell[0], rest
-        ranked, sleepers, rank = self._settle(state)
+        ranked, sleepers, rank, dropped = self._settle(state)
         if not ranked:
             return None
         weight, picked, item = ranked[0]
@@ -256,16 +273,27 @@ class ConstraintQueue:
         mixed = self.mixed
         if mixed and (not isinstance(item, Compound) or item.tag == "Eq"):
             mixed -= 1
-        rest = ConstraintQueue(None, None, None, None, mixed, self.size - 1, ranked, sleepers, state.subst, rank)
+        size = self.size - 1 - dropped
+        rest = ConstraintQueue(None, None, None, None, mixed, size, ranked, sleepers, state.subst, rank)
         return item, rest
+
+    def residuals(self, state) -> list:
+        """The items of a queue that `pop` finds holding only residuals,
+        in enqueue order."""
+        sleepers = self._settle(state)[1]
+        entries = [e for bucket in sleepers.values() for e in bucket]
+        return [e[2] for e in sorted(entries, key=lambda e: e[1])]
 
     def _settle(self, state):
         """The other lane brought up to date with state: (ranked,
-        sleepers, next rank), after waking the sleepers of every variable
-        bound since `seen` and weighing the unweighed items."""
+        sleepers, next rank, items dropped), after waking the sleepers of
+        every variable bound since `seen` and weighing the unweighed
+        items. An item is dropped when it repeats a lacks residual already
+        sleeping on its row (see `_sleep`)."""
         subst = state.subst
         ranked, sleepers, rank = self.ranked, self.sleepers, self.rank
         order = None  # ranked as a list, once something moves
+        dropped = 0
         if sleepers and self.seen is not subst:
             for bound in subst.keys_since(self.seen):
                 woken = sleepers.get(bound)
@@ -276,33 +304,36 @@ class ConstraintQueue:
                 del sleepers[bound]
                 to = shallow_walk(subst.get(bound), subst)
                 if isinstance(to, Var):
-                    sleepers[to.id] = sleepers.get(to.id, ()) + woken
+                    for entry in woken:
+                        dropped += not _sleep(sleepers, to.id, entry)
                     continue
                 for entry in woken:
                     if entry[0] is not None:
                         del order[bisect_left(order, entry[:2])]
-                    self._place(entry[2], entry[1], state, order, sleepers)
+                    dropped += not self._place(entry[2], entry[1], state, order, sleepers)
         if self.front is not None or self.rear is not None:
             if order is None:
                 order, sleepers = list(ranked), dict(sleepers)
             for item in _lane(self.front, self.rear):
-                self._place(item, rank, state, order, sleepers)
+                dropped += not self._place(item, rank, state, order, sleepers)
                 rank += 1
         if order is not None:
             ranked = tuple(order)
-        return ranked, sleepers, rank
+        return ranked, sleepers, rank, dropped
 
     @staticmethod
-    def _place(item, rank, state, order, sleepers):
+    def _place(item, rank, state, order, sleepers) -> bool:
         """Weigh an item and file it: into order when pickable, into
-        sleepers when its weight can still change."""
+        sleepers when its weight can still change. False when it is
+        dropped instead (see `_sleep`)."""
         weight = constraint_weight(item, state)
         entry = (weight, rank, item)
+        vid = _sleep_var(item, state.subst, weight)
+        if vid is not None and not _sleep(sleepers, vid, entry):
+            return False
         if weight is not None:
             insort(order, entry)
-        vid = _sleep_var(item, state.subst, weight)
-        if vid is not None:
-            sleepers[vid] = sleepers.get(vid, ()) + (entry,)
+        return True
 
     def lanes(self):
         """The equality lane and the other lane, each a list in enqueue
@@ -313,6 +344,23 @@ class ConstraintQueue:
         weighed.sort(key=lambda e: e[1])
         other = [e[2] for e in weighed] + _lane(self.front, self.rear)
         return _lane(self.eq_front, self.eq_rear), other
+
+
+def _sleep(sleepers, vid, entry) -> bool:
+    """File an entry under the variable it sleeps on; False, filing
+    nothing, for a lacks residual whose tag already sleeps there. A row
+    holds one lacks residual per tag and open tail, however many
+    memberships scan it, so a state that repeats an ancestor's rows stays
+    a variant of it (see `variant_key`)."""
+    bucket = sleepers.get(vid, ())
+    item = entry[2]
+    if entry[0] is None and isinstance(item, Compound) and item.tag == "Lacks":
+        for other in bucket:
+            c = other[2]
+            if other[0] is None and isinstance(c, Compound) and c.tag == "Lacks" and c.args[0] == item.args[0]:
+                return False
+    sleepers[vid] = bucket + (entry,)
+    return True
 
 
 def _lane(front, rear) -> list:
@@ -449,7 +497,8 @@ def entail_all(constraints, opts: SolverOpts):
 
     The empty queue succeeds; otherwise one constraint is picked, solved,
     and the loop recurses on the remainder plus whatever it spawned. A
-    nonempty queue of only unpickable residuals is stuck and fails.
+    nonempty queue of only unpickable residuals is labeled (`_label`):
+    its open rows are closed, or it is stuck and fails.
 
     A branch that dispatches a Call of a quantified arrow in a state that
     is a variant of an ancestor's (see `variant_key`) ends there: its
@@ -465,7 +514,7 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
     def goal(state):
         picked = queue.pop(state)
         if picked is None:
-            return None if queue else succeed(state)
+            return _label(queue, opts, visits)(state) if queue else succeed(state)
         item, rest = picked
         counters = state.counters
         counters.dispatched += 1
@@ -501,9 +550,54 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
             if args is None:
                 return None
             return solve_sexp(w.args[0], w.args[1], args, opts, kont)(state)
+        if w.tag == "Lacks":
+            return _lacks(w.args[0], w.args[1], w.args[2], opts, kont)(state)
+        if w.tag == "IndRow":
+            return _ind_row(w.args[0], w.args[1], kont)(state)
+        if w.tag == "IndArgs":
+            return _ind_args(w.args[0], w.args[1], kont)(state)
         if w.tag == "Match":
             return solve_match(w.args[0], w.args[1], opts, kont)(state)
         return None
+
+    return goal
+
+
+def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
+    """Close the open rows of a queue that holds only residuals, one
+    labeling step, then go on solving ("constrain, then label").
+
+    The open tails are those of the lacks residuals, in enqueue order.
+    The first branch closes every tail with nil; branch i closes the tails
+    before the i-th and gives the i-th one more free-tag cell (up to the
+    length bound when pruning), whose lacks residuals then wake. So every
+    choice of row lengths is reached exactly once, and the first branch
+    is an answer. Any other residual that is not a row's (a box Match on
+    a free subject, a raw variable) no labeling can wake: the branch is
+    stuck and fails. Row residuals left on a tail without a lacks
+    residual, or on a free argument list, read an open row: the answer
+    leaves it open."""
+
+    def goal(state):
+        tails = {}  # tail id -> (tail, its position in the row)
+        for item in queue.residuals(state):
+            c = shallow_walk(item, state.subst)
+            if not isinstance(c, Compound) or c.tag not in _ROW_RESIDUALS:
+                return None
+            if c.tag == "Lacks":
+                tail = shallow_walk(c.args[1], state.subst)
+                tails.setdefault(tail.id, (tail, c.args[2]))
+        if not tails:
+            return succeed(state)
+        again = delay(lambda: _entail(queue, opts, visits))
+        closed = [unify(tail, LNIL) for tail, _ in tails.values()]
+        branches = [conj(*closed, again)]
+        for i, (tail, n) in enumerate(tails.values()):
+            if opts.prune and n >= opts.sexp_bound:
+                continue
+            cell = fresh_many(3, lambda vs, t=tail: unify(t, lcons(t_ctor(vs[0], vs[1]), vs[2])))
+            branches.append(delay(lambda i=i, cell=cell: conj(*closed[:i], cell, again)))
+        return disj(*branches)(state)
 
     return goal
 
@@ -518,6 +612,12 @@ def solve_ind(container, elem, opts: SolverOpts, kont):
 
     def dispatch(u):
         def goal(state):
+            # unmu yields at most one state; calling it directly, not
+            # through conj, keeps the continuation one stream layer deep.
+            unfolded = unmu(container, u)(state)
+            if unfolded is None:
+                return None
+            state = unfolded[0]
             w = shallow_walk(u, state.subst)
             if isinstance(w, Var):
                 branches = [
@@ -527,28 +627,61 @@ def solve_ind(container, elem, opts: SolverOpts, kont):
                 for length in range(1, opts.sexp_bound + 1):
                     for combo in combinations(table.all_ids(), length):
                         branches.append(delay(lambda c=combo: _ind_sexp_branch(w, elem, c, table)))
-                return disj(*branches)(state)
+                return conj(disj(*branches), kont([]))(state)
             if w.tag == "TStr":
-                return eq_t(elem, T_INT)(state)
+                return conj(eq_t(elem, T_INT), kont([]))(state)
             if w.tag == "TArray":
-                return eq_t(elem, w.args[0])(state)
+                return conj(eq_t(elem, w.args[0]), kont([]))(state)
             if w.tag == "TSexp":
-                goals = []
-                entries = w.args[0]
-                entries = shallow_walk(entries, state.subst)
-                while isinstance(entries, Compound) and entries.tag == "lcons":
-                    cell = shallow_walk(entries.args[0], state.subst)
-                    if isinstance(cell, Compound) and cell.tag == "ctor":
-                        args = _walk_list(cell.args[1], state.subst)
-                        if args is not None:
-                            goals.extend(eq_t(a, elem) for a in args)
-                    entries = shallow_walk(entries.args[1], state.subst)
-                return conj(*goals)(state) if goals else succeed(state)
+                return _ind_row(w.args[0], elem, kont)(state)
             return None
 
         return goal
 
-    return fresh_with(lambda u: conj(unmu(container, u), dispatch(u), kont([])))
+    return fresh_with(dispatch)
+
+
+def _ind_row(row, elem, kont):
+    """Every argument of every cell of a row equals elem. The cells bound
+    so far are read now; an open tail leaves an IndRow residual and a
+    cell whose argument list is still open an IndArgs one, so cells and
+    arguments added later are constrained too."""
+
+    def goal(state):
+        goals, spawned = [], []
+        entries = shallow_walk(row, state.subst)
+        while isinstance(entries, Compound) and entries.tag == "lcons":
+            cell = shallow_walk(entries.args[0], state.subst)
+            if isinstance(cell, Compound) and cell.tag == "ctor":
+                _ind_items(cell.args[1], elem, state.subst, goals, spawned)
+            entries = shallow_walk(entries.args[1], state.subst)
+        if isinstance(entries, Var):
+            spawned.append(c_ind_row(entries, elem))
+        goals.append(kont(spawned))
+        return conj(*goals)(state)
+
+    return goal
+
+
+def _ind_args(args, elem, kont):
+    """Every item of a cell's argument list equals elem (see `_ind_row`)."""
+
+    def goal(state):
+        goals, spawned = [], []
+        _ind_items(args, elem, state.subst, goals, spawned)
+        goals.append(kont(spawned))
+        return conj(*goals)(state)
+
+    return goal
+
+
+def _ind_items(args, elem, subst, goals, spawned):
+    args = shallow_walk(args, subst)
+    while isinstance(args, Compound) and args.tag == "lcons":
+        goals.append(eq_t(args.args[0], elem))
+        args = shallow_walk(args.args[1], subst)
+    if isinstance(args, Var):
+        spawned.append(c_ind_args(args, elem))
 
 
 def _ind_sexp_branch(w, elem, tag_ids, table: TagTable):
@@ -636,66 +769,82 @@ def _force_empty(lst, opts: SolverOpts):
 
 
 # ---------------------------------------------------------------------------
-# Sexp: exactly-one-constructor membership with bounded lists.
+# Sexp: exactly-one-constructor membership in rows, left open until labeling.
 # ---------------------------------------------------------------------------
 
 
 def solve_sexp(tag, subject, args, opts: SolverOpts, kont):
-    max_len = opts.sexp_bound
+    """Exactly one cell of the subject's row carries tag, with these
+    arguments.
+
+    The row is scanned as far as it is bound: cells of other tags are
+    passed, a cell of this tag (or one whose tag is still free) takes the
+    arguments, and an open tail gets a new cell of this tag. Past that
+    cell no other may carry the tag (`_lacks`). No choice is made here:
+    an open tail is closed later, by labeling (`_label`)."""
     want_args = llist(args)
 
-    def check_n(n):
-        # The length bound is part of the pruning; without it candidate
-        # constructor lists grow without limit (lazily).
-        if not opts.prune:
-            return succeed
-        return succeed if n <= max_len else fail
-
-    def not_in_tail(n, xs):
-        # xs must not contain the tag; the disequality is a pure tag test,
-        # so generated cells keep a free argument-list variable that later
-        # constraints can still fill in.
-        def cell(tv, cargs, rest):
-            return conj(
-                unify(xs, lcons(t_ctor(tv, cargs), rest)),
-                disunify(tag, tv),
-                not_in_tail(n + 1, rest),
-            )
-
-        more = delay(lambda: fresh_many(3, lambda vs: cell(*vs)))
-        return conj(check_n(n), disj(unify(xs, LNIL), more))
-
-    def hlp(n, xs):
-        # xs contains exactly one entry with this tag, matching args; any
-        # entry scanned past must already have a determined, distinct tag.
-        def cell(tv, tsv, rest):
-            return conj(
-                unify(xs, lcons(t_ctor(tv, tsv), rest)),
-                disj(
-                    conj(
-                        unify(tag, tv),
-                        eq_ts(want_args, tsv),
-                        not_in_tail(n + 1, rest),
-                    ),
-                    conj(
-                        is_not_var(tv),
-                        disunify(tag, tv),
-                        hlp(n + 1, rest),
-                    ),
-                ),
-            )
-
-        return conj(check_n(n), delay(lambda: fresh_many(3, lambda vs: cell(*vs))))
+    def found(cell_args, rest, n):
+        return conj(eq_ts(want_args, cell_args), _lacks(tag, rest, n + 1, opts, kont))
 
     def solve(u, cl):
-        return conj(
-            unmu(subject, u),
-            unify(u, t_sexp(cl)),
-            hlp(0, cl),
-            kont([]),
-        )
+        def find(state):
+            xs, n = cl, 0
+            while True:
+                if _too_long(n, opts):
+                    return None
+                w = shallow_walk(xs, state.subst)
+                if isinstance(w, Var):
+                    return fresh_many(
+                        2, lambda vs: conj(unify(w, lcons(t_ctor(tag, vs[0]), vs[1])), found(vs[0], vs[1], n))
+                    )(state)
+                if not (isinstance(w, Compound) and w.tag == "lcons"):
+                    return None
+                # A cell is a `ctor` term: every goal that makes one binds
+                # it within the same dispatch.
+                cell = shallow_walk(w.args[0], state.subst)
+                tv = shallow_walk(cell.args[0], state.subst)
+                if isinstance(tv, Var):
+                    # A cell whose tag is still free is not passed: it takes this one.
+                    return conj(unify(tv, tag), found(cell.args[1], w.args[1], n))(state)
+                if tv == tag:
+                    return found(cell.args[1], w.args[1], n)(state)
+                xs, n = w.args[1], n + 1
+
+        return conj(unmu(subject, u), unify(u, t_sexp(cl)), find)
 
     return fresh_many(2, lambda vs: solve(*vs))
+
+
+def _too_long(n, opts: SolverOpts) -> bool:
+    """Whether a row position is past the length bound; never without
+    pruning, where rows grow without limit (lazily)."""
+    return opts.prune and n > opts.sexp_bound
+
+
+def _lacks(tag, row, n, opts: SolverOpts, kont):
+    """No cell of the row from position n on carries tag. The cells bound
+    so far have their tags disunified from it now; an open tail leaves a
+    Lacks residual that sleeps on it and does the same for the cells it
+    gets (labeling, a later membership or an equality)."""
+
+    def goal(state):
+        st, xs, at = state, row, n
+        while True:
+            if _too_long(at, opts):
+                return None
+            w = shallow_walk(xs, st.subst)
+            if isinstance(w, Var):
+                return kont([c_lacks(tag, w, at)])(st)
+            if not (isinstance(w, Compound) and w.tag == "lcons"):
+                return kont([])(st) if w == LNIL else None
+            cell = shallow_walk(w.args[0], st.subst)
+            stream = disunify(tag, cell.args[0])(st)
+            if stream is None:
+                return None
+            st, xs, at = stream[0], w.args[1], at + 1
+
+    return goal
 
 
 # ---------------------------------------------------------------------------

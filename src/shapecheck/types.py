@@ -96,6 +96,24 @@ def c_eq(a, b):
     return Compound("Eq", (a, b))
 
 
+# Residuals the solver leaves on open rows and argument lists.
+
+
+def c_lacks(tag, row, n):
+    """No cell of row (at position n of its whole row) carries tag."""
+    return Compound("Lacks", (tag, row, n))
+
+
+def c_ind_row(row, elem):
+    """Every argument of every cell of row equals elem."""
+    return Compound("IndRow", (row, elem))
+
+
+def c_ind_args(args, elem):
+    """Every item of a cell's argument list equals elem."""
+    return Compound("IndArgs", (args, elem))
+
+
 # Type-pattern terms.
 
 P_WILD = Compound("PWild", ())
@@ -366,6 +384,10 @@ def _eq_list(xs, ys, elem_eq) -> Goal:
             isinstance(b, Compound) and b.tag not in ("lcons", "lnil")
         ):
             return unify(a, b)(state)
+        if elem_eq is _eq_ctor and isinstance(a, Var) and isinstance(b, Var):
+            # Two open rows end in one tail from here on; the solver's
+            # labeling closes it, so its lengths are not enumerated here.
+            return unify(a, b)(state)
         return disj(conj(unify(a, LNIL), unify(b, LNIL)), delay(lambda: step(a, b)))(state)
 
     def step(a, b):
@@ -623,6 +645,18 @@ def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> s
         return f"Match({r(c.args[0])}; {pats})"
     if tag == "Eq":
         return f"Eq({r(c.args[0])}, {r(c.args[1])})"
+    # Residuals print their open list as a union (a row) or as arguments,
+    # an open tail after `|`.
+    if tag == "Lacks":
+        return f"Lacks[{table.label(c.args[0])}]({r(t_sexp(c.args[1]))})"
+    if tag == "IndRow":
+        return f"IndRow({r(t_sexp(c.args[0]))}; {r(c.args[1])})"
+    if tag == "IndArgs":
+        items, tail = _list_from_term(c.args[0])
+        parts = [", ".join(r(x) for x in items)] if items else []
+        if _var_id(tail) is not None:
+            parts.append(r(tail))
+        return f"IndArgs({' | '.join(parts)}; {r(c.args[1])})"
     raise ValueError(f"not a constraint: {c!r}")
 
 

@@ -10,6 +10,9 @@ built on the engine's own `_unify_terms`: it rechecks every pending pair
 after every unification, without watches. `resolve_scopes` is the
 reference scope resolution: a separate walk over a parsed program, one
 case per node kind, copying its environment at every scope.
+`eager_solve_sexp` is the reference for constructor-row membership: it
+chooses every row's length where the row is scanned, forking at each
+open tail, instead of leaving the tail to the solver's labeling step.
 """
 
 from __future__ import annotations
@@ -18,8 +21,21 @@ from dataclasses import dataclass
 from itertools import product
 
 from shapecheck import syntax as S
-from shapecheck.engine import State, _unify_terms
+from shapecheck.engine import (
+    State,
+    _unify_terms,
+    conj,
+    delay,
+    disj,
+    disunify,
+    fail,
+    fresh_many,
+    is_not_var,
+    succeed,
+    unify,
+)
 from shapecheck.solver import constraint_weight
+from shapecheck.types import LNIL, eq_ts, lcons, llist, t_ctor, t_sexp, unmu
 
 # Ground type syntax for the oracle: plain tuples.
 #   ("int",) ("str",) ("arr", t) ("sexp", ((tag, (t, ...)), ...))
@@ -370,3 +386,48 @@ def resolve_scopes(prog):
     resolve(prog.body, dict(builtins))
     prog.builtins = builtins
     return prog
+
+
+def eager_solve_sexp(tag, subject, args, opts, kont):
+    """`solver.solve_sexp` with every row closed where it is scanned.
+
+    The row must hold exactly one cell of this tag, with these
+    arguments; cells scanned past must carry other, determined tags. Past
+    that cell every open tail forks: close it with nil, or add a cell
+    whose free tag is disunified from this one, up to the length bound
+    when pruning. A cell whose tag is still free takes this tag."""
+    max_len = opts.sexp_bound
+    want_args = llist(args)
+
+    def check_n(n):
+        if not opts.prune:
+            return succeed
+        return succeed if n <= max_len else fail
+
+    def not_in_tail(n, xs):
+        def cell(tv, cargs, rest):
+            return conj(
+                unify(xs, lcons(t_ctor(tv, cargs), rest)),
+                disunify(tag, tv),
+                not_in_tail(n + 1, rest),
+            )
+
+        more = delay(lambda: fresh_many(3, lambda vs: cell(*vs)))
+        return conj(check_n(n), disj(unify(xs, LNIL), more))
+
+    def hlp(n, xs):
+        def cell(tv, tsv, rest):
+            return conj(
+                unify(xs, lcons(t_ctor(tv, tsv), rest)),
+                disj(
+                    conj(unify(tag, tv), eq_ts(want_args, tsv), not_in_tail(n + 1, rest)),
+                    conj(is_not_var(tv), disunify(tag, tv), hlp(n + 1, rest)),
+                ),
+            )
+
+        return conj(check_n(n), delay(lambda: fresh_many(3, lambda vs: cell(*vs))))
+
+    def solve(u, cl):
+        return conj(unmu(subject, u), unify(u, t_sexp(cl)), hlp(0, cl), kont([]))
+
+    return fresh_many(2, lambda vs: solve(*vs))

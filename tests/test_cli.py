@@ -10,7 +10,7 @@ import pytest
 
 from shapecheck import cli, types
 from shapecheck.checker import EXIT_CODES, CheckOptions, check_source
-from shapecheck.cli import EXIT_IO_ERROR, EXIT_USAGE, main
+from shapecheck.cli import EXIT_CLOSED_OUTPUT, EXIT_IO_ERROR, EXIT_USAGE, main
 from shapecheck.syntax import MAX_NESTING, ParseError, parse_program
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,15 +95,15 @@ def test_stats_key_value_lines(write):
 
 
 def test_constructor_case_golden_counters(write):
-    # Each constructor cell the solver scans records a disequality, so
-    # the fuel and unification counts pin the disequality store's work.
+    # The fuel and unification counts pin the work of scanning the
+    # subject's constructor row and of the labeling step that closes it.
     branches = " | ".join(f"C{i} (x) -> x" for i in range(12))
     path = write("p.lama", f"fun f (s) {{ case s of {branches} esac }} ;\nf (C3 (1))\n")
     code, out = run_cli("check", path, "--stats")
     lines = out.splitlines()
     assert (code, lines[0]) == (0, "Typed")
     stats = dict(ln.split("=", 1) for ln in lines if "=" in ln)
-    assert (stats["fuel-used"], stats["engine-unifications"]) == ("9073", "2487")
+    assert (stats["fuel-used"], stats["engine-unifications"]) == ("364", "162")
 
 
 def _nested_tags(k):
@@ -218,6 +218,30 @@ def test_usage_error_code_is_no_verdict_code(capsys):
     assert "required: file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "corpus"])
+def test_closed_stdout_exits_quietly_with_its_own_code(command):
+    # Standard output is a pipe whose reading end is already closed, so
+    # the first write fails, as in `shapecheck check FILE | head -1` once
+    # head has exited.
+    assert EXIT_CLOSED_OUTPUT not in EXIT_CODES.values()
+    assert EXIT_CLOSED_OUTPUT not in (EXIT_IO_ERROR, EXIT_USAGE)
+    target = "corpus/case_list.lama" if command == "check" else "corpus"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shapecheck", command, target, "--emit-constraints", "--stats"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            cwd=SRC.parent,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_OUTPUT, "")
+
+
 def test_option_at_its_bound_is_accepted(write):
     path = write("p.lama", "var x = 1; x")
     code, out = run_cli("check", path, "--max-answers", "1", "--max-steps", "1000", "--max-constructors", "0")
@@ -272,10 +296,10 @@ def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "program, steps, verdict, dispatched, unifications, fuel",
     [
-        ("case_list", None, "Typed", 37, 230, 659),
+        ("case_list", None, "Typed", 40, 156, 346),
         ("closure_chain", None, "Typed", 22, 64, 123),
         ("heterogeneous", None, "IllTyped", 2, 2, 5),
-        ("sexp_assign", None, "Typed", 5, 37, 108),
+        ("sexp_assign", None, "Typed", 7, 24, 56),
         ("sort", None, "Typed", 59, 39, 163),
         ("self_array", 50_000, "Unknown", 8, 11, 27),
     ],

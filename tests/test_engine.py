@@ -338,6 +338,83 @@ def test_indexed_disequalities_agree_with_recheck_all_through_links_and_hooks(op
                 assert fails == (oracles.recheck_unify(x, y)(reference) is None), (x, y)
 
 
+def _filed(watch):
+    """A watch index as a set of (variable id, pair identity)."""
+    return {(vid, id(entry)) for vid, bucket in watch.items() for entry in bucket}
+
+
+def _expected_index(pending):
+    return {(vid, id(entry)) for entry in pending for vid in entry[2:] if vid is not None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_store_ops, max_size=14))
+def test_watch_index_files_exactly_the_pending_pairs(ops):
+    # After any run of unifications and disequalities, every pending pair
+    # is filed under each of its watch ids and nothing else is filed.
+    state = State(PMap(), (), {}, len(_CHAIN_VARS), Counters())
+    for op, a, b in ops:
+        if op == "mu":
+            goal = conj(bind_occurs_hook(a, type_occurs_hook), unify(a, b))
+        else:
+            goal = (unify if op == "==" else disunify)(a, b)
+        out = goal(state)
+        if out is None:
+            return
+        state = out[0]
+        assert _filed(state.watch) == _expected_index(state.diseqs)
+        assert all(state.watch.values())  # no empty bucket is left behind
+
+
+def test_one_woken_pair_leaves_the_rest_of_the_watch_index_alone():
+    # 200 pending pairs, each watching its own variable; binding one
+    # variable wakes one pair, which is re-watched under a new variable.
+    # Every other bucket of the index is the very tuple it was: the index
+    # changes by the woken pair only, not by a rebuild of all 200.
+    n = 200
+    xs = [Var(i) for i in range(n)]
+    w = Var(n)
+    state = State(PMap(), (), {}, n + 1, Counters())
+    for x in xs:
+        (state, _) = disunify(x, C("s", C("a")))(state)
+    before = state.watch
+    (after, _) = unify(xs[7], C("s", w))(state)
+    assert len(after.diseqs) == n
+    assert _filed(after.watch) == _expected_index(after.diseqs)
+    assert 7 not in after.watch and len(after.watch[w.id]) == 1
+    untouched = [x.id for x in xs if x.id != 7]
+    assert all(after.watch[vid] is before[vid] for vid in untouched)
+    # The pair is still enforced through its new watch.
+    assert unify(w, C("a"))(after) is None and unify(w, C("b"))(after) is not None
+
+
+def test_var_var_links_stay_one_step_from_the_oldest_variable(monkeypatch):
+    # A variable unified with one fresh variable after another, as
+    # `unmu(subject, u)` does at every dispatch on a free subject: each
+    # fresh one is bound to the older variable, so no chain grows, and
+    # walking any of them costs at most two map lookups.
+    n = 100
+    state = State(PMap(), (), {}, 0, Counters())
+    subject, state = state.fresh_var()
+    fresh = []
+    for _ in range(n):
+        u, state = state.fresh_var()
+        fresh.append(u)
+        (state, _) = unify(subject, u)(state)
+    gets = []
+    original = PMap.get
+
+    def counting(self, key, default=None):
+        gets.append(key)
+        return original(self, key, default)
+
+    monkeypatch.setattr(PMap, "get", counting)
+    for v in (subject, fresh[0], fresh[-1]):
+        del gets[:]
+        assert shallow_walk(v, state.subst) == subject
+        assert len(gets) <= 2
+
+
 # ---------------------------------------------------------------------------
 # is_var / is_not_var
 # ---------------------------------------------------------------------------

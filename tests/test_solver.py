@@ -3,10 +3,11 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shapecheck import solver
 from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source
@@ -33,17 +34,23 @@ from shapecheck.solver import (
 )
 from shapecheck.types import (
     LNIL,
+    lcons,
     T_INT,
     T_STR,
     P_WILD,
     TagTable,
+    canonicalize,
     c_call,
     c_eq,
     c_ind,
+    c_lacks,
     c_match,
     c_sexp,
+    eq_t,
     llist,
+    p_sexp,
     p_shape,
+    pretty_type,
     t_array,
     t_arrow,
     t_ctor,
@@ -52,6 +59,7 @@ from shapecheck.types import (
     t_sexp,
 )
 
+import oracles
 from oracles import pick_next
 
 OK = Compound("ok", ())
@@ -556,6 +564,177 @@ def test_sexp_length_bound_respected():
     tb.intern("A", 0)
     res = solve(lambda vs: [c_sexp(0, vs[0], llist([]))], 1, table=tb, max_answers=None)
     assert res.ended and len(res.answers) == 1
+
+
+def _nested_list(n):
+    return "var l = " + "".join(f"Cons ({i}, " for i in range(n)) + "Nil" + ")" * n
+
+
+def test_nested_list_literals_cost_linear_fuel():
+    # Each literal leaves its row open; one labeling step closes them all.
+    # Choosing every row's length where it was scanned made the fuel grow
+    # about fivefold per two elements, and 14 elements ran out of 1M steps.
+    fuel = {}
+    for n in (6, 14, 40):
+        report = check_source(_nested_list(n))
+        assert report.verdict == TYPED
+        assert report.render_bindings() == ["l : " + "Cons(Int, " * n + "Nil" + ")" * n]
+        fuel[n] = report.stats["fuel-used"]
+    per_element = (fuel[14] - fuel[6]) / 8, (fuel[40] - fuel[14]) / 26
+    assert max(per_element) < 1.25 * min(per_element), fuel
+    assert fuel[40] < 3_000
+
+
+def test_labeling_enumerates_free_tag_cells_after_the_members():
+    # {A/0, B/0, C/0}: an open row holding A closes as A, A | a, A | a | b,
+    # the free-tag cells last; with B also a member, A | B and A | B | a.
+    tb = TagTable()
+    a, b = tb.intern("A", 0), tb.intern("B", 0)
+    tb.intern("C", 0)
+
+    def shapes(queue):
+        res = solve(queue, 1, table=tb, max_answers=None)
+        assert res.ended
+        return [pretty_type(subj, tb) for (subj,) in answers_of(res)]
+
+    assert sorted(shapes(lambda vs: [c_sexp(a, vs[0], LNIL)])) == ["A", "A | a", "A | a | b"]
+    both = shapes(lambda vs: [c_sexp(a, vs[0], LNIL), c_sexp(b, vs[0], LNIL)])
+    assert sorted(both) == ["A | B", "A | B | a"]
+
+
+def test_a_tail_keeps_one_lacks_residual_per_tag():
+    # Two memberships of A scan the same open row: its tail sleeps under
+    # one lacks residual for A, not two; one for B joins it.
+    tb = table_ab()
+    state = empty_state(Counters())
+    tail, state = state.fresh_var()
+    lacks = [c_lacks(0, tail, 1), c_lacks(0, tail, 1), c_lacks(1, tail, 1)]
+    queue = ConstraintQueue().push_all(lacks)
+    assert queue.pop(state) is None
+    assert queue.residuals(state) == [lacks[0], lacks[2]]
+
+
+def test_an_open_tail_bound_later_wakes_its_lacks_residual():
+    # A | t lacks A past the first cell; a later A cell on t is a clash.
+    tb = table_ab()
+
+    def queue(vs):
+        row = lcons(t_ctor(0, llist([T_INT])), vs[1])
+        return [c_eq(vs[0], t_sexp(row)), c_sexp(0, vs[0], llist([T_INT])), c_eq(vs[1], llist([t_ctor(0, llist([T_INT]))]))]
+
+    res = solve(queue, 2, table=tb, max_answers=None)
+    assert res.answers == [] and res.ended
+
+
+def test_equal_open_rows_share_one_tail():
+    # A(Int) | s and A(Int) | t are equal by unifying s with t: one answer,
+    # and the search ends. Enumerating the two tails' lengths cell by cell
+    # never would.
+    row = lambda tail: t_sexp(lcons(t_ctor(0, llist([T_INT])), tail))
+    res = run(lambda q: fresh_many(2, lambda vs: conj(unify(q, llist(vs)), eq_t(row(vs[0]), row(vs[1])))), fuel=20_000)
+    assert res.ended and len(res.answers) == 1
+    ((s, t),) = answers_of(res)
+    assert s == t
+
+
+# Indexing reads every cell of a row, including cells and arguments bound
+# after the Ind was dispatched; these were Typed with an answer that
+# broke the Ind.
+IND_ON_OPEN_ROWS = [
+    ('var x = T1, y = "s"; y := x[0]; case x of T2 (z) -> z + 1 | _ -> 0 esac', ILL_TYPED, None),
+    ('fun f (x) { var y = x[0]; y := "s"; case x of T2 (z) -> z | _ -> 0 esac }; var r = f (T1)', ILL_TYPED, None),
+    (
+        'var x = T1, y; y := x[0]; y := "s"; case x of T2 (z) -> 0 | _ -> 0 esac',
+        TYPED,
+        ["x : T1 | T2(Str)", "y : Str"],
+    ),
+]
+
+
+@pytest.mark.parametrize("source, verdict, types", IND_ON_OPEN_ROWS)
+def test_ind_constrains_cells_added_to_an_open_row(source, verdict, types):
+    report = check_source(source)
+    assert report.verdict == verdict
+    if types is not None:
+        assert report.render_bindings() == types
+
+
+# Random membership problems: subjects are the answer variables, every
+# argument or element type is Int, Str or a subject.
+_arg = st.one_of(st.sampled_from([T_INT, T_STR]), st.integers(0, 2))
+
+
+@st.composite
+def _row_problems(draw):
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    n_subjects = draw(st.integers(1, 3))
+    subject = st.integers(0, n_subjects - 1)
+    tag = st.integers(0, len(arities) - 1)
+    arg = _arg.map(lambda a: a % n_subjects if isinstance(a, int) else a)
+    pattern = st.one_of(
+        tag.map(lambda t: ("sexp", t)),
+        st.sampled_from([("box",), ("wild",)]),
+    )
+    constraint = st.one_of(
+        st.tuples(st.just("SexpC"), tag, subject).flatmap(
+            lambda c: st.tuples(*(st.just(x) for x in c), st.lists(arg, min_size=arities[c[1]], max_size=arities[c[1]]))
+        ),
+        st.tuples(st.just("Eq"), subject, st.one_of(arg, st.just(t_array(T_INT)))),
+        st.tuples(st.just("Ind"), subject, arg),
+        st.tuples(st.just("Match"), subject, st.lists(pattern, min_size=1, max_size=2)),
+    )
+    return arities, n_subjects, draw(st.lists(constraint, min_size=1, max_size=5))
+
+
+def _row_queue(problem, vs):
+    arities, _, spec = problem
+
+    def ty(a):
+        return vs[a] if isinstance(a, int) else a
+
+    def pat(p):
+        if p[0] == "sexp":
+            return p_sexp(p[1], llist([P_WILD] * arities[p[1]]))
+        return P_WILD if p[0] == "wild" else p_shape("box")
+
+    out = []
+    for kind, i, *rest in spec:
+        if kind == "SexpC":
+            out.append(c_sexp(i, vs[rest[0]], llist([ty(a) for a in rest[1]])))
+        elif kind == "Eq":
+            out.append(c_eq(vs[i], ty(rest[0])))
+        elif kind == "Ind":
+            out.append(c_ind(vs[i], ty(rest[0])))
+        else:
+            out.append(c_match(vs[i], llist([pat(p) for p in rest[0]])))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_problems())
+def test_lazy_rows_agree_with_eager_enumeration(problem):
+    # Every answer, with pruning on: the lazy rows and one labeling step
+    # give the same multiset of answers, up to renaming, as choosing each
+    # row's length where it is scanned (oracles.eager_solve_sexp). The
+    # eager reference can enumerate forever where the lazy one ends (it
+    # forks on rows whose free cells an equality then compares, argument
+    # list by argument list); such problems are skipped.
+    arities, n_subjects, _ = problem
+    tb = TagTable()
+    for i, arity in enumerate(arities):
+        tb.intern(f"T{i}", arity)
+
+    def answers(fuel):
+        res = solve(lambda vs: _row_queue(problem, vs), n_subjects, table=tb, max_answers=None, fuel=fuel)
+        return res.ended, Counter(repr(canonicalize(a)) for a in res.answers)
+
+    lazy_ended, lazy = answers(20_000)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "solve_sexp", oracles.eager_solve_sexp)
+        eager_ended, eager = answers(20_000)
+    assume(eager_ended)
+    assert lazy_ended
+    assert lazy == eager
 
 
 # ---------------------------------------------------------------------------
