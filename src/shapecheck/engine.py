@@ -27,18 +27,20 @@ class Var:
         return isinstance(other, Var) and other.id == self.id
 
     def __hash__(self):
-        return hash(("var", self.id))
+        return hash(self.id)
 
 
 class Compound:
-    """A functor application: tag plus a tuple of argument terms."""
+    """A functor application: tag plus a tuple of argument terms. Terms
+    are immutable, so what is computed from one is cached on it."""
 
-    __slots__ = ("tag", "args", "_var_free")
+    __slots__ = ("tag", "args", "_var_free", "_hash")
 
     def __init__(self, tag: str, args: tuple):
         self.tag = tag
         self.args = args
         self._var_free = None  # cached: no Var anywhere in the raw structure
+        self._hash = None  # cached hash
 
     def __repr__(self):
         if not self.args:
@@ -46,14 +48,41 @@ class Compound:
         return f"{self.tag}({', '.join(map(repr, self.args))})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Compound)
-            and other.tag == self.tag
-            and other.args == self.args
-        )
+        # A list (a chain of `lcons` cells, see types.llist) is compared
+        # cell by cell in a loop, so a long one takes no stack.
+        a, b = self, other
+        while a is not b:
+            if not (isinstance(b, Compound) and b.tag == a.tag):
+                return False
+            if a.tag != "lcons":
+                return b.args == a.args
+            if b.args[0] != a.args[0]:
+                return False
+            a, b = a.args[1], b.args[1]
+            if not isinstance(a, Compound):
+                return a == b
+        return True
 
     def __hash__(self):
-        return hash((self.tag, self.args))
+        h = self._hash
+        if h is None:
+            if self.tag == "lcons":
+                return _spine_hash(self)
+            h = self._hash = hash((self.tag, self.args))
+        return h
+
+
+def _spine_hash(t: Compound) -> int:
+    """The hash of a list (a chain of `lcons` cells, see types.llist),
+    cached on every cell of its spine from the end, so a long list takes
+    no stack."""
+    cells = []
+    while isinstance(t, Compound) and t.tag == "lcons" and t._hash is None:
+        cells.append(t)
+        t = t.args[1]
+    for cell in reversed(cells):
+        cell._hash = hash((cell.tag, cell.args))
+    return cells[0]._hash
 
 
 class FreeVar:
@@ -286,9 +315,12 @@ def _spine_var_free(t: Compound) -> bool:
 
 def occurs(vid: int, t: Term, subst: PMap) -> bool:
     """Whether t, walked under subst, contains the variable vid; compounds
-    known to be variable-free are not entered."""
+    known to be variable-free are not entered, and no compound is entered
+    twice, however many paths lead to it (through the substitution, or as
+    a `mu` type that unfolding referenced more than once)."""
     get = subst.get
     stack = [t]
+    entered = set()
     while stack:
         x = stack.pop()
         while isinstance(x, Var):
@@ -299,19 +331,23 @@ def occurs(vid: int, t: Term, subst: PMap) -> bool:
                 break
             x = nxt
         else:
-            if isinstance(x, Compound):
+            if isinstance(x, Compound) and id(x) not in entered:
                 flag = x._var_free
                 if flag is None:
                     flag = var_free(x)
                 if not flag:
+                    entered.add(id(x))
                     stack.extend(x.args)
     return False
 
 
 def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
-    """Deep-walk a term, renaming free variables in first-occurrence order."""
+    """Deep-walk a term, renaming free variables in first-occurrence order.
+    A compound reached more than once (see `occurs`) is walked once, and
+    its reified form shared."""
     if numbering is None:
         numbering = {}
+    done = {}  # id of a walked compound -> its reified form
 
     def go(t):
         t = shallow_walk(t, subst)
@@ -319,18 +355,23 @@ def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
             if t.id not in numbering:
                 numbering[t.id] = len(numbering)
             return FreeVar(numbering[t.id], t.id)
-        if isinstance(t, Compound):
+        if not isinstance(t, Compound):
+            return t
+        out = done.get(id(t))
+        if out is None:
             if t.tag == "lcons":  # a list spine, walked in a loop
                 heads = []
-                while isinstance(t, Compound) and t.tag == "lcons":
-                    heads.append(go(t.args[0]))
-                    t = shallow_walk(t.args[1], subst)
-                out = go(t)
+                cell = t
+                while isinstance(cell, Compound) and cell.tag == "lcons":
+                    heads.append(go(cell.args[0]))
+                    cell = shallow_walk(cell.args[1], subst)
+                out = go(cell)
                 for h in reversed(heads):
                     out = Compound("lcons", (h, out))
-                return out
-            return Compound(t.tag, tuple(go(a) for a in t.args))
-        return t
+            else:
+                out = Compound(t.tag, tuple(go(a) for a in t.args))
+            done[id(t)] = out
+        return out
 
     return go(t)
 
@@ -346,6 +387,8 @@ def _unify_terms(a, b, subst, hooks):
     """
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
+    if a is b:  # a term shared through the substitution binds nothing
+        return subst
     if isinstance(a, Var):
         if isinstance(b, Var):
             if a.id == b.id:

@@ -1,12 +1,15 @@
 """Syntax-directed constraint extraction.
 
-A resolved program is traversed once: each construct contributes a type
-and a list of atomic constraints, and each S-expression label is interned
+A resolved program is traversed once: each construct returns a type and
+emits its atomic constraints, and each S-expression label is interned
 where it occurs (the solver needs the global constructor count, which is
-complete before it starts). Function literals are generalized on the
-spot: variables created inside the function are quantified and the body
-constraints that mention them move into the arrow, to be instantiated at
-call sites.
+complete before it starts). A conjunction is idempotent, so each function
+body, and the top level, collects its constraints in one insertion-ordered
+set: a constraint equal to one already emitted there is dropped, and the
+rest keep their first-emitted order. Function literals are generalized on
+the spot: variables created inside the function are quantified and the
+body constraints that mention them move into the arrow, to be
+instantiated at call sites; the others join the enclosing set.
 
 Types, constraints and patterns are built as engine terms; a type variable
 is an engine variable, so the solver takes them as they are.
@@ -43,7 +46,7 @@ from .types import (
 
 @dataclass
 class GenResult:
-    constraints: list  # of constraint terms
+    constraints: list  # of distinct constraint terms, in first-emitted order
     table: TagTable
     roots: list  # of (name, type term) in declaration order
     var_count: int  # the type variables are Var(1) ... Var(var_count)
@@ -77,6 +80,9 @@ class _Gen:
         self.counter = 0
         self.bound_counter = 0
         self.env: dict[int, object] = {}
+        # The constraints of the body being generated, an ordered set:
+        # adding one equal to a member (`out[c] = None`) changes nothing.
+        self.out: dict = {}
 
     def fresh(self) -> Var:
         # Var(0) is left to the solver's query variable.
@@ -90,88 +96,77 @@ class _Gen:
     # -- expressions --------------------------------------------------------
 
     def infer_expr(self, e):
-        """Returns (type, constraints)."""
+        """The type of e; its constraints are added to `out`."""
         if isinstance(e, S.IntLit):
-            return T_INT, []
+            return T_INT
         if isinstance(e, S.StrLit):
-            return T_STR, []
+            return T_STR
         if isinstance(e, S.VarRef):
-            return self.env[e.binder], []
+            return self.env[e.binder]
         if isinstance(e, S.ArrayLit):
             elem = self.fresh()
-            cs = []
             for x in e.elems:
-                t, c = self.infer_expr(x)
-                cs += c
-                cs.append(c_eq(t, elem))
-            return t_array(elem), cs
+                self.out[c_eq(self.infer_expr(x), elem)] = None
+            return t_array(elem)
         if isinstance(e, S.SexpLit):
             tid = self.table.intern(e.label, len(e.args))
             subject = self.fresh()
-            cs = []
-            args = []
-            for x in e.args:
-                t, c = self.infer_expr(x)
-                cs += c
-                args.append(t)
-            cs.append(c_sexp(tid, subject, llist(args)))
-            return subject, cs
+            args = [self.infer_expr(x) for x in e.args]
+            self.out[c_sexp(tid, subject, llist(args))] = None
+            return subject
         if isinstance(e, S.Index):
-            ts, cs = self.infer_expr(e.subject)
-            ti, ci = self.infer_expr(e.index)
+            ts = self.infer_expr(e.subject)
+            ti = self.infer_expr(e.index)
             elem = self.fresh()
-            return elem, cs + ci + [c_eq(ti, T_INT), c_ind(ts, elem)]
+            self.out[c_eq(ti, T_INT)] = None
+            self.out[c_ind(ts, elem)] = None
+            return elem
         if isinstance(e, S.CallE):
-            tf, cs = self.infer_expr(e.fn)
-            args = []
-            for x in e.args:
-                t, c = self.infer_expr(x)
-                cs += c
-                args.append(t)
+            tf = self.infer_expr(e.fn)
+            args = [self.infer_expr(x) for x in e.args]
             r = self.fresh()
-            return r, cs + [c_call(tf, llist(args), r)]
+            self.out[c_call(tf, llist(args), r)] = None
+            return r
         if isinstance(e, S.Length):
-            ts, cs = self.infer_expr(e.subject)
-            return T_INT, cs + [c_match(ts, llist([p_shape("box")]))]
+            self.out[c_match(self.infer_expr(e.subject), llist([p_shape("box")]))] = None
+            return T_INT
         if isinstance(e, S.Assign):
-            tl, cl = self.infer_expr(e.lhs)
-            tr, cr = self.infer_expr(e.rhs)
-            return T_INT, cl + cr + [c_eq(tl, tr)]
+            tl = self.infer_expr(e.lhs)
+            self.out[c_eq(tl, self.infer_expr(e.rhs))] = None
+            return T_INT
         if isinstance(e, S.Binop):
-            tl, cl = self.infer_expr(e.left)
-            tr, cr = self.infer_expr(e.right)
-            return T_INT, cl + cr + [c_eq(tl, T_INT), c_eq(tr, T_INT)]
+            tl = self.infer_expr(e.left)
+            tr = self.infer_expr(e.right)
+            self.out[c_eq(tl, T_INT)] = None
+            self.out[c_eq(tr, T_INT)] = None
+            return T_INT
         if isinstance(e, S.If):
-            tc, cs = self.infer_expr(e.cond)
-            cs.append(c_eq(tc, T_INT))
-            tt, ct = self.infer_expr(e.then)
-            cs += ct
+            self.out[c_eq(self.infer_expr(e.cond), T_INT)] = None
+            tt = self.infer_expr(e.then)
             if e.orelse is None:
-                return T_INT, cs
-            te, ce = self.infer_expr(e.orelse)
-            return tt, cs + ce + [c_eq(tt, te)]
+                return T_INT
+            self.out[c_eq(tt, self.infer_expr(e.orelse))] = None
+            return tt
         if isinstance(e, S.While):
-            tc, cs = self.infer_expr(e.cond)
-            _, cb = self.infer_expr(e.body)
-            return T_INT, cs + cb + [c_eq(tc, T_INT)]
+            tc = self.infer_expr(e.cond)
+            self.infer_expr(e.body)
+            self.out[c_eq(tc, T_INT)] = None
+            return T_INT
         if isinstance(e, S.For):
-            _, c0 = self.infer_expr(e.init)
-            tc, c1 = self.infer_expr(e.cond)
-            _, c2 = self.infer_expr(e.step)
-            _, c3 = self.infer_expr(e.body)
-            return T_INT, c0 + c1 + [c_eq(tc, T_INT)] + c2 + c3
+            self.infer_expr(e.init)
+            self.out[c_eq(self.infer_expr(e.cond), T_INT)] = None
+            self.infer_expr(e.step)
+            self.infer_expr(e.body)
+            return T_INT
         if isinstance(e, S.Case):
-            ts, cs = self.infer_expr(e.scrutinee)
+            ts = self.infer_expr(e.scrutinee)
             res = self.fresh()
             pats = []
             for pat, body in e.branches:
-                tp = self.infer_pattern(pat)
-                pats.append(tp)
-                tb, cb = self.infer_expr(body)
-                cs += cb
-                cs.append(c_eq(tb, res))
-            cs.append(c_match(ts, llist(pats)))
-            return res, cs
+                pats.append(self.infer_pattern(pat))
+                self.out[c_eq(self.infer_expr(body), res)] = None
+            self.out[c_match(ts, llist(pats))] = None
+            return res
         if isinstance(e, S.FunLit):
             return self.infer_fun(e)
         if isinstance(e, S.Scope):
@@ -180,28 +175,22 @@ class _Gen:
 
     def infer_scope(self, scope: S.Scope):
         ty = T_INT
-        cs = []
         for item in scope.items:
             if isinstance(item, S.VarDecl):
                 t = self.fresh()
                 self.env[item.binder] = t  # visible in its own initializer
                 if item.init is not None:
-                    ti, ci = self.infer_expr(item.init)
-                    cs += ci
-                    cs.append(c_eq(t, ti))
+                    self.out[c_eq(t, self.infer_expr(item.init))] = None
                 ty = T_INT
             elif isinstance(item, S.FunDecl):
                 # The function sees itself monomorphically.
                 m = self.fresh()
                 self.env[item.binder] = m
-                arrow, ci = self.infer_fun(item.fun)
-                cs += ci
-                cs.append(c_eq(m, arrow))
+                self.out[c_eq(m, self.infer_fun(item.fun))] = None
                 ty = T_INT
             else:
-                ty, ci = self.infer_expr(item)
-                cs += ci
-        return ty, cs
+                ty = self.infer_expr(item)
+        return ty
 
     def infer_fun(self, fn: S.FunLit):
         # Every environment value is a fresh variable or a ground builtin
@@ -213,35 +202,35 @@ class _Gen:
             t = self.fresh()
             self.env[binder] = t
             params.append(t)
-        result, body_cs = self.infer_expr(fn.body)
-        return self.generalize(env_top, params, result, body_cs)
+        outer, self.out = self.out, {}
+        result = self.infer_expr(fn.body)
+        body, self.out = self.out, outer
+        return self.generalize(env_top, params, result, body)
 
-    def generalize(self, env_top, params, result, body_cs):
+    def generalize(self, env_top, params, result, body):
         """Quantify every variable newer than env_top, that is, not free
         in the environment; constraints touching a quantified variable
-        travel with the arrow."""
+        travel with the arrow, the others join the enclosing body's."""
         own = {}
         for t in params:
             _vars(t, own)
         _vars(result, own)
-        body_vars = [_vars(c, {}) for c in body_cs]
+        body_vars = [_vars(c, {}) for c in body]
         for vs in body_vars:
             own.update(vs)
         mapping = {v: self.fresh_bound_name() for v in own if v.id > env_top}
         moved = []
-        residual = []
-        for c, vs in zip(body_cs, body_vars):
+        for c, vs in zip(body, body_vars):
             if any(v in mapping for v in vs):
                 moved.append(_rename(c, mapping))
             else:
-                residual.append(c)
-        arrow = t_arrow(
+                self.out[c] = None
+        return t_arrow(
             llist(list(mapping.values())),
             llist(moved),
             llist([_rename(p, mapping) for p in params]),
             _rename(result, mapping),
         )
-        return arrow, residual
 
     # -- patterns -----------------------------------------------------------
 
@@ -281,9 +270,9 @@ def infer_program(prog: S.Program) -> GenResult:
     gen = _Gen(TagTable())
     for name, binder in prog.builtins.items():
         gen.env[binder] = BUILTIN_TYPES[name]
-    _, constraints = gen.infer_scope(prog.body)
+    gen.infer_scope(prog.body)
     roots = []
     for item in prog.body.items:
         if isinstance(item, (S.VarDecl, S.FunDecl)) and item.binder in gen.env:
             roots.append((item.name, gen.env[item.binder]))
-    return GenResult(constraints, gen.table, roots, gen.counter)
+    return GenResult(list(gen.out), gen.table, roots, gen.counter)

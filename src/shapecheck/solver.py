@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import combinations
 
 from .engine import (
     Compound,
@@ -24,6 +23,7 @@ from .engine import (
     delay,
     disj,
     disunify,
+    fail,
     fresh_many,
     fresh_with,
     is_not_var,
@@ -608,7 +608,14 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
 
 
 def solve_ind(container, elem, opts: SolverOpts, kont):
-    table = opts.table
+    def by_shape(w):
+        if w.tag == "TStr":
+            return conj(eq_t(elem, T_INT), kont([]))
+        if w.tag == "TArray":
+            return conj(eq_t(elem, w.args[0]), kont([]))
+        if w.tag == "TSexp":
+            return _ind_row(w.args[0], elem, kont)
+        return fail
 
     def dispatch(u):
         def goal(state):
@@ -619,22 +626,16 @@ def solve_ind(container, elem, opts: SolverOpts, kont):
                 return None
             state = unfolded[0]
             w = shallow_walk(u, state.subst)
-            if isinstance(w, Var):
-                branches = [
-                    conj(unify(w, T_STR), eq_t(elem, T_INT)),
-                    fresh_with(lambda t: conj(unify(w, t_array(t)), eq_t(elem, t))),
-                ]
-                for length in range(1, opts.sexp_bound + 1):
-                    for combo in combinations(table.all_ids(), length):
-                        branches.append(delay(lambda c=combo: _ind_sexp_branch(w, elem, c, table)))
-                return conj(disj(*branches), kont([]))(state)
-            if w.tag == "TStr":
-                return conj(eq_t(elem, T_INT), kont([]))(state)
-            if w.tag == "TArray":
-                return conj(eq_t(elem, w.args[0]), kont([]))(state)
-            if w.tag == "TSexp":
-                return _ind_row(w.args[0], elem, kont)(state)
-            return None
+            if not isinstance(w, Var):
+                return by_shape(w)(state)
+            # A free container is a string, an array or, when the program
+            # has a constructor, an S-expression whose row is left open:
+            # its cells are constrained as memberships and labeling add
+            # them (`_ind_row`).
+            shapes = [unify(w, T_STR), fresh_with(lambda t: unify(w, t_array(t)))]
+            if opts.sexp_bound:
+                shapes.append(fresh_with(lambda row: unify(w, t_sexp(row))))
+            return conj(disj(*shapes), lambda st: by_shape(shallow_walk(w, st.subst))(st))(state)
 
         return goal
 
@@ -682,27 +683,6 @@ def _ind_items(args, elem, subst, goals, spawned):
         args = shallow_walk(args.args[1], subst)
     if isinstance(args, Var):
         spawned.append(c_ind_args(args, elem))
-
-
-def _ind_sexp_branch(w, elem, tag_ids, table: TagTable):
-    """w becomes an S-expression type listing exactly these tags (in id
-    order), every argument position equal to the element type."""
-
-    def build(tid_list, cells):
-        if not tid_list:
-            ctors = llist(cells)
-            return unify(w, t_sexp(ctors))
-        tid = tid_list[0]
-        arity = table.arity(tid)
-        return fresh_many(
-            arity,
-            lambda vs: conj(
-                *[eq_t(v, elem) for v in vs],
-                build(tid_list[1:], cells + [t_ctor(tid, llist(vs))]),
-            ),
-        )
-
-    return build(list(tag_ids), [])
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,6 @@ class TagTable:
     def arity(self, tid: int) -> int:
         return self._info[tid][1]
 
-    def all_ids(self) -> list[int]:
-        return list(range(len(self._info)))
-
     @property
     def sexp_max_length(self) -> int:
         return len(self._info)
@@ -182,36 +179,51 @@ class TagTable:
 def apply_type_subst(mapping: dict, term, subst):
     """Capture-avoiding replacement of TName occurrences, deep-walking as
     it goes. Binders in TMu / TArrow shadow identically-named entries.
+    A compound is rewritten once per set of names in scope, however many
+    paths lead to it (through the substitution, or as a `mu` type that
+    unfolding referenced more than once).
     """
-    t = shallow_walk(term, subst)
-    if not isinstance(t, Compound):
-        return t
-    if t.tag == "TName":
-        return mapping.get(t.args[0], t)
-    if t.tag == "TMu":
-        binder = shallow_walk(t.args[0], subst)
-        inner = {k: v for k, v in mapping.items() if k != binder}
-        if not inner:
+    memos = {}  # names in scope -> {id of a compound: its rewrite}
+
+    def under(mapping, shadowed):
+        inner = {k: v for k, v in mapping.items() if k not in shadowed}
+        return inner, memos.setdefault(frozenset(inner), {})
+
+    def go(term, mapping, memo):
+        t = shallow_walk(term, subst)
+        if not isinstance(t, Compound):
             return t
-        return t_mu(binder, apply_type_subst(inner, t.args[1], subst))
-    if t.tag == "TArrow":
-        bvars = _walk_list(t.args[0], subst)
-        if bvars is not None:
-            shadowed = {shallow_walk(b, subst) for b in bvars}
-            inner = {k: v for k, v in mapping.items() if k not in shadowed}
+        out = memo.get(id(t))
+        if out is not None:
+            return out
+        if t.tag == "TName":
+            out = mapping.get(t.args[0], t)
+        elif t.tag == "TMu":
+            binder = shallow_walk(t.args[0], subst)
+            inner, inner_memo = under(mapping, (binder,))
+            out = t_mu(binder, go(t.args[1], inner, inner_memo)) if inner else t
+        elif t.tag == "TArrow":
+            bvars = _walk_list(t.args[0], subst)
+            shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
+            inner, inner_memo = under(mapping, shadowed)
+            if inner:
+                args = tuple(go(a, inner, inner_memo) for a in t.args[1:])
+                out = Compound(t.tag, (t.args[0],) + args)
+            else:
+                out = t
+        elif t.tag == "lcons":  # a list spine, walked in a loop
+            heads = []
+            cell = t
+            while isinstance(cell, Compound) and cell.tag == "lcons":
+                heads.append(go(cell.args[0], mapping, memo))
+                cell = shallow_walk(cell.args[1], subst)
+            out = llist(heads, go(cell, mapping, memo))
         else:
-            inner = mapping
-        if not inner:
-            return t
-        args = tuple(apply_type_subst(inner, a, subst) for a in t.args)
-        return Compound(t.tag, (t.args[0],) + args[1:])
-    if t.tag == "lcons":  # a list spine, walked in a loop
-        heads = []
-        while isinstance(t, Compound) and t.tag == "lcons":
-            heads.append(apply_type_subst(mapping, t.args[0], subst))
-            t = shallow_walk(t.args[1], subst)
-        return llist(heads, apply_type_subst(mapping, t, subst))
-    return Compound(t.tag, tuple(apply_type_subst(mapping, a, subst) for a in t.args))
+            out = Compound(t.tag, tuple(go(a, mapping, memo) for a in t.args))
+        memo[id(t)] = out
+        return out
+
+    return go(term, mapping, memos.setdefault(frozenset(mapping), {}))
 
 
 def _walk_list(term, subst) -> Optional[list]:
@@ -253,8 +265,10 @@ def unmu(t, out) -> Goal:
 
 
 def type_occurs_hook(vid: int, reified):
-    """Replace the offending variable with a type name and wrap in a mu."""
+    """Replace the offending variable with a type name and wrap in a mu.
+    A compound shared in the reified term is converted once."""
     name = f"r{vid}"
+    done = {}  # id of a converted compound -> its conversion
 
     def back(t):
         if isinstance(t, FreeVar):
@@ -262,7 +276,10 @@ def type_occurs_hook(vid: int, reified):
                 return t_name(name)
             return Var(t.var_id)
         if isinstance(t, Compound):
-            return map_args(t, back)
+            out = done.get(id(t))
+            if out is None:
+                out = done[id(t)] = map_args(t, back)
+            return out
         return t
 
     return t_mu(name, back(reified))

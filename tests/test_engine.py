@@ -1,5 +1,7 @@
 """Relational engine: unification, disequality, hooks, search fairness."""
 
+import inspect
+import sys
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,80 @@ def to_list(t):
         t = t.args[1]
     assert t == NIL
     return out
+
+
+# ---------------------------------------------------------------------------
+# Terms
+# ---------------------------------------------------------------------------
+
+
+def test_equal_compounds_hash_equal():
+    a = C("Eq", Var(3), C("TArray", C("TInt")))
+    b = C("Eq", Var(3), C("TArray", C("TInt")))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert b in {a: None}
+    assert C("Eq", Var(4), C("TArray", C("TInt"))) not in {a: None}
+
+
+def test_a_compound_hashes_its_arguments_once():
+    class CountingAtom:
+        calls = 0
+
+        def __hash__(self):
+            CountingAtom.calls += 1
+            return 7
+
+    atom = CountingAtom()
+    inner = C("f", atom)
+    outer = C("g", inner, inner)
+    for t in (outer, outer, inner, C("h", outer), C("h", inner)):
+        hash(t)
+    assert CountingAtom.calls == 1
+
+
+def test_terms_shared_through_the_substitution_are_walked_once(monkeypatch):
+    # Var(i) is bound to a pair of Var(i - 1): 2 ** 16 leaves as a tree,
+    # 17 nodes as a graph, each looked up at most twice.
+    n = 16
+    subst = PMap()
+    for i in range(1, n + 1):
+        subst = subst.set(i, C("pair", Var(i - 1), Var(i - 1)))
+    top = Var(n)
+    gets = []
+    original = PMap.get
+
+    def counting(self, key, default=None):
+        gets.append(key)
+        return original(self, key, default)
+
+    monkeypatch.setattr(PMap, "get", counting)
+    assert occurs(0, top, subst) and not occurs(n + 1, top, subst)
+    t = reify_term(top, subst)
+    assert engine._unify_terms(top, Var(n), subst, None) is subst
+    assert len(gets) <= 4 * 2 * (n + 1)
+    for _ in range(n - 1):
+        assert t.args[0] is t.args[1]  # the reified term stays shared
+        t = t.args[0]
+    assert t == C("pair", FreeVar(0, 0), FreeVar(0, 0))
+
+
+def test_long_lists_hash_and_compare_in_little_stack():
+    # Two equal 5000-cell lists, built apart, and one differing only in
+    # its last cell: hashing and comparing take no frame per cell.
+    def lst(last):
+        out = C("lnil")
+        for x in [last, *range(4999)]:
+            out = C("lcons", x, out)
+        return C("Match", Var(1), out)
+
+    a, b, c = lst(0), lst(0), lst(1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert hash(a) == hash(b) and a == b and b in {a: None}
+        assert a != c and c not in {a: None}
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecheck.checker import check_source
-from shapecheck.engine import Compound, FreeVar, PMap, Var, conj, fresh_with, run, unify
+from shapecheck.engine import Compound, FreeVar, PMap, Var, conj, fresh_with, reify_term, run, unify
 from shapecheck.types import (
     LNIL,
     T_INT,
@@ -29,11 +29,13 @@ from shapecheck.types import (
     t_name,
     t_sexp,
     ty_from_term,
+    type_occurs_hook,
     types_equal,
     unmu,
 )
 
 import oracles as O
+from shapecheck import types
 
 
 def ok(goal_of_var, **kw):
@@ -56,7 +58,6 @@ def test_intern_is_bijective_per_label_arity():
     assert len({a1, b2, a2}) == 3
     assert tb.label(b2) == "B" and tb.arity(b2) == 2
     assert tb.sexp_max_length == 3
-    assert tb.all_ids() == [a1, b2, a2]
 
 
 def test_intern_same_label_different_arity_distinct():
@@ -112,6 +113,55 @@ def test_apply_type_subst_replaces_names_capture_avoiding():
 
     shadowed = t_mu("x", t_array(t_name("x")))
     assert apply_type_subst({"x": T_INT}, shadowed, PMap()) == shadowed
+
+
+def _shared_chain(n, leaf):
+    """Var(n) under a substitution binding Var(i) to a pair of Var(i - 1)
+    for i = 1 .. n, and Var(0) to leaf: 2 ** n leaves as a tree, n + 1
+    nodes as a graph."""
+    subst = PMap().set(0, leaf)
+    for i in range(1, n + 1):
+        subst = subst.set(i, Compound("TPair", (Var(i - 1), Var(i - 1))))
+    return Var(n), subst
+
+
+def _leftmost(t, depth):
+    for _ in range(depth - 1):
+        assert t.args[0] is t.args[1]  # the rewrite stays shared
+        t = t.args[0]
+    return t.args[0]
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_apply_type_subst_rewrites_a_shared_term_once(monkeypatch):
+    top, subst = _shared_chain(16, t_name("x"))
+    gets = _counting(monkeypatch, PMap, "get")
+    out = apply_type_subst({"x": T_INT}, top, subst)
+    assert len(gets) <= 2 * 17
+    assert _leftmost(out, 16) == T_INT
+    # Under a binder of the same name the shared term is left alone.
+    shadowed = t_mu("x", top)
+    assert apply_type_subst({"x": T_INT}, shadowed, subst) is shadowed
+
+
+def test_occurs_hook_converts_a_shared_term_once(monkeypatch):
+    top, subst = _shared_chain(16, Var(99))
+    reified = reify_term(top, subst)
+    maps = _counting(monkeypatch, types, "map_args")
+    hooked = type_occurs_hook(99, reified)
+    assert len(maps) == 16
+    assert _leftmost(hooked.args[1], 16) == t_name("r99")
 
 
 # ---------------------------------------------------------------------------
