@@ -27,7 +27,7 @@ class Var:
         return isinstance(other, Var) and other.id == self.id
 
     def __hash__(self):
-        return hash(self.id)
+        return self.id  # equal to hash(self.id): ids are small non-negative ints
 
 
 class Compound:

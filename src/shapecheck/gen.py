@@ -83,6 +83,7 @@ class _Gen:
         # The constraints of the body being generated, an ordered set:
         # adding one equal to a member (`out[c] = None`) changes nothing.
         self.out: dict = {}
+        self.eqs: dict = {}  # (id(a), id(b)) -> Eq(a, b), for the same body
 
     def fresh(self) -> Var:
         # Var(0) is left to the solver's query variable.
@@ -93,84 +94,96 @@ class _Gen:
         self.bound_counter += 1
         return f"q{self.bound_counter}"
 
+    def eq(self, a, b):
+        """Add Eq(a, b) to `out`. A repeat of the same two term objects is
+        found in `eqs` by their ids, without hashing a term; `eqs` holds
+        each constraint it keys, so those ids stay in use. Any other
+        repeat is dropped by `out` as every constraint is."""
+        key = (id(a), id(b))
+        if key not in self.eqs:
+            c = self.eqs[key] = c_eq(a, b)
+            self.out[c] = None
+
     # -- expressions --------------------------------------------------------
 
     def infer_expr(self, e):
-        """The type of e; its constraints are added to `out`."""
-        if isinstance(e, S.IntLit):
-            return T_INT
-        if isinstance(e, S.StrLit):
-            return T_STR
-        if isinstance(e, S.VarRef):
+        """The type of e; its constraints are added to `out`. The most
+        frequent node types are tested first."""
+        kind = type(e)
+        if kind is S.VarRef:
             return self.env[e.binder]
-        if isinstance(e, S.ArrayLit):
-            elem = self.fresh()
-            for x in e.elems:
-                self.out[c_eq(self.infer_expr(x), elem)] = None
-            return t_array(elem)
-        if isinstance(e, S.SexpLit):
-            tid = self.table.intern(e.label, len(e.args))
-            subject = self.fresh()
-            args = [self.infer_expr(x) for x in e.args]
-            self.out[c_sexp(tid, subject, llist(args))] = None
-            return subject
-        if isinstance(e, S.Index):
-            ts = self.infer_expr(e.subject)
-            ti = self.infer_expr(e.index)
-            elem = self.fresh()
-            self.out[c_eq(ti, T_INT)] = None
-            self.out[c_ind(ts, elem)] = None
-            return elem
-        if isinstance(e, S.CallE):
+        if kind is S.IntLit:
+            return T_INT
+        if kind is S.Binop:
+            tl = self.infer_expr(e.left)
+            tr = self.infer_expr(e.right)
+            self.eq(tl, T_INT)
+            self.eq(tr, T_INT)
+            return T_INT
+        if kind is S.Assign:
+            tl = self.infer_expr(e.lhs)
+            self.eq(tl, self.infer_expr(e.rhs))
+            return T_INT
+        if kind is S.Scope:
+            return self.infer_scope(e)
+        if kind is S.CallE:
             tf = self.infer_expr(e.fn)
             args = [self.infer_expr(x) for x in e.args]
             r = self.fresh()
             self.out[c_call(tf, llist(args), r)] = None
             return r
-        if isinstance(e, S.Length):
+        if kind is S.Index:
+            ts = self.infer_expr(e.subject)
+            ti = self.infer_expr(e.index)
+            elem = self.fresh()
+            self.eq(ti, T_INT)
+            self.out[c_ind(ts, elem)] = None
+            return elem
+        if kind is S.StrLit:
+            return T_STR
+        if kind is S.ArrayLit:
+            elem = self.fresh()
+            for x in e.elems:
+                self.eq(self.infer_expr(x), elem)
+            return t_array(elem)
+        if kind is S.SexpLit:
+            tid = self.table.intern(e.label, len(e.args))
+            subject = self.fresh()
+            args = [self.infer_expr(x) for x in e.args]
+            self.out[c_sexp(tid, subject, llist(args))] = None
+            return subject
+        if kind is S.Length:
             self.out[c_match(self.infer_expr(e.subject), llist([p_shape("box")]))] = None
             return T_INT
-        if isinstance(e, S.Assign):
-            tl = self.infer_expr(e.lhs)
-            self.out[c_eq(tl, self.infer_expr(e.rhs))] = None
-            return T_INT
-        if isinstance(e, S.Binop):
-            tl = self.infer_expr(e.left)
-            tr = self.infer_expr(e.right)
-            self.out[c_eq(tl, T_INT)] = None
-            self.out[c_eq(tr, T_INT)] = None
-            return T_INT
-        if isinstance(e, S.If):
-            self.out[c_eq(self.infer_expr(e.cond), T_INT)] = None
+        if kind is S.If:
+            self.eq(self.infer_expr(e.cond), T_INT)
             tt = self.infer_expr(e.then)
             if e.orelse is None:
                 return T_INT
-            self.out[c_eq(tt, self.infer_expr(e.orelse))] = None
+            self.eq(tt, self.infer_expr(e.orelse))
             return tt
-        if isinstance(e, S.While):
+        if kind is S.While:
             tc = self.infer_expr(e.cond)
             self.infer_expr(e.body)
-            self.out[c_eq(tc, T_INT)] = None
+            self.eq(tc, T_INT)
             return T_INT
-        if isinstance(e, S.For):
+        if kind is S.For:
             self.infer_expr(e.init)
-            self.out[c_eq(self.infer_expr(e.cond), T_INT)] = None
+            self.eq(self.infer_expr(e.cond), T_INT)
             self.infer_expr(e.step)
             self.infer_expr(e.body)
             return T_INT
-        if isinstance(e, S.Case):
+        if kind is S.Case:
             ts = self.infer_expr(e.scrutinee)
             res = self.fresh()
             pats = []
             for pat, body in e.branches:
                 pats.append(self.infer_pattern(pat))
-                self.out[c_eq(self.infer_expr(body), res)] = None
+                self.eq(self.infer_expr(body), res)
             self.out[c_match(ts, llist(pats))] = None
             return res
-        if isinstance(e, S.FunLit):
+        if kind is S.FunLit:
             return self.infer_fun(e)
-        if isinstance(e, S.Scope):
-            return self.infer_scope(e)
         raise TypeError(f"unexpected expression: {e!r}")
 
     def infer_scope(self, scope: S.Scope):
@@ -180,13 +193,13 @@ class _Gen:
                 t = self.fresh()
                 self.env[item.binder] = t  # visible in its own initializer
                 if item.init is not None:
-                    self.out[c_eq(t, self.infer_expr(item.init))] = None
+                    self.eq(t, self.infer_expr(item.init))
                 ty = T_INT
             elif isinstance(item, S.FunDecl):
                 # The function sees itself monomorphically.
                 m = self.fresh()
                 self.env[item.binder] = m
-                self.out[c_eq(m, self.infer_fun(item.fun))] = None
+                self.eq(m, self.infer_fun(item.fun))
                 ty = T_INT
             else:
                 ty = self.infer_expr(item)
@@ -202,9 +215,11 @@ class _Gen:
             t = self.fresh()
             self.env[binder] = t
             params.append(t)
-        outer, self.out = self.out, {}
+        outer = self.out, self.eqs
+        self.out, self.eqs = {}, {}
         result = self.infer_expr(fn.body)
-        body, self.out = self.out, outer
+        body = self.out
+        self.out, self.eqs = outer
         return self.generalize(env_top, params, result, body)
 
     def generalize(self, env_top, params, result, body):

@@ -7,10 +7,18 @@ literals, variables, arrays, S-expressions, function literals and named
 sequencing, `if`/`while`/`for`, and `case` with the shape-pattern
 catalogue. The parser gives every binder a unique id, in source order,
 and resolves every reference to one of them.
+
+The lexer makes one pass over the characters and emits plain
+`(kind, value, line, col)` tuples. Only a newline starts a line, also
+inside a string or a block comment, and a column is the offset from the
+start of its line, plus one. The parser is recursive descent over that
+list; binary operators are parsed by precedence climbing (Pratt 1973)
+over one table of levels, `:=` being the loosest and right-associative.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,137 +222,135 @@ _KEYWORDS = {
     "while", "do", "od", "for",
 }
 
-_PUNCT = [
-    ":=", "->", "==", "!=", "<=", ">=",
-    "(", ")", "[", "]", "{", "}", ",", ";", ".",
-    "<", ">", "+", "-", "*", "/", "%", "=", "|", "@", "_",
-]
-# The punctuators a character can start, longest first as in _PUNCT.
-_PUNCT_BY_FIRST = {c: [p for p in _PUNCT if p[0] == c] for c in {p[0] for p in _PUNCT}}
+# Punctuators. A character in _PUNCT1 is one on its own, unless it and
+# the next one make a punctuator in _PUNCT2 or open a comment (`--`, `(*`).
+_PUNCT2 = {":=", "->", "==", "!=", "<=", ">="}
+_PUNCT1 = set("()[]{},;.<>+-*/%=|@_")
+# Punctuators that start no longer token.
+_ALONE = _PUNCT1 - {p[0] for p in _PUNCT2} - {"-", "("}
 
 _SHAPES = {"box": "box", "unbox": "unbox", "str": "str", "string": "str",
            "array": "array", "sexp": "sexp", "fun": "fun"}
 
+_WORD = re.compile(r"\w+")  # the characters str.isalnum accepts, and '_'
+_DIGITS = re.compile(r"\d+")  # decimal digits, the ones int() reads
+# A string: `\"` and `\\` are escapes; any other backslash stays as it is.
+_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+_ESCAPE = re.compile(r'\\(["\\])')
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
-@dataclass
-class Token:
-    kind: str  # "int" | "str" | "ident" | "tag" | keyword | punct | "eof"
-    value: object
-    line: int
-    col: int
+
+def _past_newlines(src: str, i: int, j: int, line: int, base: int) -> tuple:
+    """(line, base) after the newlines in src[i:j]."""
+    breaks = src.count("\n", i, j)
+    if breaks:
+        return line + breaks, src.rindex("\n", i, j)
+    return line, base
 
 
 def tokenize(src: str) -> list:
+    """The tokens of src, ending with an "eof" token. A token is a tuple
+    (kind, value, line, col): kind is "int", "str", "ident", "tag",
+    "shape", a keyword or a punctuator, and value is the literal's value
+    or the token's text. Only a newline starts a line, also inside a
+    string or a comment; a column is the offset from the line's start,
+    plus one."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg):
-        raise ParseError(line, col, msg)
-
+    emit = toks.append
+    word, digits = _WORD.match, _DIGITS.match
+    i, n = 0, len(src)
+    line, base = 1, -1  # base: the offset just before the line's start
     while i < n:
         c = src[i]
         if c == "\n":
-            i += 1
             line += 1
-            col = 1
-            continue
-        if c.isspace():
+            base = i
             i += 1
-            col += 1
-            continue
-        if c == "-" and src.startswith("--", i):  # line comment
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == "(" and src.startswith("(*", i):  # block comment
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if src.startswith("(*", j):
-                    depth += 1
-                    j += 2
-                elif src.startswith("*)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    if src[j] == "\n":
-                        line += 1
-                        col = 0
-                    j += 1
-            if depth:
-                err("unterminated comment")
-            col += j - i
+        elif c == " ":
+            i += 1
+        elif c.isalpha():
+            j = word(src, i).end()
+            w = src[i:j]
+            emit((w if w in _KEYWORDS else "tag" if c.isupper() else "ident", w, line, i - base))
             i = j
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", int(src[i:j]), start_line, start_col))
-            col += j - i
+        elif c.isdecimal():
+            j = digits(src, i).end()
+            try:
+                value = int(src[i:j])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(line, i - base, "integer literal too long") from None
+            emit(("int", value, line, i - base))
             i = j
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n and src[j + 1] in ('"', "\\"):
-                    buf.append(src[j + 1])
-                    j += 2
-                else:
-                    buf.append(src[j])
-                    j += 1
-            if j >= n:
-                err("unterminated string")
-            toks.append(Token("str", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i + 1 : j]
-            if word not in _SHAPES:
-                err(f"unknown shape pattern #{word}")
-            toks.append(Token("shape", _SHAPES[word], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            if word in _KEYWORDS:
-                toks.append(Token(word, word, start_line, start_col))
-            elif word[0].isupper():
-                toks.append(Token("tag", word, start_line, start_col))
-            else:
-                toks.append(Token("ident", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT_BY_FIRST.get(c, ()):
-            if src.startswith(p, i):
-                toks.append(Token(p, p, start_line, start_col))
-                col += len(p)
-                i += len(p)
-                break
+        elif c in _ALONE:
+            emit((c, c, line, i - base))
+            i += 1
         else:
-            err(f"unexpected character {c!r}")
-    toks.append(Token("eof", None, line, col))
+            two = src[i : i + 2]
+            if two in _PUNCT2:
+                emit((two, two, line, i - base))
+                i += 2
+            elif two == "--":
+                j = src.find("\n", i)
+                if j < 0:
+                    break  # the comment ends the source; "eof" takes its place
+                i = j
+            elif two == "(*":
+                depth, j = 1, i + 2
+                while depth:
+                    m = _COMMENT_MARK.search(src, j)
+                    if m is None:
+                        raise ParseError(line, i - base, "unterminated comment")
+                    depth += 1 if m.group() == "(*" else -1
+                    j = m.end()
+                line, base = _past_newlines(src, i, j, line, base)
+                i = j
+            elif c in _PUNCT1:
+                emit((c, c, line, i - base))
+                i += 1
+            elif c.isspace():
+                i += 1
+            elif c == '"':
+                m = _STRING.match(src, i)
+                if m is None:
+                    raise ParseError(line, i - base, "unterminated string")
+                emit(("str", _ESCAPE.sub(r"\1", m.group(1)), line, i - base))
+                line, base = _past_newlines(src, i, m.end(), line, base)
+                i = m.end()
+            elif c == "#":
+                m = word(src, i + 1)
+                w = m.group() if m else ""
+                if w not in _SHAPES:
+                    raise ParseError(line, i - base, f"unknown shape pattern #{w}")
+                emit(("shape", _SHAPES[w], line, i - base))
+                i += 1 + len(w)
+            else:
+                raise ParseError(line, i - base, f"unexpected character {c!r}")
+    emit(("eof", None, line, i - base))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent).
+# Parser (recursive descent, precedence climbing for binary operators).
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+# Binary operators and their levels: a higher level binds tighter, and
+# operators of one level group to the left. `:=` is looser than all of
+# them and groups to the right.
+_BINARY = {
+    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3, "%": 3,
+}
+_POSTFIX = {"(", "[", "."}
+
+# The tokens that end each kind of block.
+_EOF = {"eof"}
+_RPAREN = {")"}
+_RBRACE = {"}"}
+_OD = {"od"}
+_FI = {"fi"}
+_THEN = {"else", "elif", "fi"}
+_BRANCH = {"|", "esac"}
 
 # Deepest nesting of expressions, blocks, patterns and `elif` links the
 # parser accepts. Every recursive pass after it (generation, rendering)
@@ -355,15 +361,15 @@ MAX_NESTING = 64
 BUILTINS = ("read", "write")
 
 
+def _error(t: tuple, message: str) -> ParseError:
+    return ParseError(t[2], t[3], message)
+
+
 def _nested(method):
-    """Count one nesting level around a recursive parser method; past
-    MAX_NESTING, raise ParseError at the token that opens the level."""
+    """Count one nesting level around a recursive parser method."""
 
     def wrapper(self, *args):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            t = self.peek()
-            raise ParseError(t.line, t.col, f"nesting deeper than {MAX_NESTING} levels")
+        self.enter()
         result = method(self, *args)
         self.depth -= 1
         return result
@@ -407,327 +413,262 @@ class _Parser:
             else:
                 self.env[name] = shadowed
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def enter(self):
+        """Open one nesting level; past MAX_NESTING, raise ParseError at
+        the token that opens it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep()
 
-    def next(self) -> Token:
+    def too_deep(self) -> ParseError:
+        return _error(self.toks[self.pos], f"nesting deeper than {MAX_NESTING} levels")
+
+    def eat(self, kind) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind) -> tuple:
         t = self.toks[self.pos]
+        if t[0] != kind:
+            raise _error(t, f"expected {kind!r}, found {t[0]!r}")
         self.pos += 1
         return t
 
-    def at(self, kind) -> bool:
-        return self.peek().kind == kind
+    def listing(self, parse_item, close: str, empty_ok: bool) -> list:
+        """Items separated by ',' up to close, the opening token already
+        consumed; the list may be empty only where empty_ok."""
+        toks = self.toks
+        if empty_ok and toks[self.pos][0] == close:
+            self.pos += 1
+            return []
+        items = []
+        while True:
+            items.append(parse_item())
+            t = toks[self.pos]
+            self.pos += 1
+            if t[0] == close:
+                return items
+            if t[0] != ",":
+                raise _error(t, f"expected ',', found {t[0]!r}")
 
-    def eat(self, kind) -> Optional[Token]:
-        if self.at(kind):
-            return self.next()
-        return None
-
-    def expect(self, kind) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, f"expected {kind!r}, found {t.kind!r}")
-        return self.next()
-
-    # Blocks: items separated by ';' (optional after a fun declaration).
+    # Blocks: items separated by ';' (optional after a declaration).
 
     @_nested
     def block(self, stops) -> Scope:
         mark = len(self.trail)
         items = []
-        while not self.peek().kind in stops:
-            new = self.item()
-            items.extend(new)
-            if self.eat(";"):
+        toks = self.toks
+        while toks[self.pos][0] not in stops:
+            kind = toks[self.pos][0]
+            if kind == "var":
+                items += self.var_decl()
+            elif kind == "fun" and toks[self.pos + 1][0] == "ident":
+                items.append(self.fun_decl())
+            else:
+                items.append(self.expr())
+                if not self.eat(";"):
+                    break
                 continue
-            if isinstance(new[-1], (FunDecl, VarDecl)):
-                continue  # separator optional after a declaration
-            break
-        t = self.peek()
-        if t.kind not in stops:
-            raise ParseError(t.line, t.col, f"expected one of {sorted(stops)}")
+            self.eat(";")
+        t = toks[self.pos]
+        if t[0] not in stops:
+            raise _error(t, f"expected one of {sorted(stops)}")
         self.end_scope(mark)
         return Scope(items)
 
-    def item(self) -> list:
-        t = self.peek()
-        if t.kind == "var":
-            return self.var_decl()
-        if t.kind == "fun" and self.toks[self.pos + 1].kind == "ident":
-            return [self.fun_decl()]
-        return [self.expr()]
-
     def var_decl(self) -> list:
-        self.expect("var")
+        self.pos += 1  # 'var'
         decls = []
         while True:
-            name = self.expect("ident")
-            binder = self.bind(name.value)
-            init = None
-            if self.eat("="):
-                init = self.expr()
-            decls.append(VarDecl(name.value, init, name.line, name.col, binder))
+            t = self.expect("ident")
+            binder = self.bind(t[1])
+            init = self.expr() if self.eat("=") else None
+            decls.append(VarDecl(t[1], init, t[2], t[3], binder))
             if not self.eat(","):
-                break
-        return decls
+                return decls
 
     def fun_decl(self) -> FunDecl:
-        kw = self.expect("fun")
-        name = self.expect("ident")
-        binder = self.bind(name.value)
-        return FunDecl(name.value, self.fun_rest(), kw.line, kw.col, binder)
+        kw, name = self.toks[self.pos], self.toks[self.pos + 1]
+        self.pos += 2
+        binder = self.bind(name[1])
+        return FunDecl(name[1], self.fun_rest(), kw[2], kw[3], binder)
 
     def fun_rest(self) -> FunLit:
         """Parameters and body of a function, in a scope of their own."""
         mark = len(self.trail)
         self.expect("(")
-        params = []
-        if not self.eat(")"):
-            while True:
-                p = self.expect("ident")
-                params.append((p.value, self.bind(p.value)))
-                if self.eat(")"):
-                    break
-                self.expect(",")
+        params = self.listing(self.param, ")", True)
         self.expect("{")
-        body = self.block({"}"})
+        body = self.block(_RBRACE)
         self.expect("}")
         self.end_scope(mark)
         return FunLit(params, body)
 
+    def param(self) -> tuple:
+        t = self.expect("ident")
+        return (t[1], self.bind(t[1]))
+
     # Expressions.
 
-    @_nested
     def expr(self) -> Node:
-        lhs = self.comparison()
-        if self.eat(":="):
+        # One nesting level, counted here as `_nested` counts it, since
+        # this is the parser's most frequent call.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep()
+        e = self.binary(1)
+        if self.toks[self.pos][0] == ":=":
+            self.pos += 1
             rhs = self.expr()
-            t = self.peek()
-            if not isinstance(lhs, (VarRef, Index)):
-                raise ParseError(t.line, t.col, "assignment target must be a variable or an index")
-            return Assign(lhs, rhs)
-        return lhs
+            if not isinstance(e, (VarRef, Index)):
+                raise _error(self.toks[self.pos], "assignment target must be a variable or an index")
+            e = Assign(e, rhs)
+        self.depth -= 1
+        return e
 
-    def comparison(self) -> Node:
-        left = self.additive()
-        while self.peek().kind in _CMP_OPS:
-            op = self.next().kind
-            left = Binop(op, left, self.additive())
-        return left
-
-    def additive(self) -> Node:
-        left = self.multiplicative()
-        while self.peek().kind in _ADD_OPS:
-            op = self.next().kind
-            left = Binop(op, left, self.multiplicative())
-        return left
-
-    def multiplicative(self) -> Node:
-        left = self.postfix()
-        while self.peek().kind in _MUL_OPS:
-            op = self.next().kind
-            left = Binop(op, left, self.postfix())
-        return left
-
-    def postfix(self) -> Node:
-        e = self.primary()
+    def binary(self, level: int) -> Node:
+        """Operands joined by binary operators of at least this level."""
+        left = self.operand()
+        toks = self.toks
         while True:
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.eat(")"):
-                    while True:
-                        args.append(self.expr())
-                        if self.eat(")"):
-                            break
-                        self.expect(",")
-                e = CallE(e, args)
-            elif self.at("["):
-                self.next()
-                idx = self.expr()
-                self.expect("]")
-                e = Index(e, idx)
-            elif self.at("."):
-                self.next()
-                name = self.expect("ident")
-                if name.value != "length":
-                    raise ParseError(name.line, name.col, f"unknown primitive .{name.value}")
-                e = Length(e)
-            else:
-                return e
+            op = toks[self.pos][0]
+            op_level = _BINARY.get(op, 0)
+            if op_level < level:
+                return left
+            self.pos += 1
+            left = Binop(op, left, self.binary(op_level + 1))
 
-    def primary(self) -> Node:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(t.value)
-        if t.kind == "str":
-            self.next()
-            return StrLit(t.value)
-        if t.kind == "ident":
-            self.next()
-            binder = self.env.get(t.value, -1)
+    def operand(self) -> Node:
+        """A primary expression, then its calls, indexes and `.length`."""
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t[0]
+        self.pos += 1
+        if kind == "ident":
+            binder = self.env.get(t[1], -1)
             if binder < 0 and self.unbound is None:
-                self.unbound = ResolveError(t.value, t.line, t.col)
-            return VarRef(t.value, t.line, t.col, binder)
-        if t.kind == "tag":
-            self.next()
-            args = []
-            if self.eat("("):
-                while True:
-                    args.append(self.expr())
-                    if self.eat(")"):
-                        break
-                    self.expect(",")
-            return SexpLit(t.value, args)
-        if t.kind == "[":
-            self.next()
-            elems = []
-            if not self.eat("]"):
-                while True:
-                    elems.append(self.expr())
-                    if self.eat("]"):
-                        break
-                    self.expect(",")
-            return ArrayLit(elems)
-        if t.kind == "(":
-            self.next()
-            e = self.block({")"})
+                self.unbound = ResolveError(t[1], t[2], t[3])
+            e = VarRef(t[1], t[2], t[3], binder)
+        elif kind == "int":
+            e = IntLit(t[1])
+        elif kind == "str":
+            e = StrLit(t[1])
+        elif kind == "tag":
+            e = SexpLit(t[1], self.listing(self.expr, ")", False) if self.eat("(") else [])
+        elif kind == "[":
+            e = ArrayLit(self.listing(self.expr, "]", True))
+        elif kind == "(":
+            e = self.block(_RPAREN)
             self.expect(")")
-            return e
-        if t.kind == "{":
-            self.next()
-            e = self.block({"}"})
+        elif kind == "{":
+            e = self.block(_RBRACE)
             self.expect("}")
-            return e
-        if t.kind == "fun":
-            self.next()
-            return self.fun_rest()
-        if t.kind == "if":
-            return self.if_expr()
-        if t.kind == "while":
-            self.next()
+        elif kind == "fun":
+            e = self.fun_rest()
+        elif kind == "if":
+            e = self.if_expr()
+        elif kind == "while":
             cond = self.expr()
             self.expect("do")
-            body = self.block({"od"})
+            e = While(cond, self.block(_OD))
             self.expect("od")
-            return While(cond, body)
-        if t.kind == "for":
-            self.next()
+        elif kind == "for":
             init = self.expr()
             self.expect(",")
             cond = self.expr()
             self.expect(",")
             step = self.expr()
             self.expect("do")
-            body = self.block({"od"})
+            e = For(init, cond, step, self.block(_OD))
             self.expect("od")
-            return For(init, cond, step, body)
-        if t.kind == "case":
-            self.next()
-            scrut = self.expr()
-            self.expect("of")
-            branches = []
-            while True:
-                mark = len(self.trail)
-                pat = self.pattern()
-                self.expect("->")
-                body = self.block({"|", "esac"})
-                self.end_scope(mark)
-                branches.append((pat, body))
-                if not self.eat("|"):
-                    break
-            self.expect("esac")
-            return Case(scrut, branches)
-        raise ParseError(t.line, t.col, f"unexpected token {t.kind!r}")
+        elif kind == "case":
+            e = self.case_expr()
+        else:
+            raise _error(t, f"unexpected token {kind!r}")
+        while True:
+            kind = toks[self.pos][0]
+            if kind not in _POSTFIX:
+                return e
+            self.pos += 1
+            if kind == "(":
+                e = CallE(e, self.listing(self.expr, ")", True))
+            elif kind == "[":
+                e = Index(e, self.expr())
+                self.expect("]")
+            else:
+                t = self.expect("ident")
+                if t[1] != "length":
+                    raise _error(t, f"unknown primitive .{t[1]}")
+                e = Length(e)
+
+    def case_expr(self) -> Case:
+        scrut = self.expr()
+        self.expect("of")
+        branches = []
+        while True:
+            mark = len(self.trail)
+            pat = self.pattern()
+            self.expect("->")
+            branches.append((pat, self.block(_BRANCH)))
+            self.end_scope(mark)
+            if not self.eat("|"):
+                break
+        self.expect("esac")
+        return Case(scrut, branches)
 
     def if_expr(self) -> Node:
-        self.expect("if")
-        cond = self.expr()
-        self.expect("then")
-        then = self.block({"else", "elif", "fi"})
-        t = self.peek()
-        if t.kind == "else":
-            self.next()
-            orelse = self.block({"fi"})
-            self.expect("fi")
-            return If(cond, then, orelse)
-        if t.kind == "elif":
-            self.next()
-            # desugar: elif chains share the closing 'fi'
-            orelse = self.elif_chain()
-            return If(cond, then, orelse)
+        """The rest of an `if`: its `elif` links share the closing `fi`
+        and each nests one level deeper than the one before."""
+        depth = self.depth
+        links = []
+        while True:
+            cond = self.expr()
+            self.expect("then")
+            links.append((cond, self.block(_THEN)))
+            if not self.eat("elif"):
+                break
+            self.enter()
+        orelse = self.block(_FI) if self.eat("else") else None
         self.expect("fi")
-        return If(cond, then, None)
-
-    @_nested
-    def elif_chain(self) -> Node:
-        cond = self.expr()
-        self.expect("then")
-        then = self.block({"else", "elif", "fi"})
-        t = self.peek()
-        if t.kind == "else":
-            self.next()
-            orelse = self.block({"fi"})
-            self.expect("fi")
-            return If(cond, then, orelse)
-        if t.kind == "elif":
-            self.next()
-            return If(cond, then, self.elif_chain())
-        self.expect("fi")
-        return If(cond, then, None)
+        self.depth = depth
+        for cond, then in reversed(links):
+            orelse = If(cond, then, orelse)
+        return orelse
 
     # Patterns.
 
     @_nested
     def pattern(self) -> Node:
-        t = self.peek()
-        if t.kind == "_":
-            self.next()
+        t = self.toks[self.pos]
+        kind = t[0]
+        if kind == "str":
+            raise _error(t, "string patterns are not supported")
+        self.pos += 1
+        if kind == "_":
             return PWild()
-        if t.kind == "int":
-            self.next()
-            return PInt(t.value)
-        if t.kind == "str":
-            raise ParseError(t.line, t.col, "string patterns are not supported")
-        if t.kind == "shape":
-            self.next()
-            return PShape(t.value)
-        if t.kind == "ident":
-            self.next()
-            binder = self.bind(t.value)
+        if kind == "int":
+            return PInt(t[1])
+        if kind == "shape":
+            return PShape(t[1])
+        if kind == "ident":
+            binder = self.bind(t[1])
             if self.eat("@"):
-                return PAt(t.value, self.pattern(), binder)
-            return PBind(t.value, binder)
-        if t.kind == "tag":
-            self.next()
-            args = []
-            if self.eat("("):
-                while True:
-                    args.append(self.pattern())
-                    if self.eat(")"):
-                        break
-                    self.expect(",")
-            return PSexp(t.value, args)
-        if t.kind == "[":
-            self.next()
-            elems = []
-            if not self.eat("]"):
-                while True:
-                    elems.append(self.pattern())
-                    if self.eat("]"):
-                        break
-                    self.expect(",")
-            return PArray(elems)
-        raise ParseError(t.line, t.col, f"unexpected token {t.kind!r} in pattern")
+                return PAt(t[1], self.pattern(), binder)
+            return PBind(t[1], binder)
+        if kind == "tag":
+            return PSexp(t[1], self.listing(self.pattern, ")", False) if self.eat("(") else [])
+        if kind == "[":
+            return PArray(self.listing(self.pattern, "]", True))
+        raise _error(t, f"unexpected token {kind!r} in pattern")
 
 
 def parse_program(source: str) -> Program:
     """Parse and resolve a program. A ParseError anywhere wins over an
     unbound name; otherwise the first unbound reference is a ResolveError."""
     p = _Parser(tokenize(source))
-    body = p.block({"eof"})
-    p.expect("eof")
+    body = p.block(_EOF)
     if p.unbound is not None:
         raise p.unbound
     return Program(body, p.builtins)

@@ -10,6 +10,8 @@ built on the engine's own `_unify_terms`: it rechecks every pending pair
 after every unification, without watches. `resolve_scopes` is the
 reference scope resolution: a separate walk over a parsed program, one
 case per node kind, copying its environment at every scope.
+`reference_tokenize` is the reference lexer: one character at a time,
+building `Token` objects.
 `eager_solve_sexp` is the reference for constructor-row membership: it
 chooses every row's length where the row is scanned, forking at each
 open tail, instead of leaving the tail to the solver's labeling step.
@@ -35,6 +37,7 @@ from shapecheck.engine import (
     unify,
 )
 from shapecheck.solver import constraint_weight
+from shapecheck.syntax import ParseError
 from shapecheck.types import LNIL, eq_ts, lcons, llist, t_ctor, t_sexp, unmu
 
 # Ground type syntax for the oracle: plain tuples.
@@ -278,6 +281,144 @@ def recheck_disunify(a, b):
         return (State(state.subst, diseqs, state.hooks, state.counter, state.counters), None)
 
     return goal
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: the character-by-character lexer the tuple tokenizer
+# in shapecheck.syntax replaced, kept as it was. It counts a column per
+# character, so its positions are wrong after a newline inside a string
+# or a block comment, and it raises ValueError on a digit run int()
+# cannot read (`²`, or more than 4,300 digits).
+# ---------------------------------------------------------------------------
+
+_KEYWORDS = {
+    "var", "fun", "case", "of", "esac",
+    "if", "then", "else", "elif", "fi",
+    "while", "do", "od", "for",
+}
+
+_PUNCT = [
+    ":=", "->", "==", "!=", "<=", ">=",
+    "(", ")", "[", "]", "{", "}", ",", ";", ".",
+    "<", ">", "+", "-", "*", "/", "%", "=", "|", "@", "_",
+]
+# The punctuators a character can start, longest first as in _PUNCT.
+_PUNCT_BY_FIRST = {c: [p for p in _PUNCT if p[0] == c] for c in {p[0] for p in _PUNCT}}
+
+_SHAPES = {"box": "box", "unbox": "unbox", "str": "str", "string": "str",
+           "array": "array", "sexp": "sexp", "fun": "fun"}
+
+
+@dataclass
+class Token:
+    kind: str  # "int" | "str" | "ident" | "tag" | keyword | punct | "eof"
+    value: object
+    line: int
+    col: int
+
+
+def reference_tokenize(src: str) -> list:
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+
+    def err(msg):
+        raise ParseError(line, col, msg)
+
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "-" and src.startswith("--", i):  # line comment
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c == "(" and src.startswith("(*", i):  # block comment
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if src.startswith("(*", j):
+                    depth += 1
+                    j += 2
+                elif src.startswith("*)", j):
+                    depth -= 1
+                    j += 2
+                else:
+                    if src[j] == "\n":
+                        line += 1
+                        col = 0
+                    j += 1
+            if depth:
+                err("unterminated comment")
+            col += j - i
+            i = j
+            continue
+        start_line, start_col = line, col
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("int", int(src[i:j]), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            buf = []
+            while j < n and src[j] != '"':
+                if src[j] == "\\" and j + 1 < n and src[j + 1] in ('"', "\\"):
+                    buf.append(src[j + 1])
+                    j += 2
+                else:
+                    buf.append(src[j])
+                    j += 1
+            if j >= n:
+                err("unterminated string")
+            toks.append(Token("str", "".join(buf), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c == "#":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i + 1 : j]
+            if word not in _SHAPES:
+                err(f"unknown shape pattern #{word}")
+            toks.append(Token("shape", _SHAPES[word], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            if word in _KEYWORDS:
+                toks.append(Token(word, word, start_line, start_col))
+            elif word[0].isupper():
+                toks.append(Token("tag", word, start_line, start_col))
+            else:
+                toks.append(Token("ident", word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT_BY_FIRST.get(c, ()):
+            if src.startswith(p, i):
+                toks.append(Token(p, p, start_line, start_col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            err(f"unexpected character {c!r}")
+    toks.append(Token("eof", None, line, col))
+    return toks
 
 
 def resolve_scopes(prog):

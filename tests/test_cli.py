@@ -75,6 +75,26 @@ def test_check_unbound_name_is_malformed(write):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # `²` passes str.isdigit but int() cannot read it.
+        ("var x = ²", "1:9: unexpected character '²'"),
+        ("var x = 1²", "1:10: unexpected character '²'"),
+        # More digits than int() converts by default.
+        ("var x;\nx := " + "9" * 5000, "2:6: integer literal too long"),
+    ],
+)
+def test_unreadable_integer_literal_is_malformed(write, source, message):
+    code, out = run_cli("check", write("p.lama", source))
+    assert (code, out.splitlines()) == (EXIT_CODES["Malformed"], ["Malformed", message])
+
+
+def test_non_ascii_decimal_digits_are_an_integer(write):
+    code, out = run_cli("check", write("p.lama", "var x = ٣ + 1"))
+    assert (code, out.splitlines()) == (0, ["Typed", "x : Int"])
+
+
 def test_stats_key_value_lines(write):
     path = write("p.lama", "1 + 2")
     code, out = run_cli("check", path, "--stats")

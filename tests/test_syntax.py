@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from shapecheck import syntax as S
@@ -154,9 +155,32 @@ def test_comments_both_kinds():
     assert len(prog.body.items) == 2
 
 
+def test_constructor_argument_lists_are_never_empty():
+    with pytest.raises(ParseError, match="1:4: unexpected token '\\)'$"):
+        parse_program("C ()")
+    with pytest.raises(ParseError, match="1:14: unexpected token '\\)' in pattern$"):
+        parse_program("case 1 of C () -> 1 esac")
+    call = parse_program("var f;\nf ()").body.items[-1]
+    assert isinstance(call, S.CallE) and call.args == []
+
+
+def test_elif_links_count_as_nesting_levels():
+    def chain(k):
+        return "if 1 then 1\n" + "elif 1 then 1\n" * k + "fi"
+
+    assert isinstance(first(parse_program(chain(S.MAX_NESTING - 4))), S.If)
+    with pytest.raises(ParseError) as ei:
+        parse_program(chain(S.MAX_NESTING - 3))
+    # The then-block of the 61st link opens the 65th level.
+    assert (ei.value.line, ei.value.col) == (62, 13)
+
+
 def test_unterminated_block_comment():
-    with pytest.raises(ParseError):
-        parse_program("(* never closed\n1")
+    # Reported where the comment opens, past any newline inside it.
+    for source, where in (("(* never closed\n1", (1, 1)), ("1;\n  (* never\n closed", (2, 3))):
+        with pytest.raises(ParseError) as ei:
+            parse_program(source)
+        assert (ei.value.line, ei.value.col, ei.value.message) == (*where, "unterminated comment")
 
 
 def test_multi_var_declaration_visible_later():
@@ -165,6 +189,125 @@ def test_multi_var_declaration_visible_later():
     assert isinstance(e, S.Binop)
     assert e.left.binder is not None and e.right.binder is not None
     assert e.left.binder != e.right.binder
+
+
+# Binary operators and their levels, higher binding tighter.
+LEVELS = {
+    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3, "%": 3,
+}
+
+
+def _shape(e):
+    """An expression tree as nested tuples, variables by name."""
+    if isinstance(e, S.VarRef):
+        return e.name
+    if isinstance(e, S.Binop):
+        return (e.op, _shape(e.left), _shape(e.right))
+    if isinstance(e, S.Assign):
+        return (":=", _shape(e.lhs), _shape(e.rhs))
+    if isinstance(e, S.CallE):
+        return ("call", _shape(e.fn), *map(_shape, e.args))
+    if isinstance(e, S.Index):
+        return ("index", _shape(e.subject), _shape(e.index))
+    if isinstance(e, S.Length):
+        return ("length", _shape(e.subject))
+    raise AssertionError(f"unexpected node {e!r}")
+
+
+def _parse_expr(text):
+    return _shape(parse_program(f"var a, b, c, d;\n{text}").body.items[-1])
+
+
+@pytest.mark.parametrize("op1", sorted(LEVELS))
+def test_binary_operators_group_by_level_then_to_the_left(op1):
+    for op2 in LEVELS:
+        if LEVELS[op2] > LEVELS[op1]:
+            expected = (op1, "a", (op2, "b", "c"))
+        else:
+            expected = (op2, (op1, "a", "b"), "c")
+        assert _parse_expr(f"a {op1} b {op2} c") == expected, (op1, op2)
+
+
+@pytest.mark.parametrize("op", sorted(LEVELS))
+def test_assignment_is_loosest_and_postfix_binds_tightest(op):
+    assert _parse_expr(f"a := b := c {op} d") == (":=", "a", (":=", "b", (op, "c", "d")))
+    assert _parse_expr(f"a {op} b (c)") == (op, "a", ("call", "b", "c"))
+    assert _parse_expr(f"a [b] {op} c") == (op, ("index", "a", "b"), "c")
+    assert _parse_expr(f"a.length {op} b.length") == (op, ("length", "a"), ("length", "b"))
+    with pytest.raises(ParseError, match="assignment target"):
+        parse_program(f"var a, b, c;\na {op} b := c")
+
+
+# ---------------------------------------------------------------------------
+# Tokens and positions
+# ---------------------------------------------------------------------------
+
+
+def test_tokens_are_kind_value_line_col_tuples():
+    assert S.tokenize("var x = 12;\n  Nil") == [
+        ("var", "var", 1, 1), ("ident", "x", 1, 5), ("=", "=", 1, 7), ("int", 12, 1, 9),
+        (";", ";", 1, 11), ("tag", "Nil", 2, 3), ("eof", None, 2, 6),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("(* long\n comment *) y", (2, 13)),
+        ('var s = "a\nb"; y', (2, 5)),
+        ("(* a (* b\n *) c\n*) y", (3, 4)),
+        ('"x\n\ny" + y', (3, 6)),
+    ],
+)
+def test_positions_count_newlines_inside_comments_and_strings(source, where):
+    with pytest.raises(ResolveError) as ei:
+        parse_program(source)
+    assert (ei.value.name, ei.value.line, ei.value.col) == ("y", *where)
+
+
+# The lexical alphabet: every character class the tokenizer tells apart,
+# the two-character punctuators and comment marks, and a few words.
+LEXICAL_PIECES = (
+    list("abxyzABXYZ0123456789")
+    + list(":=-<>!()[]{},;.+*/%|@_")
+    + [":=", "->", "==", "!=", "<=", ">=", "--", "(*", "*)", '"', "\\", "#", " ", "  ", "\n"]
+    + ["\u00b2", "\u0663", "\u00e9", "\xa0", "\t", "var", "fi", "box", "#str", "Cons"]
+)
+
+
+def _reference_tokens(src):
+    return [(t.kind, t.value, t.line, t.col) for t in oracles.reference_tokenize(src)]
+
+
+def _outcome(tokenize, src):
+    try:
+        return "tokens", tokenize(src)
+    except ParseError as exc:
+        return "error", (exc.line, exc.col, exc.message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEXICAL_PIECES), max_size=40).map("".join))
+def test_tokenizer_agrees_with_the_reference(src):
+    try:
+        expected = _outcome(_reference_tokens, src)
+    except ValueError:  # a digit run int() cannot read
+        with pytest.raises(ParseError, match="unexpected character|integer literal too long"):
+            S.tokenize(src)
+        return
+    got = _outcome(S.tokenize, src)
+    # A newline after the first string or block comment opens may fall
+    # inside one, where the reference's positions go wrong.
+    opens = [src.index(mark) for mark in ('"', "(*") if mark in src]
+    if not opens or "\n" not in src[min(opens):]:
+        assert got == expected
+    elif got[0] == "tokens":
+        assert expected[0] == "tokens"
+        assert [t[:2] for t in got[1]] == [t[:2] for t in expected[1]]
+    else:
+        assert expected[0] == "error" and got[1][2] == expected[1][2]
 
 
 # ---------------------------------------------------------------------------
