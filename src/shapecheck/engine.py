@@ -255,9 +255,14 @@ class State:
         self.watch = watch
 
     def fresh_var(self):
-        v = Var(self.counter)
-        st = State(self.subst, self.diseqs, self.hooks, self.counter + 1, self.counters, self.watch)
+        (v,), st = self.fresh_vars(1)
         return v, st
+
+    def fresh_vars(self, n: int):
+        """n fresh variables, ids in order, and the state past them."""
+        vs = [Var(self.counter + i) for i in range(n)]
+        st = State(self.subst, self.diseqs, self.hooks, self.counter + n, self.counters, self.watch)
+        return vs, st
 
 
 def empty_state(counters: Optional[Counters] = None) -> State:
@@ -590,30 +595,36 @@ def fresh_many(n: int, k: Callable[[list], Goal]) -> Goal:
     """Allocate n fresh variables, ids in order, and continue."""
 
     def goal(state):
-        vs = [Var(state.counter + i) for i in range(n)]
-        st = State(state.subst, state.diseqs, state.hooks, state.counter + n, state.counters, state.watch)
+        vs, st = state.fresh_vars(n)
         return k(vs)(st)
 
     return goal
 
 
+def bind(state: State, a: Term, b: Term, hooks: Optional[dict] = None) -> Optional[State]:
+    """Unify a and b in state: the new state, with an empty hook registry,
+    or None. The occurs hooks are hooks when given, else the state's.
+    A unification is an engine work unit like a stream step, so
+    unification-heavy search burns fuel proportionally."""
+    counters = state.counters
+    counters.unifications += 1
+    counters.steps += 1
+    subst = _unify_terms(a, b, state.subst, state.hooks if hooks is None else hooks)
+    if subst is None:
+        return None
+    diseqs, watch = state.diseqs, state.watch
+    if watch and subst is not state.subst:
+        woken = _diseq_survives(diseqs, watch, subst, state.subst)
+        if woken is None:
+            return None
+        diseqs, watch = woken
+    return State(subst, diseqs, {}, state.counter, counters, watch)
+
+
 def unify(a: Term, b: Term) -> Goal:
     def goal(state):
-        # A unification is an engine work unit like a stream step, so
-        # unification-heavy search burns fuel proportionally.
-        state.counters.unifications += 1
-        state.counters.steps += 1
-        subst = _unify_terms(a, b, state.subst, state.hooks)
-        if subst is None:
-            return None
-        diseqs, watch = state.diseqs, state.watch
-        if watch and subst is not state.subst:
-            woken = _diseq_survives(diseqs, watch, subst, state.subst)
-            if woken is None:
-                return None
-            diseqs, watch = woken
-        # Hook registry is emptied by every successful unification.
-        return succeed(State(subst, diseqs, {}, state.counter, state.counters, watch))
+        st = bind(state, a, b)
+        return None if st is None else (st, None)
 
     return goal
 

@@ -28,6 +28,7 @@ from .engine import (
     fresh_with,
     is_not_var,
     is_var,
+    mbind,
     reify_term,
     shallow_walk,
     succeed,
@@ -528,7 +529,17 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
-            return conj(eq_t(w.args[0], w.args[1]), kont([]))(state)
+            # While each walk is determinate (one mature answer), the
+            # equalities next in the lane are dispatched in this call.
+            while True:
+                s = eq_t(w.args[0], w.args[1])(state)
+                if rest.eq_front is None or s is None or callable(s) or s[1] is not None:
+                    return mbind(s, kont([]))
+                state = s[0]
+                item, rest = rest.pop(state)
+                counters.dispatched += 1
+                counters.last_constraint = (item, state.subst)
+                w = shallow_walk(item, state.subst)
         if w.tag == "Ind":
             return solve_ind(w.args[0], w.args[1], opts, kont)(state)
         if w.tag == "Call":

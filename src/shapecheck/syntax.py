@@ -518,12 +518,14 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.too_deep()
+        start = self.toks[self.pos]
         e = self.binary(1)
         if self.toks[self.pos][0] == ":=":
             self.pos += 1
             rhs = self.expr()
             if not isinstance(e, (VarRef, Index)):
-                raise _error(self.toks[self.pos], "assignment target must be a variable or an index")
+                # Checked after the right-hand side, so an error in it wins.
+                raise _error(start, "assignment target must be a variable or an index")
             e = Assign(e, rhs)
         self.depth -= 1
         return e

@@ -4,8 +4,17 @@ Types cover integers, strings, homogeneous arrays, S-expression unions,
 quantified arrows carrying a constraint list, and equirecursive mu-types.
 Types, constraints and patterns are engine `Compound`s and nothing else,
 from the generator through the solver to the report. This module houses
-their constructors, tag interning, mu-unfolding, the hook-aware equality
-relations, and the rendering / parsing of types.
+their constructors, tag interning, mu-unfolding, type equality, and the
+rendering / parsing of types.
+
+Type equality (`eq_t`) is one iterative walk over both types, with a
+stack of tasks: pairs of types, type lists, rows, constructor cells,
+constraint lists, constraints, pattern lists and patterns. It binds
+through the engine's unification (`engine.bind`), registering the type
+occurs hook on a variable right before binding it, and builds a stream
+only where a second answer exists: at two free list spines, and at two mu
+types whose binders are not one ground name. A stretch without a stream
+step makes at most one unfolding and 64 tasks, so fuel bounds its work.
 """
 
 from __future__ import annotations
@@ -17,16 +26,14 @@ from .engine import (
     FreeVar,
     Goal,
     Var,
-    bind_occurs_hook,
+    bind,
     conj,
-    delay,
-    disj,
     disunify,
-    fresh_many,
+    mplus,
     run,
     shallow_walk,
-    succeed,
     unify,
+    var_free,
 )
 
 # ---------------------------------------------------------------------------
@@ -285,97 +292,172 @@ def type_occurs_hook(vid: int, reified):
     return t_mu(name, back(reified))
 
 
-def set_type_hook(t) -> Goal:
-    return bind_occurs_hook(t, type_occurs_hook)
-
-
 # ---------------------------------------------------------------------------
-# Equality of types modulo mu-unfolding.
+# Equality of types modulo mu-unfolding: one walk.
 # ---------------------------------------------------------------------------
+
+# Task kinds: pairs of types, type lists, rows, constructor cells,
+# constraint lists, constraints, pattern lists, patterns, and of terms
+# that must unify as they are (tags, binder lists).
+_TYPE, _TYPES, _ROW, _CELL, _CONSTRS, _CONSTR, _PATS, _PAT, _TERM = range(9)
+
+# The kinds of the argument pairs two compounds of one tag split into; a
+# tag missing here unifies as it is.
+_PARTS = {
+    _TYPE: {"TInt": (), "TStr": (), "TArray": (_TYPE,), "TSexp": (_ROW,), "TArrow": (_TERM, _CONSTRS, _TYPES, _TYPE)},
+    _CELL: {"ctor": (_TERM, _TYPES)},
+    _CONSTR: {"Ind": (_TYPE, _TYPE), "Eq": (_TYPE, _TYPE), "Call": (_TYPE, _TYPES, _TYPE),
+              "SexpC": (_TERM, _TYPE, _TYPES), "Match": (_TYPE, _PATS)},
+    _PAT: {"PAt": (_TYPE, _PAT), "PArray": (_PATS,), "PSexp": (_TERM, _PATS)},
+}
+for _list, _item in ((_TYPES, _TYPE), (_ROW, _CELL), (_CONSTRS, _CONSTR), (_PATS, _PAT)):
+    _PARTS[_list] = {"lcons": (_item, _list), "lnil": ()}
+
+# Kinds whose free side against a bound one gets a copy of its top cell,
+# and those where two free sides, even one variable, have more than one
+# answer: a list's lengths, a cell's argument lists.
+_COPIED = frozenset((_TYPES, _ROW, _CELL, _CONSTRS, _PATS))
+_FORKS = frozenset((_TYPES, _CELL, _CONSTRS, _PATS))
+
+# A stretch of the walk makes at most this many unfoldings and tasks
+# before it takes a stream step, so fuel bounds the work of a comparison,
+# even one that unfolds forever (`mu a. a`, or two regular types out of
+# phase) or lengthens a list that leads back to itself.
+_UNFOLDS, _TASKS = 1, 64
 
 
 def eq_t(t, u) -> Goal:
-    """Syntactic equality w.r.t. recursive type unfolding.
+    """Syntactic equality of types w.r.t. recursive type unfolding."""
+    return lambda state: _walk(state, [(_TYPE, t, u)])
 
-    When exactly one side is determined, an occurs hook is registered on
-    the variable side immediately before unifying, so a cyclic equation
-    resolves to a mu-type instead of failing.
-    """
 
-    def goal(state):
-        a = shallow_walk(t, state.subst)
-        b = shallow_walk(u, state.subst)
+def eq_ts(ts, us) -> Goal:
+    """eq_t mapped over equal-length type lists."""
+    return lambda state: _walk(state, [(_TYPES, ts, us)])
+
+
+def _walk(state, todo):
+    """The answers of the equality tasks (kind, x, y) on the stack todo,
+    run last first, from state: a stream (see the module docstring). A
+    free list or cell gets a ground side by one binding, and any other
+    bound side's top cell (two fresh variables) at a time; one the other
+    side's spine leads back to grows one cell per stream step."""
+    unfolds = tasks = 0
+    while todo:
+        tasks += 1
+        if tasks > _TASKS:
+            return lambda: _walk(state, todo)
+        kind, x, y = todo.pop()
+        subst = state.subst
+        a = shallow_walk(x, subst)
+        b = shallow_walk(y, subst)
         a_var = isinstance(a, Var)
-        b_var = isinstance(b, Var)
-        if a_var and b_var:
-            return unify(a, b)(state)
-        if a_var:
-            return conj(set_type_hook(a), unify(a, b))(state)
-        if b_var:
-            return conj(set_type_hook(b), unify(b, a))(state)
-        a_mu = a.tag == "TMu"
-        b_mu = b.tag == "TMu"
-        if a_mu and b_mu:
-            x1 = shallow_walk(a.args[0], state.subst)
-            x2 = shallow_walk(b.args[0], state.subst)
-            same = conj(unify(a.args[0], b.args[0]), delay(lambda: eq_t(a.args[1], b.args[1])))
-            if x1 == x2 and not isinstance(x1, Var):
-                return same(state)
-            # Differing binders: both sides unfold (contractivity keeps
-            # ground comparisons productive).
-            both = delay(lambda: eq_t(unfold_mu(a, state.subst), unfold_mu(b, state.subst)))
-            return disj(same, conj(disunify(a.args[0], b.args[0]), both))(state)
-        if a_mu:
-            return delay(lambda: eq_t(unfold_mu(a, state.subst), b))(state)
-        if b_mu:
-            return delay(lambda: eq_t(a, unfold_mu(b, state.subst)))(state)
-        return _eq_structural(a, b)(state)
+        if a_var or isinstance(b, Var):
+            if a is b and kind not in _FORKS:
+                continue
+            v, w = (a, b) if a_var else (b, a)
+            w_var = isinstance(w, Var)
+            if w_var and kind in _FORKS:
+                if kind != _CELL:
+                    return _list_fork(state, kind, a, b, todo)
+                state = _fresh_cell(state, a, "ctor")
+                todo.append((kind, a, b))
+            elif kind == _TYPE and not w_var:
+                hooks = dict(state.hooks)
+                hooks[v.id] = type_occurs_hook
+                state = bind(state, v, w, hooks)
+            elif w_var or kind not in _COPIED or var_free(w) or not _PARTS[kind].get(w.tag):
+                state = bind(state, v, w)
+            else:
+                end = w  # the term that ends the other side's spine
+                while isinstance(end, Compound) and end.tag == "lcons":
+                    end = shallow_walk(end.args[1], subst)
+                state = _fresh_cell(state, v, w.tag)
+                todo.append((kind, a, b))
+                if end is v and state is not None:  # one cell per stream step
+                    return lambda: _walk(state, todo)
+        elif var_free(a) and var_free(b) and (a is b or a == b):
+            continue
+        elif kind == _TERM:
+            state = bind(state, a, b)
+        elif kind == _TYPE and "TMu" in (a.tag, b.tag):
+            if a.tag == b.tag:
+                x1 = shallow_walk(a.args[0], subst)
+                if x1 != shallow_walk(b.args[0], subst) or isinstance(x1, Var):
+                    return _mu_fork(state, a, b, todo)
+                todo.append((_TYPE, a.args[1], b.args[1]))
+                continue
+            if unfolds == _UNFOLDS:
+                todo.append((_TYPE, a, b))
+                return lambda: _walk(state, todo)
+            unfolds += 1
+            todo.append((_TYPE, unfold_mu(a, subst), b) if a.tag == "TMu" else (_TYPE, a, unfold_mu(b, subst)))
+            continue
+        elif a.tag != b.tag:
+            return None
+        elif kind == _TYPE and a.tag == "TArrow" and (renamed := _renamed(state, a, b)):
+            state, a, b = renamed
+            todo.append((_TYPE, a, b))
+            continue
+        else:
+            parts = _PARTS[kind].get(a.tag)
+            if parts is None:
+                state = bind(state, a, b)
+            else:
+                for i in range(len(parts) - 1, -1, -1):
+                    todo.append((parts[i], a.args[i], b.args[i]))
+                continue
+        if state is None:
+            return None
+    return (state, None)
 
-    return goal
+
+def _fresh_cell(state, v, tag):
+    """state with v bound to a new two-argument cell of tag."""
+    vs, st = state.fresh_vars(2)
+    return bind(st, v, Compound(tag, tuple(vs)))
 
 
-def _eq_structural(a: Compound, b: Compound) -> Goal:
-    if a.tag != b.tag:
-        return lambda state: None
-    if a.tag in ("TInt", "TStr"):
-        return succeed
-    if a.tag == "TArray":
-        return eq_t(a.args[0], b.args[0])
-    if a.tag == "TSexp":
-        return _eq_list(a.args[0], b.args[0], _eq_ctor)
-    if a.tag == "TArrow":
-        return _eq_arrow(a, b)
-    return unify(a, b)
+def _list_fork(state, kind, a, b, todo):
+    """Two free spines: both nil, then (delayed) a cell for a, which b
+    then meets as a free side against a bound one."""
+    nil = bind(state, a, LNIL)
+    if nil is not None:
+        nil = bind(nil, b, LNIL)
+
+    def cons():
+        st = _fresh_cell(state, a, "lcons")
+        return None if st is None else _walk(st, todo + [(kind, a, b)])
+
+    return mplus(None if nil is None else _walk(nil, list(todo)), cons)
 
 
-def _eq_arrow(a: Compound, b: Compound) -> Goal:
-    """Arrows are equal up to the names of their binders. Ground binder
-    lists of one length that differ are renamed, position by position, to
-    the same new names `%<fresh engine id>`, which no parsed or generated
-    type contains, so no free name is captured. Other lists must unify."""
+def _mu_fork(state, a, b, todo):
+    """A mu against a mu whose binders are not one ground name: the
+    binders unify and the bodies meet, or they differ and both sides
+    unfold (contractivity keeps ground comparisons productive)."""
+    same = bind(state, a.args[0], b.args[0])
+    other = disunify(a.args[0], b.args[0])(state)
+    unfolded = (_TYPE, unfold_mu(a, state.subst), unfold_mu(b, state.subst)) if other else None
+    return mplus(
+        same and (lambda: _walk(same, todo + [(_TYPE, a.args[1], b.args[1])])),
+        other and (lambda: _walk(other[0], todo + [unfolded])),
+    )
 
-    def goal(state):
-        xs = _ground_names(a.args[0], state.subst)
-        ys = _ground_names(b.args[0], state.subst)
-        if xs is None or ys is None or xs == ys or len(xs) != len(ys):
-            return conj(
-                unify(a.args[0], b.args[0]),
-                _eq_list(a.args[1], b.args[1], eq_constraint),
-                eq_ts(a.args[2], b.args[2]),
-                eq_t(a.args[3], b.args[3]),
-            )(state)
 
-        def renamed(fresh):
-            new = [t_name(f"%{v.id}") for v in fresh]
-            ra, rb = (
-                apply_type_subst(dict(zip(names, new)), t_arrow(LNIL, *t.args[1:]), state.subst)
-                for t, names in ((a, xs), (b, ys))
-            )
-            return _eq_arrow(ra, rb)
-
-        return fresh_many(len(xs), renamed)(state)
-
-    return goal
+def _renamed(state, a, b):
+    """Two arrows whose ground binder lists of one length differ, renamed
+    position by position to the same new names `%<fresh engine id>`, which
+    no parsed or generated type contains, so no free name is captured:
+    (the state past those ids, the renamed arrows). None for other
+    arrows, whose binder lists must unify."""
+    xs, ys = (_ground_names(t.args[0], state.subst) for t in (a, b))
+    if xs is None or ys is None or xs == ys or len(xs) != len(ys):
+        return None
+    fresh, st = state.fresh_vars(len(xs))
+    new = [t_name(f"%{v.id}") for v in fresh]
+    renamed = (apply_type_subst(dict(zip(ns, new)), t_arrow(LNIL, *t.args[1:]), st.subst) for t, ns in ((a, xs), (b, ys)))
+    return (st, *renamed)
 
 
 def _ground_names(lst, subst) -> Optional[list]:
@@ -386,104 +468,6 @@ def _ground_names(lst, subst) -> Optional[list]:
         return None
     names = [shallow_walk(x, subst) for x in items]
     return names if all(isinstance(n, str) for n in names) else None
-
-
-def _eq_list(xs, ys, elem_eq) -> Goal:
-    """Element-wise equality of engine lists, decomposing spines
-    relationally so free spines are synthesized cell by cell. A
-    non-list tail (e.g. a name standing for further union members)
-    must match the other side's tail exactly."""
-
-    def goal(state):
-        a = shallow_walk(xs, state.subst)
-        b = shallow_walk(ys, state.subst)
-        if (isinstance(a, Compound) and a.tag not in ("lcons", "lnil")) or (
-            isinstance(b, Compound) and b.tag not in ("lcons", "lnil")
-        ):
-            return unify(a, b)(state)
-        if elem_eq is _eq_ctor and isinstance(a, Var) and isinstance(b, Var):
-            # Two open rows end in one tail from here on; the solver's
-            # labeling closes it, so its lengths are not enumerated here.
-            return unify(a, b)(state)
-        return disj(conj(unify(a, LNIL), unify(b, LNIL)), delay(lambda: step(a, b)))(state)
-
-    def step(a, b):
-        def cells(hx, tx, hy, ty):
-            return conj(
-                unify(a, lcons(hx, tx)),
-                unify(b, lcons(hy, ty)),
-                elem_eq(hx, hy),
-                _eq_list(tx, ty, elem_eq),
-            )
-
-        return fresh_many(4, lambda vs: cells(*vs))
-
-    return goal
-
-
-def _eq_ctor(c, d) -> Goal:
-    def entries(xt, xa, yt, ya):
-        return conj(
-            unify(c, t_ctor(xt, xa)),
-            unify(d, t_ctor(yt, ya)),
-            unify(xt, yt),
-            eq_ts(xa, ya),
-        )
-
-    return fresh_many(4, lambda vs: entries(*vs))
-
-
-def eq_ts(ts, us) -> Goal:
-    """eq_t mapped over equal-length type lists."""
-    return _eq_list(ts, us, eq_t)
-
-
-def eq_constraint(c, d) -> Goal:
-    def goal(state):
-        a = shallow_walk(c, state.subst)
-        b = shallow_walk(d, state.subst)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return unify(a, b)(state)
-        if a.tag != b.tag:
-            return None
-        if a.tag in ("Ind", "Eq"):
-            return conj(eq_t(a.args[0], b.args[0]), eq_t(a.args[1], b.args[1]))(state)
-        if a.tag == "Call":
-            return conj(
-                eq_t(a.args[0], b.args[0]),
-                eq_ts(a.args[1], b.args[1]),
-                eq_t(a.args[2], b.args[2]),
-            )(state)
-        if a.tag == "SexpC":
-            return conj(
-                unify(a.args[0], b.args[0]),
-                eq_t(a.args[1], b.args[1]),
-                eq_ts(a.args[2], b.args[2]),
-            )(state)
-        if a.tag == "Match":
-            return conj(eq_t(a.args[0], b.args[0]), _eq_list(a.args[1], b.args[1], eq_pattern))(state)
-        return unify(a, b)(state)
-
-    return goal
-
-
-def eq_pattern(p, q) -> Goal:
-    def goal(state):
-        a = shallow_walk(p, state.subst)
-        b = shallow_walk(q, state.subst)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return unify(a, b)(state)
-        if a.tag != b.tag:
-            return None
-        if a.tag == "PAt":
-            return conj(eq_t(a.args[0], b.args[0]), eq_pattern(a.args[1], b.args[1]))(state)
-        if a.tag == "PArray":
-            return _eq_list(a.args[0], b.args[0], eq_pattern)(state)
-        if a.tag == "PSexp":
-            return conj(unify(a.args[0], b.args[0]), _eq_list(a.args[1], b.args[1], eq_pattern))(state)
-        return unify(a, b)(state)
-
-    return goal
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +635,8 @@ def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> s
         # A constraint that is still a variable constrains nothing.
         return f"Eq({r(c)}, {r(c)})"
     tag = c.tag if isinstance(c, Compound) else None
-    if tag == "Ind":
-        return f"Ind({r(c.args[0])}, {r(c.args[1])})"
+    if tag in ("Ind", "Eq"):
+        return f"{tag}({r(c.args[0])}, {r(c.args[1])})"
     if tag == "Call":
         return f"Call({r(c.args[0])}; {rs(c.args[1])}; {r(c.args[2])})"
     if tag == "SexpC":
@@ -660,8 +644,6 @@ def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> s
     if tag == "Match":
         pats = ", ".join(render_pattern(p, table, names) for p in _items(c.args[1]))
         return f"Match({r(c.args[0])}; {pats})"
-    if tag == "Eq":
-        return f"Eq({r(c.args[0])}, {r(c.args[1])})"
     # Residuals print their open list as a union (a row) or as arguments,
     # an open tail after `|`.
     if tag == "Lacks":
@@ -837,18 +819,12 @@ class _TypeParser:
 
     def try_constraint(self):
         word = self.ident()
-        if word == "Ind" and self.eat("("):
+        if word in ("Ind", "Eq") and self.eat("("):
             a = self.type_()
             self.expect(",")
             b = self.type_()
             self.expect(")")
-            return c_ind(a, b)
-        if word == "Eq" and self.eat("("):
-            a = self.type_()
-            self.expect(",")
-            b = self.type_()
-            self.expect(")")
-            return c_eq(a, b)
+            return Compound(word, (a, b))
         if word == "Call" and self.eat("("):
             fn = self.type_()
             self.expect(";")

@@ -15,17 +15,26 @@ building `Token` objects.
 `eager_solve_sexp` is the reference for constructor-row membership: it
 chooses every row's length where the row is scanned, forking at each
 open tail, instead of leaving the tail to the solver's labeling step.
+`reference_eq_t` is the reference type equality: one relational goal per
+tag (types, lists, rows, constructor cells, constraints, patterns), each
+list cell a `disj` of nil and cons over fresh variables, where the
+checker walks both types once and forks only at a real choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from shapecheck import syntax as S
 from shapecheck.engine import (
+    Compound,
+    Goal,
     State,
+    Var,
     _unify_terms,
+    bind_occurs_hook,
     conj,
     delay,
     disj,
@@ -33,12 +42,26 @@ from shapecheck.engine import (
     fail,
     fresh_many,
     is_not_var,
+    shallow_walk,
     succeed,
     unify,
 )
 from shapecheck.solver import constraint_weight
 from shapecheck.syntax import ParseError
-from shapecheck.types import LNIL, eq_ts, lcons, llist, t_ctor, t_sexp, unmu
+from shapecheck.types import (
+    LNIL,
+    _walk_list,
+    apply_type_subst,
+    lcons,
+    llist,
+    t_arrow,
+    t_ctor,
+    t_name,
+    t_sexp,
+    type_occurs_hook,
+    unfold_mu,
+    unmu,
+)
 
 # Ground type syntax for the oracle: plain tuples.
 #   ("int",) ("str",) ("arr", t) ("sexp", ((tag, (t, ...)), ...))
@@ -561,7 +584,7 @@ def eager_solve_sexp(tag, subject, args, opts, kont):
             return conj(
                 unify(xs, lcons(t_ctor(tv, tsv), rest)),
                 disj(
-                    conj(unify(tag, tv), eq_ts(want_args, tsv), not_in_tail(n + 1, rest)),
+                    conj(unify(tag, tv), reference_eq_ts(want_args, tsv), not_in_tail(n + 1, rest)),
                     conj(is_not_var(tv), disunify(tag, tv), hlp(n + 1, rest)),
                 ),
             )
@@ -572,3 +595,204 @@ def eager_solve_sexp(tag, subject, args, opts, kont):
         return conj(unmu(subject, u), unify(u, t_sexp(cl)), hlp(0, cl), kont([]))
 
     return fresh_many(2, lambda vs: solve(*vs))
+
+
+# ---------------------------------------------------------------------------
+# Reference type equality: the relational goals, one per tag.
+# ---------------------------------------------------------------------------
+
+
+def set_type_hook(t) -> Goal:
+    return bind_occurs_hook(t, type_occurs_hook)
+
+
+def reference_eq_t(t, u) -> Goal:
+    """Syntactic equality w.r.t. recursive type unfolding.
+
+    When exactly one side is determined, an occurs hook is registered on
+    the variable side immediately before unifying, so a cyclic equation
+    resolves to a mu-type instead of failing.
+    """
+
+    def goal(state):
+        a = shallow_walk(t, state.subst)
+        b = shallow_walk(u, state.subst)
+        a_var = isinstance(a, Var)
+        b_var = isinstance(b, Var)
+        if a_var and b_var:
+            return unify(a, b)(state)
+        if a_var:
+            return conj(set_type_hook(a), unify(a, b))(state)
+        if b_var:
+            return conj(set_type_hook(b), unify(b, a))(state)
+        a_mu = a.tag == "TMu"
+        b_mu = b.tag == "TMu"
+        if a_mu and b_mu:
+            x1 = shallow_walk(a.args[0], state.subst)
+            x2 = shallow_walk(b.args[0], state.subst)
+            same = conj(unify(a.args[0], b.args[0]), delay(lambda: reference_eq_t(a.args[1], b.args[1])))
+            if x1 == x2 and not isinstance(x1, Var):
+                return same(state)
+            # Differing binders: both sides unfold (contractivity keeps
+            # ground comparisons productive).
+            both = delay(lambda: reference_eq_t(unfold_mu(a, state.subst), unfold_mu(b, state.subst)))
+            return disj(same, conj(disunify(a.args[0], b.args[0]), both))(state)
+        if a_mu:
+            return delay(lambda: reference_eq_t(unfold_mu(a, state.subst), b))(state)
+        if b_mu:
+            return delay(lambda: reference_eq_t(a, unfold_mu(b, state.subst)))(state)
+        return _ref_eq_structural(a, b)(state)
+
+    return goal
+
+
+def _ref_eq_structural(a: Compound, b: Compound) -> Goal:
+    if a.tag != b.tag:
+        return lambda state: None
+    if a.tag in ("TInt", "TStr"):
+        return succeed
+    if a.tag == "TArray":
+        return reference_eq_t(a.args[0], b.args[0])
+    if a.tag == "TSexp":
+        return _ref_eq_list(a.args[0], b.args[0], _ref_eq_ctor)
+    if a.tag == "TArrow":
+        return _ref_eq_arrow(a, b)
+    return unify(a, b)
+
+
+def _ref_eq_arrow(a: Compound, b: Compound) -> Goal:
+    """Arrows are equal up to the names of their binders. Ground binder
+    lists of one length that differ are renamed, position by position, to
+    the same new names `%<fresh engine id>`, which no parsed or generated
+    type contains, so no free name is captured. Other lists must unify."""
+
+    def goal(state):
+        xs = _ref_ground_names(a.args[0], state.subst)
+        ys = _ref_ground_names(b.args[0], state.subst)
+        if xs is None or ys is None or xs == ys or len(xs) != len(ys):
+            return conj(
+                unify(a.args[0], b.args[0]),
+                _ref_eq_list(a.args[1], b.args[1], _ref_eq_constraint),
+                reference_eq_ts(a.args[2], b.args[2]),
+                reference_eq_t(a.args[3], b.args[3]),
+            )(state)
+
+        def renamed(fresh):
+            new = [t_name(f"%{v.id}") for v in fresh]
+            ra, rb = (
+                apply_type_subst(dict(zip(names, new)), t_arrow(LNIL, *t.args[1:]), state.subst)
+                for t, names in ((a, xs), (b, ys))
+            )
+            return _ref_eq_arrow(ra, rb)
+
+        return fresh_many(len(xs), renamed)(state)
+
+    return goal
+
+
+def _ref_ground_names(lst, subst) -> Optional[list]:
+    """The names of a binder list; None unless the spine and every name
+    are ground."""
+    items = _walk_list(lst, subst)
+    if items is None:
+        return None
+    names = [shallow_walk(x, subst) for x in items]
+    return names if all(isinstance(n, str) for n in names) else None
+
+
+def _ref_eq_list(xs, ys, elem_eq) -> Goal:
+    """Element-wise equality of engine lists, decomposing spines
+    relationally so free spines are synthesized cell by cell. A
+    non-list tail (e.g. a name standing for further union members)
+    must match the other side's tail exactly."""
+
+    def goal(state):
+        a = shallow_walk(xs, state.subst)
+        b = shallow_walk(ys, state.subst)
+        if (isinstance(a, Compound) and a.tag not in ("lcons", "lnil")) or (
+            isinstance(b, Compound) and b.tag not in ("lcons", "lnil")
+        ):
+            return unify(a, b)(state)
+        if elem_eq is _ref_eq_ctor and isinstance(a, Var) and isinstance(b, Var):
+            # Two open rows end in one tail from here on; the solver's
+            # labeling closes it, so its lengths are not enumerated here.
+            return unify(a, b)(state)
+        return disj(conj(unify(a, LNIL), unify(b, LNIL)), delay(lambda: step(a, b)))(state)
+
+    def step(a, b):
+        def cells(hx, tx, hy, ty):
+            return conj(
+                unify(a, lcons(hx, tx)),
+                unify(b, lcons(hy, ty)),
+                elem_eq(hx, hy),
+                _ref_eq_list(tx, ty, elem_eq),
+            )
+
+        return fresh_many(4, lambda vs: cells(*vs))
+
+    return goal
+
+
+def _ref_eq_ctor(c, d) -> Goal:
+    def entries(xt, xa, yt, ya):
+        return conj(
+            unify(c, t_ctor(xt, xa)),
+            unify(d, t_ctor(yt, ya)),
+            unify(xt, yt),
+            reference_eq_ts(xa, ya),
+        )
+
+    return fresh_many(4, lambda vs: entries(*vs))
+
+
+def reference_eq_ts(ts, us) -> Goal:
+    """reference_eq_t mapped over equal-length type lists."""
+    return _ref_eq_list(ts, us, reference_eq_t)
+
+
+def _ref_eq_constraint(c, d) -> Goal:
+    def goal(state):
+        a = shallow_walk(c, state.subst)
+        b = shallow_walk(d, state.subst)
+        if isinstance(a, Var) or isinstance(b, Var):
+            return unify(a, b)(state)
+        if a.tag != b.tag:
+            return None
+        if a.tag in ("Ind", "Eq"):
+            return conj(reference_eq_t(a.args[0], b.args[0]), reference_eq_t(a.args[1], b.args[1]))(state)
+        if a.tag == "Call":
+            return conj(
+                reference_eq_t(a.args[0], b.args[0]),
+                reference_eq_ts(a.args[1], b.args[1]),
+                reference_eq_t(a.args[2], b.args[2]),
+            )(state)
+        if a.tag == "SexpC":
+            return conj(
+                unify(a.args[0], b.args[0]),
+                reference_eq_t(a.args[1], b.args[1]),
+                reference_eq_ts(a.args[2], b.args[2]),
+            )(state)
+        if a.tag == "Match":
+            return conj(reference_eq_t(a.args[0], b.args[0]), _ref_eq_list(a.args[1], b.args[1], _ref_eq_pattern))(state)
+        return unify(a, b)(state)
+
+    return goal
+
+
+def _ref_eq_pattern(p, q) -> Goal:
+    def goal(state):
+        a = shallow_walk(p, state.subst)
+        b = shallow_walk(q, state.subst)
+        if isinstance(a, Var) or isinstance(b, Var):
+            return unify(a, b)(state)
+        if a.tag != b.tag:
+            return None
+        if a.tag == "PAt":
+            return conj(reference_eq_t(a.args[0], b.args[0]), _ref_eq_pattern(a.args[1], b.args[1]))(state)
+        if a.tag == "PArray":
+            return _ref_eq_list(a.args[0], b.args[0], _ref_eq_pattern)(state)
+        if a.tag == "PSexp":
+            return conj(unify(a.args[0], b.args[0]), _ref_eq_list(a.args[1], b.args[1], _ref_eq_pattern))(state)
+        return unify(a, b)(state)
+
+    return goal

@@ -240,6 +240,17 @@ def test_assignment_is_loosest_and_postfix_binds_tightest(op):
         parse_program(f"var a, b, c;\na {op} b := c")
 
 
+@pytest.mark.parametrize("src", ["var a, b, c;\na + b := c\n;c", "var a;\n1 := a + a + a"])
+def test_bad_assignment_target_is_reported_at_the_target(src):
+    with pytest.raises(ParseError, match="^2:1: assignment target must be a variable or an index$"):
+        parse_program(src)
+
+
+def test_error_in_assigned_value_wins_over_a_bad_target():
+    with pytest.raises(ParseError, match="^2:9: unexpected token .eof.$"):
+        parse_program("var a;\n1 := a +")
+
+
 # ---------------------------------------------------------------------------
 # Tokens and positions
 # ---------------------------------------------------------------------------

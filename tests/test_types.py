@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecheck.checker import check_source
-from shapecheck.engine import Compound, FreeVar, PMap, Var, conj, fresh_with, reify_term, run, unify
+from shapecheck.engine import (
+    Compound,
+    FreeVar,
+    PMap,
+    Var,
+    conj,
+    empty_state,
+    fresh_many,
+    fresh_with,
+    reify_term,
+    run,
+    unify,
+)
 from shapecheck.types import (
     LNIL,
     T_INT,
@@ -21,7 +33,6 @@ from shapecheck.types import (
     parse_type,
     pretty_type,
     render_constraint,
-    set_type_hook,
     t_array,
     t_arrow,
     t_ctor,
@@ -217,6 +228,41 @@ def test_eq_t_cyclic_equation_builds_mu():
     assert ok(lambda q: eq_t(ans, t_array(ans)))
 
 
+def _row_of(n, tail=LNIL):
+    return llist([t_ctor(i, llist([T_INT, T_STR])) for i in range(n)], tail)
+
+
+def test_equal_ground_rows_are_walked_without_streams_or_fresh_variables():
+    state = empty_state()
+    s = eq_t(t_sexp(_row_of(50)), t_sexp(_row_of(50)))(state)
+    # One answer, mature: there is no stream step to force.
+    assert s is not None and s[1] is None
+    assert s[0].counter == state.counter
+    assert (state.counters.steps, state.counters.unifications) == (0, 0)
+
+
+def test_free_row_gets_a_ground_row_by_one_binding():
+    v, state = empty_state().fresh_var()
+    (st, more) = eq_t(t_sexp(v), t_sexp(_row_of(50)))(state)
+    assert more is None and st.counter == state.counter
+    assert state.counters.unifications == 1
+    assert reify_term(v, st.subst) == _row_of(50)
+
+
+def test_free_row_gets_two_fresh_variables_per_cell_of_an_open_row():
+    (v, tail), state = empty_state().fresh_vars(2)
+    s = eq_t(t_sexp(v), t_sexp(_row_of(50, tail)))(state)
+    while callable(s):  # a stream step per 64 tasks of the walk
+        s = s()
+    st, more = s
+    assert more is None
+    assert st.counter == state.counter + 2 * 50
+    # A binding per cell, each cell's ground constructor by one binding,
+    # and the tails unified.
+    assert state.counters.unifications == 50 + 50 + 1
+    assert reify_term(v, st.subst) == reify_term(_row_of(50, tail), st.subst)
+
+
 def test_occurs_hook_output_matches_oracle():
     # Independent check with the brute-force oracle: mu r.[r] is teq to
     # its unfolding [mu r.[r]].
@@ -227,7 +273,7 @@ def test_occurs_hook_output_matches_oracle():
 
 def test_set_type_hook_without_cycle_is_transparent():
     def goal(q):
-        return conj(set_type_hook(q), unify(q, T_INT))
+        return conj(O.set_type_hook(q), unify(q, T_INT))
 
     assert run(goal).answers == [T_INT]
 
@@ -386,14 +432,34 @@ def test_types_equal_mu_folded_unfolded():
 
 def test_types_equal_out_of_fuel_raises():
     # Undecided is not "not equal": a comparison that runs out of fuel
-    # says so instead of answering False.
+    # says so instead of answering False. Canonical binders n0, n1 meet
+    # n0, n0, so the second pair of mu types unfolds forever.
+    tb = TagTable()
+    tb.intern("A", 2)
+    a = parse_type("A(mu a. [a], mu b. [b])", tb)
+    b = parse_type("A(mu c. [c], mu c. [c])", tb)
+    for fuel in (3, 1000):
+        with pytest.raises(ComparisonExhausted):
+            types_equal(a, b, fuel=fuel)
+
+
+def test_types_equal_on_a_non_contractive_type_runs_out_of_fuel():
+    # `mu a. a` unfolds to itself; each unfolding past the first of a
+    # walk waits for a stream step, so fuel ends the comparison.
+    with pytest.raises(ComparisonExhausted):
+        types_equal(parse_type("mu a. a", TagTable()), T_INT, fuel=1000)
+
+
+def test_types_equal_decides_folded_vs_unfolded_without_a_stream_step():
     tb = TagTable()
     tb.intern("Nil", 0)
     tb.intern("Cons", 2)
     folded = parse_type("mu a. Nil | Cons(Int, a)", tb)
     unfolded = parse_type("Nil | Cons(Int, (mu a. Nil | Cons(Int, a)))", tb)
-    with pytest.raises(ComparisonExhausted):
-        types_equal(folded, unfolded, fuel=3)
+    state = empty_state()
+    s = eq_t(canonicalize(folded), canonicalize(unfolded))(state)
+    assert s is not None and s[1] is None
+    assert types_equal(folded, unfolded, fuel=3)
 
 
 def test_types_equal_alpha_invariant():
@@ -472,3 +538,144 @@ def test_nested_arrow_results_parse_back():
 @given(_ground, _ground)
 def test_types_equal_is_syntactic_on_mufree_ground(a, b):
     assert types_equal(a, b) == (a == b)
+
+
+# ---------------------------------------------------------------------------
+# eq_t against the relational reference (oracles.reference_eq_t)
+# ---------------------------------------------------------------------------
+
+# A type is described as a tuple and built over seven shared variables:
+# 0-2 stand for types, 3-4 for open row tails, 5-6 for type lists.
+_TYPE_VARS, _ROW_TAILS, _LIST_VARS = (0, 1, 2), (3, 4), (5, 6)
+_TAGS = ((0, 0), (1, 1), (2, 2))  # (tag id, arity)
+
+
+def _build(d, vs):
+    kind = d[0]
+    if kind == "int":
+        return T_INT
+    if kind == "str":
+        return T_STR
+    if kind == "var":
+        return vs[d[1]]
+    if kind == "name":
+        return t_name(d[1])
+    if kind == "arr":
+        return t_array(_build(d[1], vs))
+    if kind == "mu":
+        return t_mu(d[1], _build(d[2], vs))
+    if kind == "sexp":
+        cells = [t_ctor(tag, _build_list(args, vs)) for tag, args in d[1]]
+        return t_sexp(llist(cells, LNIL if d[2] is None else vs[d[2]]))
+    if kind == "arrow":
+        constraints = [Compound(c, (_build(x, vs), _build(y, vs))) for c, x, y in d[2]]
+        return t_arrow(llist(list(d[1])), llist(constraints), _build_list(d[3], vs), _build(d[4], vs))
+    raise ValueError(d)
+
+
+def _build_list(items, vs):
+    return vs[items] if isinstance(items, int) else llist([_build(x, vs) for x in items])
+
+
+def _grow_types(inner):
+    items = st.one_of(st.sampled_from(_LIST_VARS), st.lists(inner, max_size=2))
+
+    def cells(n):
+        return st.tuples(st.just(n), st.lists(inner, min_size=n, max_size=n))
+
+    row = st.tuples(
+        st.just("sexp"),
+        st.lists(st.sampled_from(_TAGS).flatmap(lambda t: st.tuples(st.just(t[0]), items if t[1] else st.just([]))), max_size=2),
+        st.one_of(st.none(), st.sampled_from(_ROW_TAILS)),
+    )
+    array = st.tuples(st.just("arr"), inner)
+    return st.one_of(
+        array,
+        row,
+        st.tuples(st.just("mu"), st.sampled_from("xy"), st.one_of(array, row)),
+        st.tuples(
+            st.just("arrow"),
+            st.lists(st.sampled_from("pq"), max_size=1),
+            st.lists(st.tuples(st.sampled_from(["Eq", "Ind"]), inner, inner), max_size=1),
+            items,
+            inner,
+        ),
+    )
+
+
+_type_descs = st.recursive(
+    st.one_of(
+        st.sampled_from([("int",), ("str",), ("name", "x"), ("name", "y"), ("name", "p")]),
+        st.sampled_from(_TYPE_VARS).map(lambda i: ("var", i)),
+    ),
+    _grow_types,
+    max_leaves=6,
+)
+# One side is often a bare variable the other side may contain, so the
+# occurs hook fires.
+_type_pairs = st.one_of(
+    st.tuples(_type_descs, _type_descs),
+    st.tuples(st.sampled_from(_TYPE_VARS).map(lambda i: ("var", i)), _type_descs),
+)
+
+
+def _canon(t, names):
+    """A reified answer with fresh names (`%<id>` renamings, `r<id>` hook
+    binders) numbered in first-occurrence order."""
+    if isinstance(t, FreeVar):
+        return ("?", t.index)
+    if isinstance(t, str) and (t[:1] == "%" or (t[:1] == "r" and t[1:].isdigit())):
+        return names.setdefault(t, f"#{len(names)}")
+    if isinstance(t, Compound):
+        return (t.tag, tuple(_canon(a, names) for a in t.args))
+    return t
+
+
+def _eq_answers(eq, t, u, build=_build, fuel=3000):
+    """Up to two answers of eq over the built pair, each the reified
+    seven shared variables, and whether the stream ended."""
+
+    def query(q):
+        return fresh_many(7, lambda vs: conj(unify(q, llist(vs)), eq(build(t, vs), build(u, vs))))
+
+    res = run(query, max_answers=2, fuel=fuel)
+    return [_canon(a, {}) for a in res.answers], res.ended
+
+
+@settings(max_examples=400, deadline=None)
+@given(_type_pairs)
+def test_eq_t_answers_as_the_relational_reference(pair):
+    # Wherever the reference's stream ends within its fuel, the walk's
+    # ends too, with the same answers in the same order. (Both search the
+    # same tree; the walk takes fewer stream steps on the way. Two answers
+    # of an endless list enumeration can therefore come in another
+    # interleaving: for `forall p. (l) -> a` against `forall p. (l) ->
+    # B(m) | B(m)`, the second answer lengthens l in one and m in the
+    # other.)
+    # Where the reference finds two answers, so does the walk. Pairs on
+    # which the reference overflows the stack are skipped (a row whose
+    # cells hold its own open tail; see CHANGES.md).
+    try:
+        want, want_ended = _eq_answers(O.reference_eq_t, *pair)
+    except RecursionError:
+        return
+    if want_ended:
+        assert _eq_answers(eq_t, *pair) == (want, True)
+    elif len(want) == 2:
+        assert len(_eq_answers(eq_t, *pair)[0]) == 2
+
+
+def test_eq_t_answers_as_the_reference_on_a_cycle_and_on_free_lists():
+    tb = TagTable()
+    # Binders are compared by name, so both say these are not equal.
+    a, b = (canonicalize(parse_type(s, tb)) for s in ("mu a. [a]", "mu b. [[b]]"))
+    for eq in (O.reference_eq_t, eq_t):
+        assert _eq_answers(eq, a, b, build=lambda t, vs: t) == ([], True)
+    assert not types_equal(parse_type("mu a. [a]", tb), parse_type("mu b. [[b]]", tb))
+    # Two free type lists: both fork, nil first, then one cell each.
+    free = ("arrow", (), (), 5, ("int",)), ("arrow", (), (), 6, ("int",))
+    want = _eq_answers(O.reference_eq_t, *free)
+    assert _eq_answers(eq_t, *free) == want
+    rest = [FreeVar(i, i) for i in range(5)]
+    one = llist([FreeVar(5, 5)])
+    assert want == ([_canon(llist(rest + [LNIL, LNIL]), {}), _canon(llist(rest + [one, one]), {})], False)
