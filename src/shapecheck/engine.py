@@ -346,39 +346,56 @@ def occurs(vid: int, t: Term, subst: PMap) -> bool:
     return False
 
 
-def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None) -> Term:
-    """Deep-walk a term, renaming free variables in first-occurrence order.
-    A compound reached more than once (see `occurs`) is walked once, and
-    its reified form shared."""
+_BUILD = object()  # rebuild_term's marker: the compound below it has its parts built
+
+
+def rebuild_term(t: Term, subst: Optional[PMap], leaf: Callable[[Term], Term], done: Optional[dict] = None) -> Term:
+    """t deep-walked under subst (None: as it is), each compound rebuilt
+    from its rebuilt parts and every other subterm x replaced by leaf(x),
+    in pre-order. A compound reached again (see `occurs`) is rebuilt once;
+    done, when given, collects {id of a walked compound: its rebuilt form}.
+    The walk keeps its own stack, so a deep term takes no Python stack."""
+    if done is None:
+        done = {}
+    out = []  # rebuilt subterms, in order
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if x is _BUILD:
+            x = todo.pop()
+            n = len(x.args)
+            parts = tuple(out[len(out) - n:])
+            del out[len(out) - n:]
+            built = done[id(x)] = Compound(x.tag, parts)
+            out.append(built)
+            continue
+        if subst is not None:
+            x = shallow_walk(x, subst)
+        if not isinstance(x, Compound):
+            out.append(leaf(x))
+            continue
+        built = done.get(id(x))
+        if built is not None:
+            out.append(built)
+            continue
+        todo += (x, _BUILD)
+        todo.extend(reversed(x.args))
+    return out[0]
+
+
+def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None, done: Optional[dict] = None) -> Term:
+    """Deep-walk a term, renaming free variables in first-occurrence order
+    (see `rebuild_term`)."""
     if numbering is None:
         numbering = {}
-    done = {}  # id of a walked compound -> its reified form
 
-    def go(t):
-        t = shallow_walk(t, subst)
-        if isinstance(t, Var):
-            if t.id not in numbering:
-                numbering[t.id] = len(numbering)
-            return FreeVar(numbering[t.id], t.id)
-        if not isinstance(t, Compound):
-            return t
-        out = done.get(id(t))
-        if out is None:
-            if t.tag == "lcons":  # a list spine, walked in a loop
-                heads = []
-                cell = t
-                while isinstance(cell, Compound) and cell.tag == "lcons":
-                    heads.append(go(cell.args[0]))
-                    cell = shallow_walk(cell.args[1], subst)
-                out = go(cell)
-                for h in reversed(heads):
-                    out = Compound("lcons", (h, out))
-            else:
-                out = Compound(t.tag, tuple(go(a) for a in t.args))
-            done[id(t)] = out
-        return out
+    def leaf(x):
+        if isinstance(x, Var):
+            n = numbering.setdefault(x.id, len(numbering))
+            return FreeVar(n, x.id)
+        return x
 
-    return go(t)
+    return rebuild_term(t, subst, leaf, done)
 
 
 def _unify_terms(a, b, subst, hooks):
@@ -422,7 +439,14 @@ def _extend(v: Var, t, subst, hooks):
         hook = hooks.get(v.id) if hooks is not None else None
         if hook is None:
             return None
-        suggested = hook(v.id, reify_term(t, subst))
+        done = {}
+        suggested = hook(v.id, reify_term(t, subst, done=done))
+        # A unit of fuel per compound the hook closes: fuel then bounds a
+        # term that grows at every binding (a row whose cells hold its own
+        # open tail grows by about 1.6 times per closing).
+        counters = _active_counters()
+        if counters is not None:
+            counters.steps += len(done)
         # The suggestion is re-checked with hooks disabled.
         if occurs(v.id, suggested, subst):
             return None
@@ -644,26 +668,6 @@ def disunify(a: Term, b: Term) -> Goal:
     return goal
 
 
-def is_var(t: Term) -> Goal:
-    def goal(state):
-        w = shallow_walk(t, state.subst)
-        if isinstance(w, Var):
-            return succeed(state)
-        return None
-
-    return goal
-
-
-def is_not_var(t: Term) -> Goal:
-    def goal(state):
-        w = shallow_walk(t, state.subst)
-        if isinstance(w, Var):
-            return None
-        return succeed(state)
-
-    return goal
-
-
 def bind_occurs_hook(t: Term, hook) -> Goal:
     """Register an occurs hook; t must walk to an unbound variable.
 
@@ -705,8 +709,9 @@ def run(
 ) -> RunResult:
     """Pull up to max_answers reified answers for one query variable.
 
-    Fuel is measured in engine work units (stream forcings plus
-    unifications); exhausting it is reported on the result, never raised.
+    Fuel is measured in engine work units (stream forcings, unifications,
+    and a unit per compound of each term an occurs hook closes);
+    exhausting it is reported on the result, never raised.
     The query variable is reified per answer with free variables numbered
     in first-occurrence order.
     """

@@ -19,17 +19,13 @@ from .engine import (
     Compound,
     PMap,
     Var,
+    bind,
     conj,
     delay,
     disj,
     disunify,
-    fail,
     fresh_many,
-    fresh_with,
-    is_not_var,
-    is_var,
     mbind,
-    reify_term,
     shallow_walk,
     succeed,
     unify,
@@ -55,7 +51,7 @@ from .types import (
     t_arrow,
     t_ctor,
     t_sexp,
-    unmu,
+    unfold_mu,
 )
 
 
@@ -614,43 +610,62 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
 
 
 # ---------------------------------------------------------------------------
+# Handlers. Each reads its subject by walking it (`_unfolded`), binds with
+# `bind`, and runs its equalities and other goals directly while each has
+# one answer (`_chain`); a stream is built only at a real choice.
+# ---------------------------------------------------------------------------
+
+
+def _unfolded(t, subst):
+    """t walked, with one top-level mu unfolded. A free variable is taken
+    not to stand for a recursive type."""
+    w = shallow_walk(t, subst)
+    if isinstance(w, Compound) and w.tag == "TMu":
+        return unfold_mu(w, subst)
+    return w
+
+
+def _chain(state, goals, last):
+    """The goal last after goals, from state, as `conj(*goals, last)` runs
+    them: directly while each gives one mature answer, and from the first
+    that gives another stream on, each bound to that stream in order."""
+    for i, goal in enumerate(goals):
+        s = goal(state)
+        if s is None:
+            return None
+        if callable(s) or s[1] is not None:
+            for later in goals[i + 1:]:
+                s = mbind(s, later)
+            return mbind(s, last)
+        state = s[0]
+    return last(state)
+
+
+# ---------------------------------------------------------------------------
 # Ind: indexing into strings, arrays and S-expressions.
 # ---------------------------------------------------------------------------
 
 
 def solve_ind(container, elem, opts: SolverOpts, kont):
-    def by_shape(w):
-        if w.tag == "TStr":
-            return conj(eq_t(elem, T_INT), kont([]))
-        if w.tag == "TArray":
-            return conj(eq_t(elem, w.args[0]), kont([]))
-        if w.tag == "TSexp":
-            return _ind_row(w.args[0], elem, kont)
-        return fail
-
-    def dispatch(u):
-        def goal(state):
-            # unmu yields at most one state; calling it directly, not
-            # through conj, keeps the continuation one stream layer deep.
-            unfolded = unmu(container, u)(state)
-            if unfolded is None:
-                return None
-            state = unfolded[0]
-            w = shallow_walk(u, state.subst)
-            if not isinstance(w, Var):
-                return by_shape(w)(state)
+    def goal(state):
+        w = _unfolded(container, state.subst)
+        if isinstance(w, Var):
             # A free container is a string, an array or, when the program
             # has a constructor, an S-expression whose row is left open:
             # its cells are constrained as memberships and labeling add
-            # them (`_ind_row`).
-            shapes = [unify(w, T_STR), fresh_with(lambda t: unify(w, t_array(t)))]
-            if opts.sexp_bound:
-                shapes.append(fresh_with(lambda row: unify(w, t_sexp(row))))
-            return conj(disj(*shapes), lambda st: by_shape(shallow_walk(w, st.subst))(st))(state)
+            # them (`_ind_row`). Each branch binds it and reads it again.
+            (part,), st = state.fresh_vars(1)
+            shapes = [T_STR, t_array(part)] + ([t_sexp(part)] if opts.sexp_bound else [])
+            return disj(*(conj(unify(w, shape), goal) for shape in shapes))(st)
+        if w.tag == "TStr":
+            return _chain(state, [eq_t(elem, T_INT)], kont([]))
+        if w.tag == "TArray":
+            return _chain(state, [eq_t(elem, w.args[0])], kont([]))
+        if w.tag == "TSexp":
+            return _ind_row(w.args[0], elem, kont)(state)
+        return None
 
-        return goal
-
-    return fresh_with(dispatch)
+    return goal
 
 
 def _ind_row(row, elem, kont):
@@ -669,8 +684,7 @@ def _ind_row(row, elem, kont):
             entries = shallow_walk(entries.args[1], state.subst)
         if isinstance(entries, Var):
             spawned.append(c_ind_row(entries, elem))
-        goals.append(kont(spawned))
-        return conj(*goals)(state)
+        return _chain(state, goals, kont(spawned))
 
     return goal
 
@@ -681,8 +695,7 @@ def _ind_args(args, elem, kont):
     def goal(state):
         goals, spawned = [], []
         _ind_items(args, elem, state.subst, goals, spawned)
-        goals.append(kont(spawned))
-        return conj(*goals)(state)
+        return _chain(state, goals, kont(spawned))
 
     return goal
 
@@ -702,61 +715,67 @@ def _ind_items(args, elem, subst, goals, spawned):
 
 
 def solve_call(fn, args, result, opts: SolverOpts, kont):
-    nargs = len(args)
+    """fn is an arrow of len(args) parameters, instantiated at args and
+    result. A free fn becomes an arrow of fresh parts."""
 
-    def with_arrow(u, fxs, fc, ps, r):
-        def instantiate(state):
-            st = state
-            names = _walk_list(fxs, st.subst) or []
+    def goal(state):
+        w = _unfolded(fn, state.subst)
+        if isinstance(w, Var):
+            vs, state = state.fresh_vars(3 + len(args))
+            arrow = t_arrow(vs[0], vs[1], llist(vs[3:]), vs[2])
+            state, w = bind(state, w, arrow), arrow
+            if state is None:
+                return None
+        elif not (isinstance(w, Compound) and w.tag == "TArrow"):
+            return None
+        fxs, fc, ps, r = w.args
+        params = _walk_list(ps, state.subst)
+        if params is None:  # a list still open gets fresh parameters
+            params, state = state.fresh_vars(len(args))
+            state = bind(state, ps, llist(params))
+        if state is None or len(params) != len(args):
+            return None
+
+        def instantiate(st):
             mapping = {}
-            for name in names:
+            for name in _walk_list(fxs, st.subst) or []:
                 name = shallow_walk(name, st.subst)
                 if isinstance(name, str):
-                    v, st = st.fresh_var()
-                    mapping[name] = v
-            spawned = [
-                apply_type_subst(mapping, c, st.subst)
-                for c in (_walk_list(fc, st.subst) or [])
-            ]
-            params = _walk_list(ps, st.subst) or []
-            goals = [
-                eq_t(apply_type_subst(mapping, p, st.subst), a)
-                for p, a in zip(params, args)
-            ]
+                    mapping[name], st = st.fresh_var()
+            spawned = [apply_type_subst(mapping, c, st.subst) for c in (_walk_list(fc, st.subst) or [])]
+            goals = [eq_t(apply_type_subst(mapping, p, st.subst), a) for p, a in zip(params, args)]
             goals.append(eq_t(apply_type_subst(mapping, r, st.subst), result))
-            goals.append(kont(spawned))
-            return conj(*goals)(st)
+            return _chain(st, goals, kont(spawned))
 
-        return conj(
-            unmu(fn, u),
-            unify(u, t_arrow(fxs, fc, ps, r)),
-            fresh_many(nargs, lambda vs: unify(ps, llist(vs))),
-            _force_empty(fxs, opts),
-            _force_empty(fc, opts),
-            instantiate,
-        )
+        return _chain(state, [_force_empty(fxs, opts), _force_empty(fc, opts)], instantiate)
 
-    return fresh_many(5, lambda vs: with_arrow(*vs))
+    return goal
 
 
 def _force_empty(lst, opts: SolverOpts):
     """A free binder/constraint list of an applied function is forced
     empty; a determined one is kept. Without pruning a free list is
     enumerated instead (empty first, then ever longer)."""
-    if opts.prune:
-        return disj(conj(is_var(lst), unify(lst, LNIL)), is_not_var(lst))
 
-    def gen(v):
-        return disj(
-            unify(v, LNIL),
-            delay(
-                lambda: fresh_with(
-                    lambda h: fresh_with(lambda t: conj(unify(v, lcons(h, t)), gen(t)))
-                )
-            ),
-        )
+    def goal(state):
+        w = shallow_walk(lst, state.subst)
+        if not isinstance(w, Var):
+            return (state, None)
+        return (unify(w, LNIL) if opts.prune else _lists(w))(state)
 
-    return disj(conj(is_var(lst), gen(lst)), is_not_var(lst))
+    return goal
+
+
+def _lists(v):
+    """v is nil, then (delayed) a cell of two fresh variables whose tail
+    is enumerated the same way."""
+
+    def longer(state):
+        (h, t), st = state.fresh_vars(2)
+        st = bind(st, v, lcons(h, t))
+        return None if st is None else _lists(t)(st)
+
+    return disj(unify(v, LNIL), delay(lambda: longer))
 
 
 # ---------------------------------------------------------------------------
@@ -770,41 +789,47 @@ def solve_sexp(tag, subject, args, opts: SolverOpts, kont):
 
     The row is scanned as far as it is bound: cells of other tags are
     passed, a cell of this tag (or one whose tag is still free) takes the
-    arguments, and an open tail gets a new cell of this tag. Past that
-    cell no other may carry the tag (`_lacks`). No choice is made here:
-    an open tail is closed later, by labeling (`_label`)."""
+    arguments, and an open tail (or a free subject) gets a new cell of
+    this tag. Past that cell no other may carry the tag (`_lacks`). No
+    choice is made here: an open tail is closed later, by labeling
+    (`_label`)."""
     want_args = llist(args)
 
-    def found(cell_args, rest, n):
-        return conj(eq_ts(want_args, cell_args), _lacks(tag, rest, n + 1, opts, kont))
+    def found(state, cell_args, rest, n):
+        return _chain(state, [eq_ts(want_args, cell_args)], _lacks(tag, rest, n + 1, opts, kont))
 
-    def solve(u, cl):
-        def find(state):
-            xs, n = cl, 0
-            while True:
-                if _too_long(n, opts):
-                    return None
-                w = shallow_walk(xs, state.subst)
-                if isinstance(w, Var):
-                    return fresh_many(
-                        2, lambda vs: conj(unify(w, lcons(t_ctor(tag, vs[0]), vs[1])), found(vs[0], vs[1], n))
-                    )(state)
-                if not (isinstance(w, Compound) and w.tag == "lcons"):
-                    return None
-                # A cell is a `ctor` term: every goal that makes one binds
-                # it within the same dispatch.
-                cell = shallow_walk(w.args[0], state.subst)
-                tv = shallow_walk(cell.args[0], state.subst)
-                if isinstance(tv, Var):
-                    # A cell whose tag is still free is not passed: it takes this one.
-                    return conj(unify(tv, tag), found(cell.args[1], w.args[1], n))(state)
-                if tv == tag:
-                    return found(cell.args[1], w.args[1], n)(state)
-                xs, n = w.args[1], n + 1
+    def new_cell(state, v, shape, n):
+        (cell_args, rest), st = state.fresh_vars(2)
+        st = bind(st, v, shape(lcons(t_ctor(tag, cell_args), rest)))
+        return None if st is None else found(st, cell_args, rest, n)
 
-        return conj(unmu(subject, u), unify(u, t_sexp(cl)), find)
+    def goal(state):
+        w = _unfolded(subject, state.subst)
+        if isinstance(w, Var):
+            return new_cell(state, w, t_sexp, 0)
+        if not (isinstance(w, Compound) and w.tag == "TSexp"):
+            return None
+        xs, n = w.args[0], 0
+        while not _too_long(n, opts):
+            w = shallow_walk(xs, state.subst)
+            if isinstance(w, Var):
+                return new_cell(state, w, lambda row: row, n)
+            if not (isinstance(w, Compound) and w.tag == "lcons"):
+                return None
+            # A cell is a `ctor` term: every goal that makes one binds
+            # it within the same dispatch.
+            cell = shallow_walk(w.args[0], state.subst)
+            tv = shallow_walk(cell.args[0], state.subst)
+            if isinstance(tv, Var):
+                # A cell whose tag is still free is not passed: it takes this one.
+                state = bind(state, tv, tag)
+                return None if state is None else found(state, cell.args[1], w.args[1], n)
+            if tv == tag:
+                return found(state, cell.args[1], w.args[1], n)
+            xs, n = w.args[1], n + 1
+        return None
 
-    return fresh_many(2, lambda vs: solve(*vs))
+    return goal
 
 
 def _too_long(n, opts: SolverOpts) -> bool:
@@ -844,70 +869,64 @@ def _lacks(tag, row, n, opts: SolverOpts, kont):
 
 
 def solve_match(subject, pats, opts: SolverOpts, kont):
-    def process(u):
-        def goal(state):
-            st = state
-            goals = []
-            spawned = []
+    def goal(state):
+        st = state
+        goals, spawned = [], []
 
-            def fv():
-                nonlocal st
-                v, st2 = st.fresh_var()
-                st = st2
-                return v
+        def fv():
+            nonlocal st
+            v, st = st.fresh_var()
+            return v
 
-            def handle(p, subj):
-                p = shallow_walk(p, st.subst)
-                if p.tag == "PWild":
-                    return
-                if p.tag == "PAt":
-                    goals.append(eq_t(p.args[0], subj))
-                    handle(p.args[1], subj)
-                    return
-                if p.tag == "PArray":
-                    e = fv()
-                    goals.append(eq_t(subj, t_array(e)))
-                    for q in _walk_list(p.args[0], st.subst) or []:
-                        handle(q, e)
-                    return
-                if p.tag == "PSexp":
-                    qs = _walk_list(p.args[1], st.subst) or []
-                    ts = [fv() for _ in qs]
-                    spawned.append(c_sexp(p.args[0], subj, llist(ts)))
-                    for q, t in zip(qs, ts):
-                        handle(q, t)
-                    return
-                if p.tag == "PShape":
-                    kind = p.args[0]
-                    if kind == "unbox":
-                        goals.append(eq_t(subj, T_INT))
-                    elif kind == "str":
-                        goals.append(eq_t(subj, T_STR))
-                    elif kind == "array":
-                        goals.append(eq_t(subj, t_array(fv())))
-                    elif kind == "sexp":
-                        goals.append(eq_t(subj, t_sexp(fv())))
-                    elif kind == "fun":
-                        fxs, fc, ps, r = fv(), fv(), fv(), fv()
-                        goals.append(eq_t(subj, t_arrow(fxs, fc, ps, r)))
-                        goals.append(_force_empty(fxs, opts))
-                        goals.append(_force_empty(fc, opts))
-                    elif kind == "box":
-                        w = shallow_walk(subj, st.subst)
-                        if isinstance(w, Var):
-                            # Cannot decide boxedness yet: leave a residual
-                            # that reschedules once the subject determines.
-                            spawned.append(c_match(subj, llist([p_shape("box")])))
-                        else:
-                            goals.append(disunify(subj, T_INT))
-                    return
-                raise ValueError(f"not a pattern: {p!r}")
+        def handle(p, subj):
+            p = shallow_walk(p, st.subst)
+            if p.tag == "PWild":
+                return
+            if p.tag == "PAt":
+                goals.append(eq_t(p.args[0], subj))
+                handle(p.args[1], subj)
+                return
+            if p.tag == "PArray":
+                e = fv()
+                goals.append(eq_t(subj, t_array(e)))
+                for q in _walk_list(p.args[0], st.subst) or []:
+                    handle(q, e)
+                return
+            if p.tag == "PSexp":
+                qs = _walk_list(p.args[1], st.subst) or []
+                ts = [fv() for _ in qs]
+                spawned.append(c_sexp(p.args[0], subj, llist(ts)))
+                for q, t in zip(qs, ts):
+                    handle(q, t)
+                return
+            if p.tag == "PShape":
+                kind = p.args[0]
+                if kind == "unbox":
+                    goals.append(eq_t(subj, T_INT))
+                elif kind == "str":
+                    goals.append(eq_t(subj, T_STR))
+                elif kind == "array":
+                    goals.append(eq_t(subj, t_array(fv())))
+                elif kind == "sexp":
+                    goals.append(eq_t(subj, t_sexp(fv())))
+                elif kind == "fun":
+                    fxs, fc, ps, r = fv(), fv(), fv(), fv()
+                    goals.append(eq_t(subj, t_arrow(fxs, fc, ps, r)))
+                    goals.extend((_force_empty(fxs, opts), _force_empty(fc, opts)))
+                elif kind == "box":
+                    w = shallow_walk(subj, st.subst)
+                    if isinstance(w, Var):
+                        # Cannot decide boxedness yet: leave a residual
+                        # that reschedules once the subject determines.
+                        spawned.append(c_match(subj, llist([p_shape("box")])))
+                    else:
+                        goals.append(disunify(subj, T_INT))
+                return
+            raise ValueError(f"not a pattern: {p!r}")
 
-            for p in _walk_list(pats, st.subst) or []:
-                handle(p, u)
-            goals.append(kont(spawned))
-            return conj(*goals)(st)
+        subj = _unfolded(subject, state.subst)
+        for p in _walk_list(pats, st.subst) or []:
+            handle(p, subj)
+        return _chain(st, goals, kont(spawned))
 
-        return goal
-
-    return fresh_with(lambda u: conj(unmu(subject, u), process(u)))
+    return goal

@@ -30,6 +30,7 @@ from .engine import (
     conj,
     disunify,
     mplus,
+    rebuild_term,
     run,
     shallow_walk,
     unify,
@@ -251,21 +252,6 @@ def unfold_mu(t: Compound, subst):
     return apply_type_subst({binder: t}, t.args[1], subst)
 
 
-def unmu(t, out) -> Goal:
-    """out is t with a single top-level mu unfolded, if there is one.
-
-    A free variable is assumed not to stand for a recursive type.
-    """
-
-    def goal(state):
-        w = shallow_walk(t, state.subst)
-        if isinstance(w, Compound) and w.tag == "TMu":
-            return unify(out, unfold_mu(w, state.subst))(state)
-        return unify(w, out)(state)
-
-    return goal
-
-
 # ---------------------------------------------------------------------------
 # Occurs hooks for types.
 # ---------------------------------------------------------------------------
@@ -275,21 +261,13 @@ def type_occurs_hook(vid: int, reified):
     """Replace the offending variable with a type name and wrap in a mu.
     A compound shared in the reified term is converted once."""
     name = f"r{vid}"
-    done = {}  # id of a converted compound -> its conversion
 
     def back(t):
         if isinstance(t, FreeVar):
-            if t.var_id == vid:
-                return t_name(name)
-            return Var(t.var_id)
-        if isinstance(t, Compound):
-            out = done.get(id(t))
-            if out is None:
-                out = done[id(t)] = map_args(t, back)
-            return out
+            return t_name(name) if t.var_id == vid else Var(t.var_id)
         return t
 
-    return t_mu(name, back(reified))
+    return t_mu(name, rebuild_term(reified, None, back))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ open tail, instead of leaving the tail to the solver's labeling step.
 tag (types, lists, rows, constructor cells, constraints, patterns), each
 list cell a `disj` of nil and cons over fresh variables, where the
 checker walks both types once and forks only at a real choice.
+`reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
+`reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
+the reference constraint handlers, as goal pipelines: each unifies a
+fresh variable with its subject (`unmu`), names the parts of a shape by
+unifying fresh variables with them, and passes every step through
+`conj`, one `eq_t` goal per equality, where the checker's handlers walk
+the subject, bind once and build a stream only at a real choice.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from shapecheck.engine import (
     Compound,
     Goal,
     State,
+    Term,
     Var,
     _unify_terms,
     bind_occurs_hook,
@@ -41,26 +49,35 @@ from shapecheck.engine import (
     disunify,
     fail,
     fresh_many,
-    is_not_var,
+    fresh_with,
     shallow_walk,
     succeed,
     unify,
 )
-from shapecheck.solver import constraint_weight
+from shapecheck.solver import _lacks, _too_long, constraint_weight
 from shapecheck.syntax import ParseError
 from shapecheck.types import (
     LNIL,
+    T_INT,
+    T_STR,
     _walk_list,
     apply_type_subst,
+    c_ind_args,
+    c_ind_row,
+    c_match,
+    c_sexp,
+    eq_t,
+    eq_ts,
     lcons,
     llist,
+    p_shape,
+    t_array,
     t_arrow,
     t_ctor,
     t_name,
     t_sexp,
     type_occurs_hook,
     unfold_mu,
-    unmu,
 )
 
 # Ground type syntax for the oracle: plain tuples.
@@ -796,3 +813,275 @@ def _ref_eq_pattern(p, q) -> Goal:
         return unify(a, b)(state)
 
     return goal
+
+
+# ---------------------------------------------------------------------------
+# Reference constraint handlers: the goal pipelines the solver's direct
+# handlers replaced, kept as they were, with the goals only they used.
+# ---------------------------------------------------------------------------
+
+
+def is_var(t: Term) -> Goal:
+    def goal(state):
+        w = shallow_walk(t, state.subst)
+        if isinstance(w, Var):
+            return succeed(state)
+        return None
+
+    return goal
+
+
+def is_not_var(t: Term) -> Goal:
+    def goal(state):
+        w = shallow_walk(t, state.subst)
+        if isinstance(w, Var):
+            return None
+        return succeed(state)
+
+    return goal
+
+
+def unmu(t, out) -> Goal:
+    """out is t with a single top-level mu unfolded, if there is one.
+
+    A free variable is assumed not to stand for a recursive type.
+    """
+
+    def goal(state):
+        w = shallow_walk(t, state.subst)
+        if isinstance(w, Compound) and w.tag == "TMu":
+            return unify(out, unfold_mu(w, state.subst))(state)
+        return unify(w, out)(state)
+
+    return goal
+
+
+def reference_solve_ind(container, elem, opts, kont):
+    def by_shape(w):
+        if w.tag == "TStr":
+            return conj(eq_t(elem, T_INT), kont([]))
+        if w.tag == "TArray":
+            return conj(eq_t(elem, w.args[0]), kont([]))
+        if w.tag == "TSexp":
+            return reference_ind_row(w.args[0], elem, kont)
+        return fail
+
+    def dispatch(u):
+        def goal(state):
+            unfolded = unmu(container, u)(state)
+            if unfolded is None:
+                return None
+            state = unfolded[0]
+            w = shallow_walk(u, state.subst)
+            if not isinstance(w, Var):
+                return by_shape(w)(state)
+            shapes = [unify(w, T_STR), fresh_with(lambda t: unify(w, t_array(t)))]
+            if opts.sexp_bound:
+                shapes.append(fresh_with(lambda row: unify(w, t_sexp(row))))
+            return conj(disj(*shapes), lambda st: by_shape(shallow_walk(w, st.subst))(st))(state)
+
+        return goal
+
+    return fresh_with(dispatch)
+
+
+def reference_ind_row(row, elem, kont):
+    def goal(state):
+        goals, spawned = [], []
+        entries = shallow_walk(row, state.subst)
+        while isinstance(entries, Compound) and entries.tag == "lcons":
+            cell = shallow_walk(entries.args[0], state.subst)
+            if isinstance(cell, Compound) and cell.tag == "ctor":
+                _ref_ind_items(cell.args[1], elem, state.subst, goals, spawned)
+            entries = shallow_walk(entries.args[1], state.subst)
+        if isinstance(entries, Var):
+            spawned.append(c_ind_row(entries, elem))
+        goals.append(kont(spawned))
+        return conj(*goals)(state)
+
+    return goal
+
+
+def reference_ind_args(args, elem, kont):
+    def goal(state):
+        goals, spawned = [], []
+        _ref_ind_items(args, elem, state.subst, goals, spawned)
+        goals.append(kont(spawned))
+        return conj(*goals)(state)
+
+    return goal
+
+
+def _ref_ind_items(args, elem, subst, goals, spawned):
+    args = shallow_walk(args, subst)
+    while isinstance(args, Compound) and args.tag == "lcons":
+        goals.append(eq_t(args.args[0], elem))
+        args = shallow_walk(args.args[1], subst)
+    if isinstance(args, Var):
+        spawned.append(c_ind_args(args, elem))
+
+
+def reference_solve_call(fn, args, result, opts, kont):
+    nargs = len(args)
+
+    def with_arrow(u, fxs, fc, ps, r):
+        def instantiate(state):
+            st = state
+            names = _walk_list(fxs, st.subst) or []
+            mapping = {}
+            for name in names:
+                name = shallow_walk(name, st.subst)
+                if isinstance(name, str):
+                    v, st = st.fresh_var()
+                    mapping[name] = v
+            spawned = [
+                apply_type_subst(mapping, c, st.subst)
+                for c in (_walk_list(fc, st.subst) or [])
+            ]
+            params = _walk_list(ps, st.subst) or []
+            goals = [
+                eq_t(apply_type_subst(mapping, p, st.subst), a)
+                for p, a in zip(params, args)
+            ]
+            goals.append(eq_t(apply_type_subst(mapping, r, st.subst), result))
+            goals.append(kont(spawned))
+            return conj(*goals)(st)
+
+        return conj(
+            unmu(fn, u),
+            unify(u, t_arrow(fxs, fc, ps, r)),
+            fresh_many(nargs, lambda vs: unify(ps, llist(vs))),
+            reference_force_empty(fxs, opts),
+            reference_force_empty(fc, opts),
+            instantiate,
+        )
+
+    return fresh_many(5, lambda vs: with_arrow(*vs))
+
+
+def reference_force_empty(lst, opts):
+    if opts.prune:
+        return disj(conj(is_var(lst), unify(lst, LNIL)), is_not_var(lst))
+
+    def gen(v):
+        return disj(
+            unify(v, LNIL),
+            delay(
+                lambda: fresh_with(
+                    lambda h: fresh_with(lambda t: conj(unify(v, lcons(h, t)), gen(t)))
+                )
+            ),
+        )
+
+    return disj(conj(is_var(lst), gen(lst)), is_not_var(lst))
+
+
+def reference_solve_sexp(tag, subject, args, opts, kont):
+    want_args = llist(args)
+
+    def found(cell_args, rest, n):
+        return conj(eq_ts(want_args, cell_args), _lacks(tag, rest, n + 1, opts, kont))
+
+    def solve(u, cl):
+        def find(state):
+            xs, n = cl, 0
+            while True:
+                if _too_long(n, opts):
+                    return None
+                w = shallow_walk(xs, state.subst)
+                if isinstance(w, Var):
+                    return fresh_many(
+                        2, lambda vs: conj(unify(w, lcons(t_ctor(tag, vs[0]), vs[1])), found(vs[0], vs[1], n))
+                    )(state)
+                if not (isinstance(w, Compound) and w.tag == "lcons"):
+                    return None
+                cell = shallow_walk(w.args[0], state.subst)
+                tv = shallow_walk(cell.args[0], state.subst)
+                if isinstance(tv, Var):
+                    return conj(unify(tv, tag), found(cell.args[1], w.args[1], n))(state)
+                if tv == tag:
+                    return found(cell.args[1], w.args[1], n)(state)
+                xs, n = w.args[1], n + 1
+
+        return conj(unmu(subject, u), unify(u, t_sexp(cl)), find)
+
+    return fresh_many(2, lambda vs: solve(*vs))
+
+
+def reference_solve_match(subject, pats, opts, kont):
+    def process(u):
+        def goal(state):
+            st = state
+            goals = []
+            spawned = []
+
+            def fv():
+                nonlocal st
+                v, st2 = st.fresh_var()
+                st = st2
+                return v
+
+            def handle(p, subj):
+                p = shallow_walk(p, st.subst)
+                if p.tag == "PWild":
+                    return
+                if p.tag == "PAt":
+                    goals.append(eq_t(p.args[0], subj))
+                    handle(p.args[1], subj)
+                    return
+                if p.tag == "PArray":
+                    e = fv()
+                    goals.append(eq_t(subj, t_array(e)))
+                    for q in _walk_list(p.args[0], st.subst) or []:
+                        handle(q, e)
+                    return
+                if p.tag == "PSexp":
+                    qs = _walk_list(p.args[1], st.subst) or []
+                    ts = [fv() for _ in qs]
+                    spawned.append(c_sexp(p.args[0], subj, llist(ts)))
+                    for q, t in zip(qs, ts):
+                        handle(q, t)
+                    return
+                if p.tag == "PShape":
+                    kind = p.args[0]
+                    if kind == "unbox":
+                        goals.append(eq_t(subj, T_INT))
+                    elif kind == "str":
+                        goals.append(eq_t(subj, T_STR))
+                    elif kind == "array":
+                        goals.append(eq_t(subj, t_array(fv())))
+                    elif kind == "sexp":
+                        goals.append(eq_t(subj, t_sexp(fv())))
+                    elif kind == "fun":
+                        fxs, fc, ps, r = fv(), fv(), fv(), fv()
+                        goals.append(eq_t(subj, t_arrow(fxs, fc, ps, r)))
+                        goals.append(reference_force_empty(fxs, opts))
+                        goals.append(reference_force_empty(fc, opts))
+                    elif kind == "box":
+                        w = shallow_walk(subj, st.subst)
+                        if isinstance(w, Var):
+                            spawned.append(c_match(subj, llist([p_shape("box")])))
+                        else:
+                            goals.append(disunify(subj, T_INT))
+                    return
+                raise ValueError(f"not a pattern: {p!r}")
+
+            for p in _walk_list(pats, st.subst) or []:
+                handle(p, u)
+            goals.append(kont(spawned))
+            return conj(*goals)(st)
+
+        return goal
+
+    return fresh_with(lambda u: conj(unmu(subject, u), process(u)))
+
+
+# The solver's handler names and their references, for a test to swap in.
+REFERENCE_HANDLERS = {
+    "solve_ind": reference_solve_ind,
+    "_ind_row": reference_ind_row,
+    "_ind_args": reference_ind_args,
+    "solve_call": reference_solve_call,
+    "solve_sexp": reference_solve_sexp,
+    "solve_match": reference_solve_match,
+}

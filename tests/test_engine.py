@@ -7,6 +7,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import is_not_var, is_var
 from shapecheck import engine
 from shapecheck.engine import (
     Compound,
@@ -24,8 +25,6 @@ from shapecheck.engine import (
     fail,
     fresh_many,
     fresh_with,
-    is_not_var,
-    is_var,
     occurs,
     reify_term,
     run,
@@ -210,6 +209,36 @@ def test_reify_numbers_free_vars_in_order():
     res = run(lambda q: fresh_many(2, lambda vs: unify(q, C("p", vs[1], vs[0], vs[1]))))
     (ans,) = res.answers
     assert ans == C("p", FreeVar(0, ans.args[0].var_id), FreeVar(1, ans.args[1].var_id), ans.args[0])
+
+
+def test_reify_and_the_type_hook_take_no_stack_on_a_deep_term():
+    # A term nested 5,000 compounds deep (not a list spine), reified and
+    # closed by the type occurs hook at the default recursion limit.
+    x = Var(0)
+    deep = x
+    for _ in range(5000):
+        deep = C("TArray", deep)
+    assert sys.getrecursionlimit() <= 1000
+    reified = reify_term(deep, PMap())
+    closed = type_occurs_hook(0, reified)
+    depth, t = 0, closed.args[1]
+    while t.tag == "TArray":
+        depth, t = depth + 1, t.args[0]
+    assert (closed.tag, depth, t) == ("TMu", 5000, C("TName", "r0"))
+
+
+def test_a_hook_costs_a_unit_of_fuel_per_compound_it_closes():
+    # x = f(g(x), h): one unification, the hook closing a term of three
+    # compounds (f, g and h), and the query's answer.
+    def goal(q):
+        def k(x):
+            return conj(bind_occurs_hook(x, type_occurs_hook), unify(x, C("f", C("g", x), C("h"))), unify(q, x))
+
+        return fresh_with(k)
+
+    plain = run(lambda q: fresh_with(lambda x: conj(unify(x, C("f", C("h"))), unify(q, x)))).counters.steps
+    hooked = run(goal).counters.steps
+    assert hooked - plain == 3
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +495,7 @@ def test_one_woken_pair_leaves_the_rest_of_the_watch_index_alone():
 
 def test_var_var_links_stay_one_step_from_the_oldest_variable(monkeypatch):
     # A variable unified with one fresh variable after another, as
-    # `unmu(subject, u)` does at every dispatch on a free subject: each
+    # a goal that names a free subject by a fresh variable would: each
     # fresh one is bound to the older variable, so no chain grows, and
     # walking any of them costs at most two map lookups.
     n = 100

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shapecheck import solver
 from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source
@@ -50,6 +50,8 @@ from shapecheck.types import (
     c_sexp,
     eq_t,
     llist,
+    p_array,
+    p_at,
     p_sexp,
     p_shape,
     pretty_type,
@@ -815,6 +817,134 @@ def test_repeated_constraints_keep_the_verdict_and_answers(problem, data):
     ended, plain = answers(lambda vs: _row_queue(problem, vs), 20_000)
     assume(ended)
     assert answers(with_copies, 100_000) == (True, plain)
+
+
+# ---------------------------------------------------------------------------
+# The handlers against their goal-pipeline references
+# ---------------------------------------------------------------------------
+
+# Random handler problems: memberships, indexing, calls and matches over
+# subjects that are answer variables (sometimes `mu` types), so the
+# handlers meet free, bound and recursive subjects, known and free
+# callees, and every pattern kind.
+_ARROWS = (
+    t_arrow(llist(["p"]), LNIL, llist([t_name("p")]), t_name("p")),
+    t_arrow(LNIL, LNIL, llist([T_INT]), T_INT),
+    t_arrow(llist(["a", "b"]), llist([c_ind(t_name("a"), t_name("b"))]), llist([t_name("a")]), t_name("b")),
+    t_arrow(LNIL, LNIL, llist([T_INT, T_STR]), T_INT),
+)
+_PATTERNS = ("sexp", "box", "wild", "unbox", "str", "array", "sexpshape", "fun", "at", "elems")
+
+
+@st.composite
+def _handler_problems(draw):
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    n = draw(st.integers(1, 3))
+    var = st.integers(0, n - 1).map(lambda i: ("var", i))
+    atom = st.one_of(st.sampled_from([("int",), ("str",)]), var)
+    ty = st.one_of(
+        atom,
+        atom.map(lambda t: ("arr", t)),
+        st.sampled_from([("mu_arr",), ("mu_row",)]),
+        st.integers(0, len(_ARROWS) - 1).map(lambda i: ("arrow", i)),
+    )
+    subject = st.one_of(var, var, ty)
+    tag = st.integers(0, len(arities) - 1)
+    pattern = st.one_of(
+        st.sampled_from(_PATTERNS).flatmap(lambda k: st.tuples(st.just(k), tag if k == "sexp" else var)),
+    )
+    constraint = st.one_of(
+        st.tuples(st.just("SexpC"), tag, subject).flatmap(
+            lambda c: st.tuples(*(st.just(x) for x in c), st.lists(atom, min_size=arities[c[1]], max_size=arities[c[1]]))
+        ),
+        st.tuples(st.just("Eq"), var, ty),
+        st.tuples(st.just("Ind"), subject, atom),
+        st.tuples(st.just("Call"), subject, st.lists(atom, max_size=2), atom),
+        st.tuples(st.just("Match"), subject, st.lists(pattern, min_size=1, max_size=2)),
+    )
+    return arities, n, draw(st.lists(constraint, min_size=1, max_size=4))
+
+
+def _handler_queue(problem, vs):
+    arities, _, spec = problem
+
+    def ty(d):
+        kind = d[0]
+        if kind == "var":
+            return vs[d[1]]
+        if kind in ("int", "str"):
+            return T_INT if kind == "int" else T_STR
+        if kind == "arr":
+            return t_array(ty(d[1]))
+        if kind == "mu_arr":
+            return t_mu("r", t_array(t_name("r")))
+        if kind == "mu_row":
+            return t_mu("r", t_sexp(llist([t_ctor(0, llist([t_name("r")] * arities[0]))], vs[0])))
+        return _ARROWS[d[1]]
+
+    def pat(p):
+        kind, x = p
+        if kind == "sexp":
+            return p_sexp(x, llist([P_WILD] * arities[x]))
+        if kind == "at":
+            return p_at(ty(x), P_WILD)
+        if kind == "elems":
+            return p_array(llist([P_WILD]))
+        return P_WILD if kind == "wild" else p_shape({"sexpshape": "sexp"}.get(kind, kind))
+
+    out = []
+    for kind, a, *rest in spec:
+        if kind == "SexpC":
+            out.append(c_sexp(a, ty(rest[0]), llist([ty(t) for t in rest[1]])))
+        elif kind == "Eq":
+            out.append(c_eq(ty(a), ty(rest[0])))
+        elif kind == "Ind":
+            out.append(c_ind(ty(a), ty(rest[0])))
+        elif kind == "Call":
+            out.append(c_call(ty(a), llist([ty(t) for t in rest[0]]), ty(rest[1])))
+        else:
+            out.append(c_match(ty(a), llist([pat(p) for p in rest[0]])))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_handler_problems(), st.booleans())
+# A free callee's binder and constraint lists both fork without pruning:
+# the second fork must bind to the first's stream as `conj` binds it.
+@example(([0], 2, [("SexpC", 0, ("var", 0), []), ("Call", ("var", 1), [], ("int",))]), False)
+# A box pattern on a bound subject is decided in the dispatch.
+@example(([0], 1, [("Match", ("str",), [("box", ("var", 0))])]), True)
+# A call on an arrow whose parameter list a `#fun` pattern left open.
+@example(([0], 1, [("Match", ("var", 0), [("fun", ("var", 0))]), ("Call", ("var", 0), [("int",)], ("int",))]), True)
+def test_direct_handlers_answer_as_the_goal_pipelines(problem, prune):
+    # The direct handlers build a stream only where the references
+    # (`oracles.REFERENCE_HANDLERS`) make a real choice, so both search
+    # the same tree and take the same turns in it, the direct ones with
+    # fewer engine steps: the same answers in the same order, after the
+    # same dispatches. Where the reference runs out of fuel first, its
+    # answers so far are the first of the direct handlers'.
+    arities, n, _ = problem
+    tb = TagTable()
+    for i, arity in enumerate(arities):
+        tb.intern(f"T{i}", arity)
+
+    def answers():
+        counters = Counters()
+        res = solve(
+            lambda vs: _handler_queue(problem, vs), n, table=tb, max_answers=4, fuel=4_000, prune=prune,
+            counters=counters,
+        )
+        return [repr(canonicalize(a)) for a in res.answers], res.fuel_exhausted, counters.dispatched
+
+    direct, direct_out, direct_dispatched = answers()
+    with pytest.MonkeyPatch.context() as m:
+        for name, reference in oracles.REFERENCE_HANDLERS.items():
+            m.setattr(solver, name, reference)
+        want, want_out, want_dispatched = answers()
+    if want_out:
+        assert direct[: len(want)] == want
+    else:
+        assert (direct, direct_out, direct_dispatched) == (want, False, want_dispatched)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Type terms: interning, unfolding, equality, rendering, parsing."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from shapecheck.types import (
     c_ind,
     canonicalize,
     eq_t,
+    lcons,
     llist,
     parse_type,
     pretty_type,
@@ -42,10 +45,10 @@ from shapecheck.types import (
     ty_from_term,
     type_occurs_hook,
     types_equal,
-    unmu,
 )
 
 import oracles as O
+from oracles import unmu
 from shapecheck import types
 
 
@@ -169,9 +172,18 @@ def test_apply_type_subst_rewrites_a_shared_term_once(monkeypatch):
 def test_occurs_hook_converts_a_shared_term_once(monkeypatch):
     top, subst = _shared_chain(16, Var(99))
     reified = reify_term(top, subst)
-    maps = _counting(monkeypatch, types, "map_args")
+    converted = []
+    original = types.rebuild_term
+
+    def counting(t, subst, leaf, done=None):
+        done = {} if done is None else done
+        out = original(t, subst, leaf, done)
+        converted.append(len(done))
+        return out
+
+    monkeypatch.setattr(types, "rebuild_term", counting)
     hooked = type_occurs_hook(99, reified)
-    assert len(maps) == 16
+    assert converted == [16]
     assert _leftmost(hooked.args[1], 16) == t_name("r99")
 
 
@@ -450,6 +462,28 @@ def test_types_equal_on_a_non_contractive_type_runs_out_of_fuel():
         types_equal(parse_type("mu a. a", TagTable()), T_INT, fuel=1000)
 
 
+def test_a_row_that_holds_its_own_tail_ends_by_fuel():
+    # Sexp(B(Sexp(r)) | B(Sexp(r)) | r) against Sexp(r): r grows a cell at
+    # a time, and each cell's occurs hook closes a term about 1.6 times the
+    # last. The closings once overflowed the Python stack; each now costs
+    # fuel by its size, so the search ends at the budget within moments.
+    tb = TagTable()
+    b = tb.intern("B", 1)
+
+    def query(q):
+        def k(vs):
+            r = vs[0]
+            cell = t_ctor(b, llist([t_sexp(r)]))
+            return conj(unify(q, llist(vs)), eq_t(t_sexp(lcons(cell, lcons(cell, r))), t_sexp(r)))
+
+        return fresh_many(1, k)
+
+    start = time.perf_counter()
+    res = run(query, max_answers=2, fuel=3000)
+    assert res.answers == [] and res.fuel_exhausted
+    assert time.perf_counter() - start < 2.0
+
+
 def test_types_equal_decides_folded_vs_unfolded_without_a_stream_step():
     tb = TagTable()
     tb.intern("Nil", 0)
@@ -653,8 +687,7 @@ def test_eq_t_answers_as_the_relational_reference(pair):
     # B(m) | B(m)`, the second answer lengthens l in one and m in the
     # other.)
     # Where the reference finds two answers, so does the walk. Pairs on
-    # which the reference overflows the stack are skipped (a row whose
-    # cells hold its own open tail; see CHANGES.md).
+    # which the reference overflows the stack are skipped.
     try:
         want, want_ended = _eq_answers(O.reference_eq_t, *pair)
     except RecursionError:
