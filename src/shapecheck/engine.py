@@ -668,24 +668,6 @@ def disunify(a: Term, b: Term) -> Goal:
     return goal
 
 
-def bind_occurs_hook(t: Term, hook) -> Goal:
-    """Register an occurs hook; t must walk to an unbound variable.
-
-    When binding that variable fails the occurs check, hook(variable id,
-    reified target) is called and may return a term to bind instead.
-    """
-
-    def goal(state):
-        w = shallow_walk(t, state.subst)
-        if not isinstance(w, Var):
-            return None
-        hooks = dict(state.hooks)
-        hooks[w.id] = hook
-        return succeed(State(state.subst, state.diseqs, hooks, state.counter, state.counters, state.watch))
-
-    return goal
-
-
 # ---------------------------------------------------------------------------
 # Running queries.
 # ---------------------------------------------------------------------------

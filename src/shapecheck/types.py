@@ -15,27 +15,31 @@ occurs hook on a variable right before binding it, and builds a stream
 only where a second answer exists: at two free list spines, and at two mu
 types whose binders are not one ground name. A stretch without a stream
 step makes at most one unfolding and 64 tasks, so fuel bounds its work.
+
+Reified and parsed types are compared by `types_equal`, which runs no
+engine: a walk over pairs of types that takes a pair met again under a
+`mu` as equal, and so ends on its own.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .engine import (
     Compound,
     FreeVar,
     Goal,
+    PMap,
     Var,
     bind,
-    conj,
     disunify,
     mplus,
     rebuild_term,
-    run,
     shallow_walk,
-    unify,
     var_free,
 )
+from .syntax import _WORD, MAX_NESTING
 
 # ---------------------------------------------------------------------------
 # Engine-term constructors.
@@ -667,172 +671,156 @@ class TypeParseError(ValueError):
     pass
 
 
+# A token is `->`, `=>`, a word, or any other single non-space character.
+_TOKEN = re.compile(r"->|=>|\w+|\S")
+
+
 class _TypeParser:
+    """Recursive descent over the tokens of a rendered type. Two forms are
+    told apart by the token after a bracketed group, found through the
+    group's matching bracket: a `(`...`)` group is an arrow's parameters
+    when `->` follows it, and `Ind(`, `Eq(`, `Call(` and `Sexp[L](` start
+    a constraint only when `&` or `=>` follows. Nothing is parsed twice.
+    """
+
     def __init__(self, text: str, table: TagTable):
         self.text = text
-        self.pos = 0
         self.table = table
+        found = list(_TOKEN.finditer(text))
+        self.toks = [m.group() for m in found] + [""]  # "" ends the input
+        self.starts = [m.start() for m in found] + [len(text)]
+        self.close: dict[int, int] = {}  # index of an open bracket -> its match
+        opened = []
+        for i, tok in enumerate(self.toks):
+            if tok in ("(", "["):
+                opened.append(i)
+            elif tok in (")", "]") and opened:
+                self.close[opened.pop()] = i
+        self.pos = 0
+        self.depth = 0
         self.bound: list[str] = []  # mu / forall binders in scope
         self.free: dict[str, FreeVar] = {}  # free variables, numbered in order
-        self.parsed: dict = {}  # (offset, binders in scope) -> (type, end offset)
 
     def error(self, msg):
-        raise TypeParseError(f"{msg} at offset {self.pos} in {self.text!r}")
+        raise TypeParseError(f"{msg} at offset {self.starts[self.pos]} in {self.text!r}")
 
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def after(self, i: int) -> Optional[str]:
+        """The token after the group that the bracket at i opens."""
+        j = self.close.get(i)
+        return None if j is None else self.toks[j + 1]
+
+    def eat(self, tok: str) -> bool:
+        if self.toks[self.pos] == tok:
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos:self.pos + 1]
-
-    def eat(self, s: str) -> bool:
-        self.skip()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
             return True
         return False
 
-    def expect(self, s: str):
-        if not self.eat(s):
-            self.error(f"expected {s!r}")
+    def expect(self, tok: str):
+        if not self.eat(tok):
+            self.error(f"expected {tok!r}")
 
-    def ident(self) -> Optional[str]:
-        self.skip()
-        i = self.pos
-        while i < len(self.text) and (self.text[i].isalnum() or self.text[i] == "_"):
-            i += 1
-        if i == self.pos:
-            return None
-        word = self.text[self.pos:i]
-        self.pos = i
-        return word
+    def word(self, what: str = "a name") -> str:
+        tok = self.toks[self.pos]
+        if not _WORD.match(tok):
+            self.error(f"expected {what}")
+        self.pos += 1
+        return tok
 
     def parse(self):
         ty = self.type_()
-        self.skip()
-        if self.pos != len(self.text):
+        if self.pos != len(self.toks) - 1:
             self.error("trailing input")
         return ty
 
     def type_(self):
-        # `arrow` parses a parenthesized group before it can see whether
-        # `->` follows, and `union` parses it again when none does;
-        # remembering each parse keeps nested groups linear, not
-        # exponential in their depth.
-        key = (self.pos, tuple(self.bound))
-        done = self.parsed.get(key)
-        if done is None:
-            done = self.parsed[key] = (self._type(), self.pos)
-        ty, self.pos = done
-        return ty
-
-    def _type(self):
-        save = self.pos
-        word = self.ident()
-        if word == "mu":
-            binder = self.ident()
-            if binder is None:
-                self.error("expected a binder after mu")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        # Parentheses around a whole type are taken off in a loop, so an
+        # arrow result, printed in parentheses, is one level, not two.
+        groups = 0
+        while self.toks[self.pos] == "(" and self.after(self.pos) not in ("->", "|"):
+            self.pos += 1
+            groups += 1
+        if self.eat("mu"):
+            binder = self.word("a binder after mu")
             self.expect(".")
             self.bound.append(binder)
-            try:
-                return t_mu(binder, self.type_())
-            finally:
-                self.bound.pop()
-        if word == "forall":
+            ty = t_mu(binder, self.type_())
+            self.bound.pop()
+        elif self.eat("forall"):
             bvars = []
-            while True:
-                b = self.ident()
-                if b is None:
-                    break
-                bvars.append(b)
-            self.expect(".")
+            while not self.eat("."):
+                bvars.append(self.word())
             self.bound.extend(bvars)
-            try:
-                fn = self.arrow(bvars)
-            finally:
-                del self.bound[len(self.bound) - len(bvars) :]
-            if fn is None:
-                self.error("expected arrow after forall")
-            return fn
-        self.pos = save
-        fn = self.arrow([])
-        if fn is not None:
-            return fn
-        self.pos = save
-        return self.union()
+            ty = self.arrow(bvars)
+            del self.bound[len(self.bound) - len(bvars) :]
+        elif (self.toks[self.pos] == "(" and self.after(self.pos) == "->") or self.constraint_ahead():
+            ty = self.arrow([])
+        else:
+            ty = self.union()
+        for _ in range(groups):
+            self.expect(")")
+        self.depth -= 1
+        return ty
 
-    def arrow(self, bvars) -> Optional[Compound]:
-        save = self.pos
+    def constraint_ahead(self) -> bool:
+        i = self.pos
+        if self.toks[i] == "Sexp" and self.toks[i + 1] == "[":
+            i = self.close.get(i + 1, i)
+        elif self.toks[i] not in ("Ind", "Eq", "Call"):
+            return False
+        return self.toks[i + 1] == "(" and self.after(i + 1) in ("&", "=>")
+
+    def arrow(self, bvars) -> Compound:
         constraints = []
-        while True:
-            mark = self.pos
-            c = self.try_constraint()
-            if c is None:
-                self.pos = mark
-                break
-            constraints.append(c)
-            if not self.eat("&"):
-                break
-        if constraints and not self.eat("=>"):
-            self.pos = save
-            constraints = []
-        if not self.eat("("):
-            self.pos = save
-            return None
-        params = []
-        if not self.eat(")"):
-            while True:
-                params.append(self.type_())
-                if self.eat(")"):
-                    break
-                self.expect(",")
-        if not self.eat("->"):
-            self.pos = save
-            return None
-        result = self.type_()
-        return t_arrow(llist(bvars), llist(constraints), llist(params), result)
+        if self.constraint_ahead():
+            constraints.append(self.constraint())
+            while self.eat("&"):
+                constraints.append(self.constraint())
+            self.expect("=>")
+        self.expect("(")
+        params = self.types_until(")")
+        self.expect("->")
+        return t_arrow(llist(bvars), llist(constraints), llist(params), self.type_())
 
-    def try_constraint(self):
-        word = self.ident()
-        if word in ("Ind", "Eq") and self.eat("("):
+    def types_until(self, end: str) -> list:
+        """Comma-separated types up to and including the token end."""
+        items = []
+        if not self.eat(end):
+            items.append(self.type_())
+            while not self.eat(end):
+                self.expect(",")
+                items.append(self.type_())
+        return items
+
+    def constraint(self):
+        if self.toks[self.pos] not in ("Ind", "Eq", "Call", "Sexp"):
+            self.error("expected a constraint")
+        word = self.word()
+        if word in ("Ind", "Eq"):
+            self.expect("(")
             a = self.type_()
             self.expect(",")
             b = self.type_()
             self.expect(")")
             return Compound(word, (a, b))
-        if word == "Call" and self.eat("("):
+        if word == "Call":
+            self.expect("(")
             fn = self.type_()
             self.expect(";")
-            args = []
-            if self.peek() != ";":
-                while True:
-                    args.append(self.type_())
-                    if self.peek() in (";", ""):
-                        break
-                    self.expect(",")
-            self.expect(";")
+            args = self.types_until(";")
             res = self.type_()
             self.expect(")")
             return c_call(fn, llist(args), res)
-        if word == "Sexp" and self.eat("["):
-            label = self.ident()
-            self.expect("]")
-            self.expect("(")
-            subj = self.type_()
-            self.expect(";")
-            args = []
-            if self.peek() != ")":
-                while True:
-                    args.append(self.type_())
-                    if self.peek() == ")":
-                        break
-                    self.expect(",")
-            self.expect(")")
-            return c_sexp(self.table.intern(label, len(args)), subj, llist(args))
-        return None
+        self.expect("[")
+        label = self.word()
+        self.expect("]")
+        self.expect("(")
+        subj = self.type_()
+        self.expect(";")
+        args = self.types_until(")")
+        return c_sexp(self.table.intern(label, len(args)), subj, llist(args))
 
     def union(self):
         members = [self.member()]
@@ -840,20 +828,14 @@ class _TypeParser:
             members.append(self.member())
         if len(members) == 1 and not _is_ctor(members[0]):
             return members[0]
-        ctors = []
-        rest = LNIL
-        for m in members:
-            if _is_ctor(m):
-                ctors.append(m)
-            elif isinstance(m, FreeVar):
-                rest = m
-            else:
-                self.error("bad union member")
-        return t_sexp(llist(ctors, rest))
+        ctors = [m for m in members if _is_ctor(m)]
+        rest = [m for m in members if not _is_ctor(m)]
+        if len(rest) > 1 or not all(isinstance(m, FreeVar) for m in rest):
+            self.error("bad union member")
+        return t_sexp(llist(ctors, rest[0] if rest else LNIL))
 
     def member(self):
         """A type, or a constructor entry of a union."""
-        self.skip()
         if self.eat("["):
             elem = self.type_()
             self.expect("]")
@@ -862,21 +844,13 @@ class _TypeParser:
             ty = self.type_()
             self.expect(")")
             return ty
-        word = self.ident()
-        if word is None:
-            self.error("expected a type")
+        word = self.word("a type")
         if word == "Int":
             return T_INT
         if word == "Str":
             return T_STR
         if word[0].isupper():
-            args = []
-            if self.eat("("):
-                while True:
-                    args.append(self.type_())
-                    if self.eat(")"):
-                        break
-                    self.expect(",")
+            args = self.types_until(")") if self.eat("(") else []
             return t_ctor(self.table.intern(word, len(args)), llist(args))
         if word in self.bound:
             return t_name(word)
@@ -892,49 +866,80 @@ def parse_type(text: str, table: TagTable):
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization and equality of reified or parsed types.
+# Equality of reified or parsed types.
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(t):
-    """Rename every variable and binder, free or bound, to n0, n1, ... in
-    first-occurrence order; the result is ground, with TName leaves in
-    place of variables."""
-    names: dict[tuple, str] = {}
+def types_equal(a, b) -> bool:
+    """Equality of two types modulo mu-unfolding, the names of binders,
+    and a one-to-one renaming of free variables. One walk over pairs of
+    terms: a pair met again under a mu counts as equal (a bisimulation,
+    Amadio-Cardelli 1993; Brandt-Henglein 1998), and the terms reachable
+    by unfolding are finitely many, so the walk ends without fuel."""
+    todo = [(a, b)]
+    seen = set()  # pairs with a mu on one side
+    renamed = {}  # a pair of arrows -> the pairs of their renamed parts
+    left, right = {}, {}  # free variables paired: left -> right, right -> left
+    while todo:
+        x, y = todo.pop()
+        if _is_mu(x) or _is_mu(y):
+            if (x, y) in seen:
+                continue
+            seen.add((x, y))
+            x, y = _head(x), _head(y)
+            if x is None or y is None:
+                if x is not y:
+                    return False
+                continue
+        x_var, y_var = isinstance(x, (Var, FreeVar)), isinstance(y, (Var, FreeVar))
+        if x_var or y_var:
+            if not (x_var and y_var) or left.setdefault(x, y) != y or right.setdefault(y, x) != x:
+                return False
+        elif not isinstance(x, Compound) or not isinstance(y, Compound):
+            if x != y:  # constructor ids, names, shape kinds
+                return False
+        elif x.tag != y.tag or len(x.args) != len(y.args):
+            return False
+        elif x.tag == "TArrow":
+            if (x, y) not in renamed:
+                renamed[(x, y)] = _arrow_parts(x, y, len(renamed))
+            if renamed[(x, y)] is None:
+                return False
+            todo.extend(renamed[(x, y)])
+        else:
+            todo.extend(zip(x.args, y.args))
+    return True
 
-    def fresh(key):
-        return names.setdefault(key, f"n{len(names)}")
 
-    def go(x):
-        vid = _var_id(x)
-        if vid is not None:
-            return t_name(fresh(("var", vid)))
-        if not isinstance(x, Compound):
-            return x  # constructor ids, shape kinds
-        if x.tag == "TName":
-            return t_name(fresh(("name", x.args[0])))
-        if x.tag == "TMu":
-            return t_mu(fresh(("name", _binder_name(x.args[0]))), go(x.args[1]))
-        if x.tag == "TArrow":
-            bvars = [fresh(("name", _binder_name(b))) for b in _items(x.args[0])]
-            return t_arrow(llist(bvars), *(go(a) for a in x.args[1:]))
-        return map_args(x, go)
-
-    return go(t)
+# Reified and parsed types hold no live variable to look up.
+_NO_SUBST = PMap()
 
 
-class ComparisonExhausted(Exception):
-    """types_equal ran out of fuel before it could decide."""
+def _is_mu(t) -> bool:
+    return isinstance(t, Compound) and t.tag == "TMu"
 
 
-def types_equal(a, b, fuel: int = 200_000) -> bool:
-    """eq_t over canonicalized (hence ground) types: syntactic equality
-    modulo mu-unfolding, with binder names normalized away. Raises
-    ComparisonExhausted when `fuel` engine steps do not decide it."""
-    ta, tb = canonicalize(a), canonicalize(b)
-    res = run(lambda q: conj(unify(q, 1), eq_t(ta, tb)), max_answers=1, fuel=fuel)
-    if res.answers:
-        return True
-    if res.fuel_exhausted:
-        raise ComparisonExhausted(f"type comparison undecided after {fuel} steps")
-    return False
+def _head(t):
+    """t with the mus on top of it unfolded; None for a mu that only ever
+    unfolds to a mu (`mu a. a`, `mu a. mu b. a`)."""
+    met = set()
+    while _is_mu(t):
+        if t in met:
+            return None
+        met.add(t)
+        t = unfold_mu(t, _NO_SUBST)
+    return t
+
+
+def _arrow_parts(x, y, n: int) -> Optional[list]:
+    """The pairs of parts (constraints, parameters, result) of two arrows,
+    with the binders of each renamed position by position to shared
+    names; None if their binder lists differ in length. The arrows' n-th
+    renaming names binder i `(n, i)`, a name no type contains (its names
+    are strings), so no free name is captured."""
+    xs, ys = _items(x.args[0]), _items(y.args[0])
+    if len(xs) != len(ys):
+        return None
+    new = [t_name((n, i)) for i in range(len(xs))]
+    parts = (apply_type_subst(dict(zip(ns, new)), t_arrow(LNIL, *t.args[1:]), _NO_SUBST).args[1:] for t, ns in ((x, xs), (y, ys)))
+    return list(zip(*parts))

@@ -19,6 +19,11 @@ open tail, instead of leaving the tail to the solver's labeling step.
 tag (types, lists, rows, constructor cells, constraints, patterns), each
 list cell a `disj` of nil and cons over fresh variables, where the
 checker walks both types once and forks only at a real choice.
+`reference_types_equal` is the earlier comparison of reified or parsed
+types: the checker's `eq_t` run over both types after `canonicalize`,
+within a fuel budget, where the checker's `types_equal` runs no engine.
+`bind_occurs_hook` registers an occurs hook as a goal, for tests that
+build goal pipelines by hand.
 `reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
 `reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
 the reference constraint handlers, as goal pipelines: each unifies a
@@ -42,7 +47,6 @@ from shapecheck.engine import (
     Term,
     Var,
     _unify_terms,
-    bind_occurs_hook,
     conj,
     delay,
     disj,
@@ -50,6 +54,7 @@ from shapecheck.engine import (
     fail,
     fresh_many,
     fresh_with,
+    run,
     shallow_walk,
     succeed,
     unify,
@@ -60,6 +65,9 @@ from shapecheck.types import (
     LNIL,
     T_INT,
     T_STR,
+    _binder_name,
+    _items,
+    _var_id,
     _walk_list,
     apply_type_subst,
     c_ind_args,
@@ -70,10 +78,12 @@ from shapecheck.types import (
     eq_ts,
     lcons,
     llist,
+    map_args,
     p_shape,
     t_array,
     t_arrow,
     t_ctor,
+    t_mu,
     t_name,
     t_sexp,
     type_occurs_hook,
@@ -619,6 +629,24 @@ def eager_solve_sexp(tag, subject, args, opts, kont):
 # ---------------------------------------------------------------------------
 
 
+def bind_occurs_hook(t: Term, hook) -> Goal:
+    """Register an occurs hook; t must walk to an unbound variable.
+
+    When binding that variable fails the occurs check, hook(variable id,
+    reified target) is called and may return a term to bind instead.
+    """
+
+    def goal(state):
+        w = shallow_walk(t, state.subst)
+        if not isinstance(w, Var):
+            return None
+        hooks = dict(state.hooks)
+        hooks[w.id] = hook
+        return succeed(State(state.subst, state.diseqs, hooks, state.counter, state.counters, state.watch))
+
+    return goal
+
+
 def set_type_hook(t) -> Goal:
     return bind_occurs_hook(t, type_occurs_hook)
 
@@ -765,6 +793,47 @@ def _ref_eq_ctor(c, d) -> Goal:
 def reference_eq_ts(ts, us) -> Goal:
     """reference_eq_t mapped over equal-length type lists."""
     return _ref_eq_list(ts, us, reference_eq_t)
+
+
+def canonicalize(t):
+    """Rename every variable and binder, free or bound, to n0, n1, ... in
+    first-occurrence order; the result is ground, with TName leaves in
+    place of variables."""
+    names: dict[tuple, str] = {}
+
+    def fresh(key):
+        return names.setdefault(key, f"n{len(names)}")
+
+    def go(x):
+        vid = _var_id(x)
+        if vid is not None:
+            return t_name(fresh(("var", vid)))
+        if not isinstance(x, Compound):
+            return x  # constructor ids, shape kinds
+        if x.tag == "TName":
+            return t_name(fresh(("name", x.args[0])))
+        if x.tag == "TMu":
+            return t_mu(fresh(("name", _binder_name(x.args[0]))), go(x.args[1]))
+        if x.tag == "TArrow":
+            bvars = [fresh(("name", _binder_name(b))) for b in _items(x.args[0])]
+            return t_arrow(llist(bvars), *(go(a) for a in x.args[1:]))
+        return map_args(x, go)
+
+    return go(t)
+
+
+def reference_types_equal(a, b, fuel: int = 200_000) -> Optional[bool]:
+    """The reference type comparison: the checker's `eq_t` run as a
+    search over the canonicalized (hence ground) types, within `fuel`
+    engine steps; None when the fuel ends before an answer. Each side's
+    binders are numbered from n0 on their own, so two mu types with the
+    same canonical binder are compared body to body, and it answers False
+    for some equal types (`mu a. [a]` against `mu b. [[b]]`)."""
+    ta, tb = canonicalize(a), canonicalize(b)
+    res = run(lambda q: conj(unify(q, 1), eq_t(ta, tb)), max_answers=1, fuel=fuel)
+    if res.answers:
+        return True
+    return None if res.fuel_exhausted else False
 
 
 def _ref_eq_constraint(c, d) -> Goal:

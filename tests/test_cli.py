@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from shapecheck import cli, types
 from shapecheck.checker import EXIT_CODES, CheckOptions, check_source
 from shapecheck.cli import EXIT_CLOSED_OUTPUT, EXIT_IO_ERROR, EXIT_USAGE, main
 from shapecheck.syntax import MAX_NESTING, ParseError, parse_program
@@ -489,17 +488,34 @@ def test_corpus_type_compared_modulo_unfolding(write, tmp_path):
     assert "b.lama: PASS (Typed)" in out
 
 
-def test_corpus_comparison_out_of_fuel_fails_by_name(write, tmp_path, monkeypatch):
-    # An undecided comparison is a failure that says so, not a mismatch.
-    # y is A((mu a. [a]), (mu b. [b])); compared with the expected type,
-    # the second pair of mu types has different canonical binders and
-    # unfolds until fuel ends.
-    monkeypatch.setattr(cli, "types_equal", lambda a, b: types.types_equal(a, b, fuel=3))
+def test_corpus_comparison_out_of_fuel_fails_by_name(write, tmp_path):
+    # y is A((mu a. [a]), (mu b. [b])). Against the expected type, the
+    # second pair of mu types unfolds into itself: met again, it counts
+    # as equal, and the comparison needs no budget.
     write("a.lama", "var x; x := [x];\nvar z; z := [z];\nvar y = A (x, z)\n")
     write("a.expected", "Typed\ny : A(mu c. [c], mu c. [c])\n")
     code, out = run_cli("corpus", str(tmp_path))
+    assert code == 0, out
+    assert "a.lama: PASS (Typed)" in out
+
+
+def test_corpus_expected_type_nested_too_deep_fails_by_name(write, tmp_path):
+    write("a.lama", "var x = 1\n")
+    write("a.expected", "Typed\nx : " + "[" * 3000 + "Int" + "]" * 3000 + "\n")
+    code, out = run_cli("corpus", str(tmp_path))
     assert code == 1
-    assert "a.lama: FAIL (y: type comparison ran out of budget)" in out
+    assert f"a.lama: FAIL (bad expected type for x: nesting deeper than {MAX_NESTING} levels" in out
+
+
+def test_corpus_reads_back_constructors_named_as_constraints(write, tmp_path):
+    src = "var x = Call (1); var y = Nil; y := x\n"
+    code, out = run_cli("check", write("p.lama", src))
+    assert "x : Call(Int) | Nil" in out.splitlines()
+    write("a.lama", src)
+    write("a.expected", "Typed\nx : Call(Int) | Nil\n")
+    code, out = run_cli("corpus", str(tmp_path))
+    assert code == 0, out
+    assert "a.lama: PASS (Typed)" in out
 
 
 def test_shipped_corpus_passes():

@@ -7,7 +7,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import is_not_var, is_var
+from oracles import bind_occurs_hook, is_not_var, is_var
 from shapecheck import engine
 from shapecheck.engine import (
     Compound,
@@ -16,7 +16,6 @@ from shapecheck.engine import (
     PMap,
     State,
     Var,
-    bind_occurs_hook,
     conj,
     delay,
     disj,

@@ -7,7 +7,9 @@ from shapecheck import gen as G
 from shapecheck.engine import Compound, Var
 from shapecheck.gen import infer_program
 from shapecheck.syntax import parse_program
-from shapecheck.types import LNIL, T_INT, T_STR, _list_from_term, c_eq, canonicalize, pretty_type
+from shapecheck.types import LNIL, T_INT, T_STR, _list_from_term, c_eq, pretty_type
+
+from oracles import canonicalize
 
 
 def gen(src):

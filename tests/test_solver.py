@@ -41,7 +41,6 @@ from shapecheck.types import (
     T_STR,
     P_WILD,
     TagTable,
-    canonicalize,
     c_call,
     c_eq,
     c_ind,
@@ -64,7 +63,7 @@ from shapecheck.types import (
 )
 
 import oracles
-from oracles import pick_next
+from oracles import canonicalize, pick_next
 
 OK = Compound("ok", ())
 

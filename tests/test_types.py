@@ -1,11 +1,13 @@
 """Type terms: interning, unfolding, equality, rendering, parsing."""
 
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecheck.checker import check_source
+from shapecheck.syntax import MAX_NESTING
 from shapecheck.engine import (
     Compound,
     FreeVar,
@@ -23,13 +25,11 @@ from shapecheck.types import (
     LNIL,
     T_INT,
     T_STR,
-    ComparisonExhausted,
     TagTable,
     TypeParseError,
     apply_type_subst,
     c_eq,
     c_ind,
-    canonicalize,
     eq_t,
     lcons,
     llist,
@@ -48,7 +48,7 @@ from shapecheck.types import (
 )
 
 import oracles as O
-from oracles import unmu
+from oracles import canonicalize, unmu
 from shapecheck import types
 
 
@@ -213,8 +213,8 @@ def test_eq_t_mu_folded_vs_unfolded():
 
 
 def test_mu_alpha_variants_equal_after_canonicalization():
-    # Raw structural equality needs matching binder names; the public
-    # comparison canonicalizes first, so alpha-variants compare equal.
+    # Raw structural equality needs matching binder names; types_equal
+    # unfolds mu types, so alpha-variants compare equal.
     tb, m1 = mu_int_list("x")
     tb2, m2 = mu_int_list("y")
     assert types_equal(ty_from_term(m1), ty_from_term(m2))
@@ -396,6 +396,12 @@ def test_render_constraint_forms():
         "forall a b. Ind(a, b) => (a) -> b",
         "(Int, Str) -> [Int]",
         "A(Int) | B(Str)",
+        # Constructors named as constraints are told apart by what
+        # follows their arguments.
+        "Call(Int) | Nil",
+        "Ind(Int)",
+        "[Call(Int)]",
+        "forall a. Eq(a, Call(Int)) & Call(a; Ind(Int); a) => (Eq(Int, Str)) -> (Call(Int) | Nil)",
     ],
 )
 def test_parse_render_round_trip(text):
@@ -404,6 +410,9 @@ def test_parse_render_round_trip(text):
     tb.intern("Cons", 2)
     tb.intern("A", 1)
     tb.intern("B", 1)
+    tb.intern("Call", 1)
+    tb.intern("Ind", 1)
+    tb.intern("Eq", 2)
     ty = parse_type(text, tb)
     assert pretty_type(canonicalize(ty), tb) == text
 
@@ -414,6 +423,24 @@ def test_parse_rejects_garbage():
         parse_type("mu . x", tb)
     with pytest.raises(TypeParseError):
         parse_type("[Int", tb)
+    # A union has at most one open tail.
+    with pytest.raises(TypeParseError, match="bad union member"):
+        parse_type("a | b", tb)
+    with pytest.raises(TypeParseError, match="bad union member"):
+        parse_type("A | a | b", tb)
+
+
+def test_parse_bounds_nesting():
+    # Parentheses around a whole type add no level; brackets, binders and
+    # arrows do.
+    tb = TagTable()
+    at_bound = "[" * (MAX_NESTING - 1) + "Int" + "]" * (MAX_NESTING - 1)
+    assert parse_type(at_bound, tb) == parse_type(f"(({at_bound}))", tb)
+    for deep in ("[" * 3000 + "Int" + "]" * 3000, "mu a. " * 3000 + "Int", "(Int) -> " * 3000 + "Int"):
+        with pytest.raises(TypeParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_type(deep, tb)
+    with pytest.raises(TypeParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse_type("[" * MAX_NESTING + "Int" + "]" * MAX_NESTING, tb)
 
 
 def test_ty_term_round_trip():
@@ -443,23 +470,47 @@ def test_types_equal_mu_folded_unfolded():
 
 
 def test_types_equal_out_of_fuel_raises():
-    # Undecided is not "not equal": a comparison that runs out of fuel
-    # says so instead of answering False. Canonical binders n0, n1 meet
-    # n0, n0, so the second pair of mu types unfolds forever.
+    # The second pair of mu types has binders that differ on each side
+    # and unfold into each other; the reference search unfolds them until
+    # its fuel ends. Met again, the pair counts as equal.
     tb = TagTable()
     tb.intern("A", 2)
     a = parse_type("A(mu a. [a], mu b. [b])", tb)
     b = parse_type("A(mu c. [c], mu c. [c])", tb)
-    for fuel in (3, 1000):
-        with pytest.raises(ComparisonExhausted):
-            types_equal(a, b, fuel=fuel)
+    assert types_equal(a, b) and types_equal(b, a)
+    assert O.reference_types_equal(a, b, fuel=1000) is None
 
 
 def test_types_equal_on_a_non_contractive_type_runs_out_of_fuel():
-    # `mu a. a` unfolds to itself; each unfolding past the first of a
-    # walk waits for a stream step, so fuel ends the comparison.
-    with pytest.raises(ComparisonExhausted):
-        types_equal(parse_type("mu a. a", TagTable()), T_INT, fuel=1000)
+    # `mu a. a` unfolds only to itself: it equals another such mu, and
+    # nothing else. The reference search unfolds it until its fuel ends.
+    tb = TagTable()
+    loop = parse_type("mu a. a", tb)
+    assert not types_equal(loop, T_INT) and not types_equal(T_INT, loop)
+    assert types_equal(loop, parse_type("mu b. b", tb))
+    assert types_equal(loop, parse_type("mu b. mu c. b", tb))
+    assert not types_equal(parse_type("A(mu a. a)", tb), parse_type("A(mu b. [b])", tb))
+    assert O.reference_types_equal(loop, T_INT, fuel=1000) is None
+
+
+def test_found_pairs_are_equal_within_milliseconds():
+    # Equal regular types on which the reference answers False (binders
+    # numbered apart on each side meet as names) or runs out of fuel.
+    tb = TagTable()
+    tb.intern("Nil", 0)
+    tb.intern("Cons", 2)
+    tb.intern("A", 2)
+    pairs = [
+        ("mu a. [a]", "mu b. [[b]]"),
+        ("mu a. Nil | Cons(Int, a)", "mu b. Nil | Cons(Int, mu c. Nil | Cons(Int, c))"),
+        ("A(mu a. [a], mu b. [b])", "A(mu c. [c], mu c. [c])"),
+    ]
+    for x, y in pairs:
+        a, b = parse_type(x, tb), parse_type(y, tb)
+        start = time.perf_counter()
+        assert types_equal(a, b) and types_equal(b, a)
+        assert time.perf_counter() - start < 0.05
+        assert O.reference_types_equal(a, b, fuel=1000) is not True
 
 
 def test_a_row_that_holds_its_own_tail_ends_by_fuel():
@@ -493,7 +544,7 @@ def test_types_equal_decides_folded_vs_unfolded_without_a_stream_step():
     state = empty_state()
     s = eq_t(canonicalize(folded), canonicalize(unfolded))(state)
     assert s is not None and s[1] is None
-    assert types_equal(folded, unfolded, fuel=3)
+    assert types_equal(folded, unfolded)
 
 
 def test_types_equal_alpha_invariant():
@@ -572,6 +623,157 @@ def test_nested_arrow_results_parse_back():
 @given(_ground, _ground)
 def test_types_equal_is_syntactic_on_mufree_ground(a, b):
     assert types_equal(a, b) == (a == b)
+
+
+# ---------------------------------------------------------------------------
+# Properties of types_equal and parse_type on random regular types
+# ---------------------------------------------------------------------------
+
+# A type is described as a tuple and built with fresh binder names, so a
+# description built twice with other names, or other free variables, is
+# an alpha-variant. ("name", k) is the k-th binder in scope counting out
+# from the innermost one, and a free variable where fewer are in scope.
+_LABELS = (("Nil", 0), ("Call", 1), ("Eq", 2), ("Cons", 2))
+_PER_PAIR_S = 0.25  # the comparison of one pair ends within this time
+
+
+def _grow_random_types(inner):
+    def args(n):
+        return st.lists(inner, min_size=n, max_size=n)
+
+    cell = st.sampled_from(range(len(_LABELS))).flatmap(lambda i: st.tuples(st.just(i), args(_LABELS[i][1])))
+    constraint = st.one_of(
+        st.tuples(st.sampled_from(["Eq", "Ind"]), inner, inner),
+        st.tuples(st.just("Call"), inner, st.lists(inner, max_size=2), inner),
+        st.sampled_from(range(len(_LABELS))).flatmap(
+            lambda i: st.tuples(st.just("Sexp"), st.just(i), inner, args(_LABELS[i][1]))
+        ),
+    )
+    return st.one_of(
+        st.tuples(st.just("arr"), inner),
+        st.tuples(st.just("sexp"), st.lists(cell, min_size=1, max_size=3), st.one_of(st.none(), st.integers(0, 2))),
+        st.tuples(st.just("mu"), inner),
+        st.tuples(
+            st.just("arrow"),
+            st.integers(0, 2),
+            st.lists(constraint, max_size=2),
+            st.lists(inner, max_size=2),
+            inner,
+        ),
+    )
+
+
+_random_types = st.recursive(
+    st.one_of(
+        st.sampled_from([("int",), ("str",), ("loop", 1), ("loop", 2)]),
+        st.tuples(st.just("name"), st.integers(0, 2)),
+    ),
+    _grow_random_types,
+    max_leaves=8,
+)
+
+
+def _realize(d, binder="b", free=(0, 1, 2)):
+    """The term a description stands for: binders named binder + a
+    number, free variable i numbered free[i]."""
+    numbers = itertools.count()
+
+    def fresh():
+        return f"{binder}{next(numbers)}"
+
+    def var(i):
+        return FreeVar(free[i], free[i])
+
+    def go(d, scope):
+        kind = d[0]
+        if kind == "int":
+            return T_INT
+        if kind == "str":
+            return T_STR
+        if kind == "name":
+            return t_name(scope[d[1]]) if d[1] < len(scope) else var(d[1] - len(scope))
+        if kind == "loop":  # a mu that only unfolds to a mu
+            names = [fresh() for _ in range(d[1])]
+            body = t_name(names[0])
+            for n in reversed(names):
+                body = t_mu(n, body)
+            return body
+        if kind == "arr":
+            return t_array(go(d[1], scope))
+        if kind == "sexp":
+            cells = [t_ctor(tag, llist([go(a, scope) for a in items])) for tag, items in d[1]]
+            return t_sexp(llist(cells, LNIL if d[2] is None else var(d[2])))
+        if kind == "mu":
+            n = fresh()
+            return t_mu(n, go(d[1], (n,) + scope))
+        bound = tuple(fresh() for _ in range(d[1]))
+        inner = bound[::-1] + scope
+        constraints = [constraint(c, inner) for c in d[2]]
+        return t_arrow(llist(list(bound)), llist(constraints), llist([go(p, inner) for p in d[3]]), go(d[4], inner))
+
+    def constraint(c, scope):
+        if c[0] == "Call":
+            return Compound("Call", (go(c[1], scope), llist([go(a, scope) for a in c[2]]), go(c[3], scope)))
+        if c[0] == "Sexp":
+            return Compound("SexpC", (c[1], go(c[2], scope), llist([go(a, scope) for a in c[3]])))
+        return Compound(c[0], (go(c[1], scope), go(c[2], scope)))
+
+    return go(d, ())
+
+
+def _unfold_some(t, rng, budget):
+    """t with up to budget[0] mu types, picked by rng, unfolded once."""
+    if isinstance(t, Compound) and t.tag == "TMu" and budget[0] and rng.random() < 0.5:
+        budget[0] -= 1
+        t = types.unfold_mu(t, PMap())
+    if not isinstance(t, Compound):
+        return t
+    return types.map_args(t, lambda a: _unfold_some(a, rng, budget))
+
+
+def _timed_equal(a, b) -> bool:
+    start = time.perf_counter()
+    same = types_equal(a, b)
+    assert time.perf_counter() - start < _PER_PAIR_S
+    return same
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_types, _random_types, st.permutations([0, 1, 2]), st.randoms(use_true_random=False))
+def test_types_equal_is_an_equivalence_up_to_unfolding_and_renaming(d, e, perm, rng):
+    t, u = _realize(d), _realize(e)
+    assert _timed_equal(t, t)
+    assert _timed_equal(t, u) == _timed_equal(u, t)
+    variant = _realize(d, binder="z", free=perm)
+    assert _timed_equal(t, variant) and _timed_equal(variant, t)
+    unfolded = _unfold_some(variant, rng, [3])
+    assert _timed_equal(t, unfolded) and _timed_equal(unfolded, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_types, _random_types, st.randoms(use_true_random=False))
+def test_types_equal_holds_wherever_the_reference_does(d, e, rng):
+    # The reference also answers False for some equal types, and runs out
+    # of fuel on others (a mu that only unfolds to a mu); only its True
+    # is checked. Half the pairs are a type and an unfolding of it.
+    t = _realize(d)
+    u = _unfold_some(_realize(d, binder="z"), rng, [2]) if rng.random() < 0.5 else _realize(e)
+    if O.reference_types_equal(t, u, fuel=1000):
+        assert _timed_equal(t, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_types)
+def test_rendered_random_types_parse_back(d):
+    # Rendering letters binders and free variables in first-occurrence
+    # order, so a type parses back to itself once it is named that way.
+    tb = TagTable()
+    for label, arity in _LABELS:
+        tb.intern(label, arity)
+    t = _realize(d)
+    named = parse_type(pretty_type(t, tb), tb)
+    assert types_equal(t, named)
+    assert parse_type(pretty_type(named, tb), tb) == named
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +906,7 @@ def test_eq_t_answers_as_the_reference_on_a_cycle_and_on_free_lists():
     a, b = (canonicalize(parse_type(s, tb)) for s in ("mu a. [a]", "mu b. [[b]]"))
     for eq in (O.reference_eq_t, eq_t):
         assert _eq_answers(eq, a, b, build=lambda t, vs: t) == ([], True)
-    assert not types_equal(parse_type("mu a. [a]", tb), parse_type("mu b. [[b]]", tb))
+    assert types_equal(parse_type("mu a. [a]", tb), parse_type("mu b. [[b]]", tb))
     # Two free type lists: both fork, nil first, then one cell each.
     free = ("arrow", (), (), 5, ("int",)), ("arrow", (), (), 6, ("int",))
     want = _eq_answers(O.reference_eq_t, *free)
