@@ -289,33 +289,32 @@ _MISSING = object()
 
 def var_free(t: Term) -> bool:
     """True when the raw structure of t contains no logic variable, so no
-    substitution can make one appear (cached on compounds)."""
+    substitution can make one appear (cached on compounds). The walk
+    keeps its own stack, so a deep term takes no Python stack."""
     if isinstance(t, Var):
         return False
     if not isinstance(t, Compound):
         return True
-    flag = t._var_free
-    if flag is None:
-        if t.tag == "lcons":
-            return _spine_var_free(t)
-        flag = all(var_free(a) for a in t.args)
-        t._var_free = flag
-    return flag
-
-
-def _spine_var_free(t: Compound) -> bool:
-    """var_free of a list (a chain of `lcons` cells, see types.llist),
-    caching every cell of its spine; the spine is walked in a loop, so a
-    long list takes no stack."""
-    cells = []
-    while isinstance(t, Compound) and t.tag == "lcons" and t._var_free is None:
-        cells.append(t)
-        t = t.args[1]
-    flag = var_free(t)
-    for cell in reversed(cells):
-        flag = flag and var_free(cell.args[0])
-        cell._var_free = flag
-    return flag
+    if t._var_free is None:
+        stack = [t]  # each compound waits for the flag of the one above it
+        while stack:
+            x = stack[-1]
+            flag = True
+            for a in x.args:
+                if isinstance(a, Var):
+                    flag = False
+                    break
+                if isinstance(a, Compound) and not a._var_free:
+                    if a._var_free is None:
+                        flag = None  # known once a's is
+                        stack.append(a)
+                    else:
+                        flag = False
+                    break
+            if flag is not None:
+                x._var_free = flag
+                stack.pop()
+    return t._var_free
 
 
 def occurs(vid: int, t: Term, subst: PMap) -> bool:

@@ -152,58 +152,36 @@ def _sleep_var(item, subst, weight):
     return shallow_walk(_subject(c), subst).id
 
 
-def _reversed_chain(chain, tail=None):
-    """The cons cells of chain, last first, in front of tail."""
-    while chain is not None:
-        tail = (chain[0], tail)
-        chain = chain[1]
-    return tail
-
-
 class ConstraintQueue:
-    """Persistent queue of pending constraints in two lanes, shared
-    between search branches.
+    """Persistent queue of pending constraints, shared between search
+    branches.
 
-    An equality weighs 0 in every state, so equalities wait in their own
-    FIFO lane of cons cells (a front chain and a reversed rear chain)
-    whose head is the pick, found without computing a weight. Every other
-    item waits in the other lane. The pick is the one a scan of a single
-    list in enqueue order makes: minimal weight, ties to the earliest, a
-    residual (weight None) never.
+    The pick is the one a scan of a single list in enqueue order makes:
+    minimal weight, ties to the earliest, a residual (weight None) never.
+    Items are weighed lazily and once. They join unweighed, in `fresh`;
+    the next pick weighs them and gives each its enqueue rank. Pickable
+    items then wait in `ranked`, a tuple sorted by (weight, rank), whose
+    head is the pick. An item whose weight can still change (a residual,
+    or a free subject) also sleeps in `sleepers`: variable id -> the
+    (weight, rank, item) entries waiting on it. A pick first wakes the
+    sleepers of every variable bound since `seen`, the substitution the
+    queue was last brought up to date with, listed by the substitution
+    itself (`PMap.keys_since`). A variable bound to another one hands its
+    sleepers to that one; one bound to anything else has them weighed
+    again, once, into their new place. So an item is weighed once when it
+    is first picked past and once per binding that changes its weight,
+    never at every pick.
 
-    The other lane is weighed lazily and once. Items join it unweighed,
-    in a chain (`front`, `rear`); the next pick from that lane weighs them
-    and gives each its enqueue rank. Pickable items then wait in `ranked`,
-    a tuple sorted by (weight, rank), whose head is the pick. An item
-    whose weight can still change (a residual, or a free subject) also
-    sleeps in `sleepers`: variable id -> the (weight, rank, item) entries
-    waiting on it. A pick first wakes the sleepers of every variable
-    bound since `seen`, the substitution the lane was last brought up to
-    date with, listed by the substitution itself (`PMap.keys_since`). A
-    variable bound to another one hands its sleepers to that one; one
-    bound to anything else has them weighed again, once, into their new
-    place. So an item is weighed once when it is first picked past and
-    once per binding that changes its weight, never at every pick.
-
-    `mixed` counts other-lane items that may weigh 0: raw variables, and
-    equalities queued there because one was waiting. While it is
-    nonzero new equalities join the other lane too, so every equality-lane
-    item precedes every other-lane item that may weigh 0. `size` counts
-    the items of both lanes.
+    `mixed` counts the items that may weigh 0: raw variables and
+    equalities. While it is 0 the solver dispatches new equalities at
+    once instead of queuing them (see `_enqueue`). `size` counts the
+    items.
     """
 
-    __slots__ = (
-        "eq_front", "eq_rear", "front", "rear", "mixed", "size", "ranked", "sleepers", "seen", "rank",
-    )
+    __slots__ = ("fresh", "mixed", "size", "ranked", "sleepers", "seen", "rank")
 
-    def __init__(
-        self, eq_front=None, eq_rear=None, front=None, rear=None, mixed=0, size=0,
-        ranked=(), sleepers=None, seen=None, rank=0,
-    ):
-        self.eq_front = eq_front  # None only when eq_rear is None too
-        self.eq_rear = eq_rear
-        self.front = front  # unweighed other-lane items, in enqueue order
-        self.rear = rear
+    def __init__(self, fresh=(), mixed=0, size=0, ranked=(), sleepers=None, seen=None, rank=0):
+        self.fresh = fresh  # unweighed items, in enqueue order
         self.mixed = mixed
         self.size = size
         self.ranked = ranked
@@ -218,42 +196,15 @@ class ConstraintQueue:
         """The queue with items appended in order; itself when there are none."""
         if not items:
             return self
-        eqs, rear, mixed = [], self.rear, self.mixed
-        for c in items:
-            if not isinstance(c, Compound) or (mixed and c.tag == "Eq"):
-                rear = (c, rear)
-                mixed += 1
-            elif c.tag == "Eq":
-                eqs.append(c)
-            else:
-                rear = (c, rear)
-        eq_front, eq_rear = self.eq_front, self.eq_rear
-        if eq_front is None:
-            # Built front first, so a long initial queue is never held
-            # twice, as a rear chain and its reversal.
-            for c in reversed(eqs):
-                eq_front = (c, eq_front)
-        else:
-            for c in eqs:
-                eq_rear = (c, eq_rear)
+        mixed = self.mixed + sum(not isinstance(c, Compound) or c.tag == "Eq" for c in items)
         return ConstraintQueue(
-            eq_front, eq_rear, self.front, rear, mixed, self.size + len(items),
+            self.fresh + tuple(items), mixed, self.size + len(items),
             self.ranked, self.sleepers, self.seen, self.rank,
         )
 
     def pop(self, state):
         """(picked item, the remaining queue), or None when the queue is
         empty or holds only residuals."""
-        cell = self.eq_front
-        if cell is not None:
-            eq_front, eq_rear = cell[1], self.eq_rear
-            if eq_front is None and eq_rear is not None:
-                eq_front, eq_rear = _reversed_chain(eq_rear), None
-            rest = ConstraintQueue(
-                eq_front, eq_rear, self.front, self.rear, self.mixed, self.size - 1,
-                self.ranked, self.sleepers, self.seen, self.rank,
-            )
-            return cell[0], rest
         ranked, sleepers, rank, dropped = self._settle(state)
         if not ranked:
             return None
@@ -268,11 +219,10 @@ class ConstraintQueue:
             else:
                 del sleepers[vid]
         mixed = self.mixed
-        if mixed and (not isinstance(item, Compound) or item.tag == "Eq"):
+        if not isinstance(item, Compound) or item.tag == "Eq":
             mixed -= 1
         size = self.size - 1 - dropped
-        rest = ConstraintQueue(None, None, None, None, mixed, size, ranked, sleepers, state.subst, rank)
-        return item, rest
+        return item, ConstraintQueue((), mixed, size, ranked, sleepers, state.subst, rank)
 
     def residuals(self, state) -> list:
         """The items of a queue that `pop` finds holding only residuals,
@@ -282,11 +232,11 @@ class ConstraintQueue:
         return [e[2] for e in sorted(entries, key=lambda e: e[1])]
 
     def _settle(self, state):
-        """The other lane brought up to date with state: (ranked,
-        sleepers, next rank, items dropped), after waking the sleepers of
-        every variable bound since `seen` and weighing the unweighed
-        items. An item is dropped when it repeats a lacks residual already
-        sleeping on its row (see `_sleep`)."""
+        """The queue brought up to date with state: (ranked, sleepers,
+        next rank, items dropped), after waking the sleepers of every
+        variable bound since `seen` and weighing the unweighed items. An
+        item is dropped when it repeats a lacks residual already sleeping
+        on its row (see `_sleep`)."""
         subst = state.subst
         ranked, sleepers, rank = self.ranked, self.sleepers, self.rank
         order = None  # ranked as a list, once something moves
@@ -308,10 +258,10 @@ class ConstraintQueue:
                     if entry[0] is not None:
                         del order[bisect_left(order, entry[:2])]
                     dropped += not self._place(entry[2], entry[1], state, order, sleepers)
-        if self.front is not None or self.rear is not None:
+        if self.fresh:
             if order is None:
                 order, sleepers = list(ranked), dict(sleepers)
-            for item in _lane(self.front, self.rear):
+            for item in self.fresh:
                 dropped += not self._place(item, rank, state, order, sleepers)
                 rank += 1
         if order is not None:
@@ -332,15 +282,13 @@ class ConstraintQueue:
             insort(order, entry)
         return True
 
-    def lanes(self):
-        """The equality lane and the other lane, each a list in enqueue
-        order (the equality lane's is its pop order)."""
+    def items(self) -> list:
+        """The queued items, in enqueue order."""
         weighed = list(self.ranked)
         for entries in self.sleepers.values():
             weighed += [e for e in entries if e[0] is None]
         weighed.sort(key=lambda e: e[1])
-        other = [e[2] for e in weighed] + _lane(self.front, self.rear)
-        return _lane(self.eq_front, self.eq_rear), other
+        return [e[2] for e in weighed] + list(self.fresh)
 
 
 def _sleep(sleepers, vid, entry) -> bool:
@@ -360,17 +308,23 @@ def _sleep(sleepers, vid, entry) -> bool:
     return True
 
 
-def _lane(front, rear) -> list:
-    out = []
-    while front is not None:
-        out.append(front[0])
-        front = front[1]
-    back = []
-    while rear is not None:
-        back.append(rear[0])
-        rear = rear[1]
-    out.extend(reversed(back))
-    return out
+def _enqueue(queue: ConstraintQueue, items):
+    """(queue with items appended, the equalities among them taken out to
+    be dispatched at once, in order).
+
+    An equality weighs 0, so while no queued item may weigh 0 as well
+    (`mixed` is 0) it is the next pick, and so is every equality after
+    it. The equalities of items up to the first raw variable are taken
+    out; the rest of items is queued."""
+    if queue.mixed:
+        return queue.push_all(items), []
+    eqs, others = [], []
+    for i, c in enumerate(items):
+        if not isinstance(c, Compound):
+            others += items[i:]
+            break
+        (eqs if c.tag == "Eq" else others).append(c)
+    return queue.push_all(others), eqs
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +339,7 @@ def variant_key(item, queue: ConstraintQueue, subst, diseqs) -> tuple:
     """A flat token tuple naming a dispatch state up to renaming.
 
     It covers the query variable Var(0) (the roots), the picked item,
-    both lanes of the remaining queue in order, and every pending
+    the items of the remaining queue in order, and every pending
     disequality pair, deep-walked under subst in one iterative pre-order
     walk, so a long list takes no stack and hashing sees no nested term.
     Unbound variables become their first-occurrence numbers (0, 1, ...),
@@ -396,12 +350,12 @@ def variant_key(item, queue: ConstraintQueue, subst, diseqs) -> tuple:
     have equal keys iff one is the other with variables and names renamed
     one-to-one, so both have the same search tree up to that renaming.
     """
-    eq_lane, other_lane = queue.lanes()
-    out = [queue.mixed, len(eq_lane), len(other_lane), len(diseqs)]
+    items = queue.items()
+    out = [queue.mixed, len(items), len(diseqs)]
     todo = []
     for d in reversed(diseqs):
         todo += (d[1], d[0])
-    for c in reversed([item, *eq_lane, *other_lane]):
+    for c in reversed([item, *items]):
         todo.append(c)
         if isinstance(c, Var):
             todo.append(_RAW)
@@ -493,9 +447,12 @@ def entail_all(constraints, opts: SolverOpts):
     """Succeed iff every constraint is entailed.
 
     The empty queue succeeds; otherwise one constraint is picked, solved,
-    and the loop recurses on the remainder plus whatever it spawned. A
-    nonempty queue of only unpickable residuals is labeled (`_label`):
-    its open rows are closed, or it is stuck and fails.
+    and the loop recurses on the remainder plus whatever it spawned. An
+    equality, the lightest constraint, is dispatched as soon as it is
+    generated or spawned, unless a queued item may weigh 0 too; then it is
+    queued like any other (see `_enqueue`). A nonempty queue of only
+    unpickable residuals is labeled (`_label`): its open rows are closed,
+    or it is stuck and fails.
 
     A branch that dispatches a Call of a quantified arrow in a state that
     is a variant of an ancestor's (see `variant_key`) ends there: its
@@ -504,16 +461,31 @@ def entail_all(constraints, opts: SolverOpts):
     is Var(0) and entail_all is its last goal, as in `checker.solve_gen`.
     Counters record the first such cut in `cycle`.
     """
-    return _entail(ConstraintQueue().push_all(constraints), opts, PMap())
+    return _entail(*_enqueue(ConstraintQueue(), constraints), opts, PMap())
 
 
-def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
+def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap):
+    """The goal that dispatches the equalities eqs, in order, then solves
+    the queue. An equality is dispatched like a picked item (it counts,
+    and it is the last constraint) without entering the queue (see
+    `_enqueue`)."""
+
     def goal(state):
+        counters = state.counters
+        # While each walk is determinate (one mature answer), the
+        # equalities are dispatched in this call; the rest resume in one
+        # delayed step after the last one or after a walk that forks.
+        for i, eq in enumerate(eqs):
+            counters.dispatched += 1
+            counters.last_constraint = (eq, state.subst)
+            s = eq_t(eq.args[0], eq.args[1])(state)
+            if i == len(eqs) - 1 or s is None or callable(s) or s[1] is not None:
+                return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits)))
+            state = s[0]
         picked = queue.pop(state)
         if picked is None:
             return _label(queue, opts, visits)(state) if queue else succeed(state)
         item, rest = picked
-        counters = state.counters
         counters.dispatched += 1
         # Stored lazily (term + persistent substitution); reified only if
         # the failure report needs it.
@@ -521,21 +493,11 @@ def _entail(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
         below = visits
 
         def kont(spawned):
-            return delay(lambda: _entail(rest.push_all(spawned), opts, below))
+            return delay(lambda: _entail(*_enqueue(rest, spawned), opts, below))
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
-            # While each walk is determinate (one mature answer), the
-            # equalities next in the lane are dispatched in this call.
-            while True:
-                s = eq_t(w.args[0], w.args[1])(state)
-                if rest.eq_front is None or s is None or callable(s) or s[1] is not None:
-                    return mbind(s, kont([]))
-                state = s[0]
-                item, rest = rest.pop(state)
-                counters.dispatched += 1
-                counters.last_constraint = (item, state.subst)
-                w = shallow_walk(item, state.subst)
+            return mbind(eq_t(w.args[0], w.args[1])(state), kont([]))
         if w.tag == "Ind":
             return solve_ind(w.args[0], w.args[1], opts, kont)(state)
         if w.tag == "Call":
@@ -596,7 +558,7 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
                 tails.setdefault(tail.id, (tail, c.args[2]))
         if not tails:
             return succeed(state)
-        again = delay(lambda: _entail(queue, opts, visits))
+        again = delay(lambda: _entail(queue, [], opts, visits))
         closed = [unify(tail, LNIL) for tail, _ in tails.values()]
         branches = [conj(*closed, again)]
         for i, (tail, n) in enumerate(tails.values()):

@@ -193,49 +193,48 @@ def apply_type_subst(mapping: dict, term, subst):
     it goes. Binders in TMu / TArrow shadow identically-named entries.
     A compound is rewritten once per set of names in scope, however many
     paths lead to it (through the substitution, or as a `mu` type that
-    unfolding referenced more than once).
+    unfolding referenced more than once). The walk keeps its own stack,
+    so a deep term takes no Python stack.
     """
     memos = {}  # names in scope -> {id of a compound: its rewrite}
-
-    def under(mapping, shadowed):
-        inner = {k: v for k, v in mapping.items() if k not in shadowed}
-        return inner, memos.setdefault(frozenset(inner), {})
-
-    def go(term, mapping, memo):
-        t = shallow_walk(term, subst)
+    out = []  # rewritten subterms, in order
+    # Tasks: (term, names in scope, memo, None) rewrites term; (compound,
+    # None, memo, kept) builds it from kept and the rewrites of its other
+    # arguments, the last ones on out.
+    todo = [(term, mapping, memos.setdefault(frozenset(mapping), {}), None)]
+    while todo:
+        t, names, memo, kept = todo.pop()
+        if kept is not None:
+            n = len(t.args) - len(kept)
+            built = memo[id(t)] = Compound(t.tag, kept + tuple(out[len(out) - n:]))
+            del out[len(out) - n:]
+            out.append(built)
+            continue
+        t = shallow_walk(t, subst)
         if not isinstance(t, Compound):
-            return t
-        out = memo.get(id(t))
-        if out is not None:
-            return out
-        if t.tag == "TName":
-            out = mapping.get(t.args[0], t)
-        elif t.tag == "TMu":
-            binder = shallow_walk(t.args[0], subst)
-            inner, inner_memo = under(mapping, (binder,))
-            out = t_mu(binder, go(t.args[1], inner, inner_memo)) if inner else t
-        elif t.tag == "TArrow":
-            bvars = _walk_list(t.args[0], subst)
-            shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
-            inner, inner_memo = under(mapping, shadowed)
-            if inner:
-                args = tuple(go(a, inner, inner_memo) for a in t.args[1:])
-                out = Compound(t.tag, (t.args[0],) + args)
-            else:
-                out = t
-        elif t.tag == "lcons":  # a list spine, walked in a loop
-            heads = []
-            cell = t
-            while isinstance(cell, Compound) and cell.tag == "lcons":
-                heads.append(go(cell.args[0], mapping, memo))
-                cell = shallow_walk(cell.args[1], subst)
-            out = llist(heads, go(cell, mapping, memo))
-        else:
-            out = Compound(t.tag, tuple(go(a, mapping, memo) for a in t.args))
-        memo[id(t)] = out
-        return out
-
-    return go(term, mapping, memos.setdefault(frozenset(mapping), {}))
+            out.append(t)
+            continue
+        done = memo.get(id(t))
+        if done is None:
+            tag, kept, inner, inner_memo = t.tag, (), names, memo
+            if tag == "TName":
+                done = names.get(t.args[0], t)
+            elif tag == "TMu" or tag == "TArrow":
+                if tag == "TMu":
+                    kept = shadowed = (shallow_walk(t.args[0], subst),)
+                else:
+                    kept, bvars = t.args[:1], _walk_list(t.args[0], subst)
+                    shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
+                inner = {k: v for k, v in names.items() if k not in shadowed}
+                done = None if inner else t
+                inner_memo = memos.setdefault(frozenset(inner), {})
+            if done is None:
+                todo.append((t, None, memo, kept))
+                todo.extend((a, inner, inner_memo, None) for a in reversed(t.args[len(kept):]))
+                continue
+            memo[id(t)] = done
+        out.append(done)
+    return out[0]
 
 
 def _walk_list(term, subst) -> Optional[list]:
@@ -534,41 +533,79 @@ def pretty_type(ty, table: TagTable, names: Optional[_NameGen] = None) -> str:
     """Deterministic rendering with variables lettered in
     first-occurrence order; re-parseable by parse_type. Pass a shared
     name generator to letter several types consistently."""
-    return _render(ty, table, names or _NameGen())
+    return _render(_TY, ty, table, names or _NameGen())
 
 
-def _union_size(t: Compound) -> int:
-    entries, tail = _list_from_term(t.args[0])
-    return len(entries) + (_var_id(tail) is not None)
+def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> str:
+    return _render(_CON, c, table, names or _NameGen())
 
 
-def _atomish(t, table, names) -> str:
-    s = _render(t, table, names)
-    if isinstance(t, Compound) and (t.tag in ("TArrow", "TMu") or (t.tag == "TSexp" and _union_size(t) > 1)):
-        return f"({s})"
-    return s
+# What a render task prints: a type, a type in parentheses when it is an
+# arrow, a mu or a union of more than one member, a member of a union, a
+# constraint, a pattern.
+_TY, _ATOM, _MEMBER, _CON, _PAT = range(5)
+
+# Render markers: the text printed from _HOLD to _KEEP is held back, and
+# _PUT prints it.
+_HOLD, _KEEP, _PUT = object(), object(), object()
 
 
-def _is_ctor(t) -> bool:
-    return isinstance(t, Compound) and t.tag == "ctor"
+def _render(kind, t, table, names) -> str:
+    """The text of a render task. The tasks keep their own stack, so a
+    deep term takes no Python stack; each task is expanded into its text
+    or the pieces of it (`_pieces`), left to right, so variables are
+    lettered in the order they are printed."""
+    out, marks, held = [], [], []
+    todo = [(kind, t)]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            x = _pieces(*x, table, names)
+            if type(x) is list:
+                todo.extend(reversed(x))
+                continue
+        if type(x) is str:
+            out.append(x)
+        elif x is _HOLD:
+            marks.append(len(out))
+        elif x is _KEEP:
+            at = marks.pop()
+            held.append("".join(out[at:]))
+            del out[at:]
+        else:
+            out.append(held.pop())
+    return "".join(out)
 
 
-def _render_entry(e, table, names) -> str:
-    """One member of a union: a constructor, or a variable standing for
-    one (a free list cell, or a constructor whose tag is still free)."""
-    if not _is_ctor(e):
-        return _atomish(e, table, names)
-    tag = e.args[0]
-    if not isinstance(tag, int):
-        return _atomish(tag, table, names)
-    label = table.label(tag) if 0 <= tag < table.sexp_max_length else "?"
-    args = _items(e.args[1])
-    if args:
-        return f"{label}({', '.join(_atomish(a, table, names) for a in args)})"
-    return label
+def _joined(kind, items, sep=", ") -> list:
+    pieces = []
+    for i, x in enumerate(items):
+        pieces += (sep, (kind, x)) if i else ((kind, x),)
+    return pieces
 
 
-def _render(t, table, names) -> str:
+def _pieces(kind, t, table, names):
+    """One render task as its text, or as a list of pieces in order: text,
+    and the tasks of its parts."""
+    if kind == _ATOM:
+        if isinstance(t, Compound) and (t.tag in ("TArrow", "TMu") or (t.tag == "TSexp" and _union_size(t) > 1)):
+            return ["(", (_TY, t), ")"]
+        return _pieces(_TY, t, table, names)
+    if kind == _MEMBER:
+        # A constructor, or a variable standing for one (a free list
+        # cell, or a constructor whose tag is still free).
+        if not _is_ctor(t):
+            return _pieces(_ATOM, t, table, names)
+        tag = t.args[0]
+        if not isinstance(tag, int):
+            return _pieces(_ATOM, tag, table, names)
+        label = table.label(tag) if 0 <= tag < table.sexp_max_length else "?"
+        args = _items(t.args[1])
+        return [f"{label}(", *_joined(_ATOM, args), ")"] if args else label
+    if kind == _CON:
+        return _constraint_pieces(t, table)
+    if kind == _PAT:
+        return _pattern_pieces(t, table)
     vid = _var_id(t)
     if vid is not None:
         return names.get(("var", vid))
@@ -581,82 +618,75 @@ def _render(t, table, names) -> str:
     if t.tag == "TStr":
         return "Str"
     if t.tag == "TArray":
-        return f"[{_render(t.args[0], table, names)}]"
+        return ["[", (_TY, t.args[0]), "]"]
     if t.tag == "TSexp":
         entries, tail = _list_from_term(t.args[0])
-        parts = [_render_entry(e, table, names) for e in entries]
         # An open union shows its tail variable; any other tail is not shown.
-        if _var_id(tail) is not None:
-            parts.append(_render(tail, table, names))
-        return " | ".join(parts)
+        return _joined(_MEMBER, entries + [tail] * (_var_id(tail) is not None), " | ")
     if t.tag == "TArrow":
         bvars, bcs, params = (_items(a) for a in t.args[:3])
-        quant = ""
+        pieces = []
         if bvars:
-            quant = "forall " + " ".join(names.get(("name", _binder_name(b))) for b in bvars) + ". "
-        constr = ""
+            pieces.append("forall " + " ".join(names.get(("name", _binder_name(b))) for b in bvars) + ". ")
         if bcs:
-            constr = " & ".join(render_constraint(c, table, names) for c in bcs) + " => "
-        ps = ", ".join(_atomish(p, table, names) for p in params)
-        return f"{quant}{constr}({ps}) -> {_atomish(t.args[3], table, names)}"
+            pieces += _joined(_CON, bcs, " & ") + [" => "]
+        return pieces + ["(", *_joined(_ATOM, params), ") -> ", (_ATOM, t.args[3])]
     if t.tag == "TMu":
-        return f"mu {names.get(('name', _binder_name(t.args[0])))}. {_render(t.args[1], table, names)}"
+        return [f"mu {names.get(('name', _binder_name(t.args[0])))}. ", (_TY, t.args[1])]
     raise ValueError(f"not a type: {t!r}")
 
 
-def render_constraint(c, table: TagTable, names: Optional[_NameGen] = None) -> str:
-    names = names or _NameGen()
+def _union_size(t: Compound) -> int:
+    entries, tail = _list_from_term(t.args[0])
+    return len(entries) + (_var_id(tail) is not None)
 
-    def r(t):
-        return _render(t, table, names)
 
-    def rs(ts):
-        return ", ".join(r(x) for x in _items(ts))
+def _is_ctor(t) -> bool:
+    return isinstance(t, Compound) and t.tag == "ctor"
 
+
+def _constraint_pieces(c, table) -> list:
     if _var_id(c) is not None:
         # A constraint that is still a variable constrains nothing.
-        return f"Eq({r(c)}, {r(c)})"
+        return ["Eq(", (_TY, c), ", ", (_TY, c), ")"]
     tag = c.tag if isinstance(c, Compound) else None
     if tag in ("Ind", "Eq"):
-        return f"{tag}({r(c.args[0])}, {r(c.args[1])})"
+        return [f"{tag}(", (_TY, c.args[0]), ", ", (_TY, c.args[1]), ")"]
     if tag == "Call":
-        return f"Call({r(c.args[0])}; {rs(c.args[1])}; {r(c.args[2])})"
+        return ["Call(", (_TY, c.args[0]), "; ", *_joined(_TY, _items(c.args[1])), "; ", (_TY, c.args[2]), ")"]
     if tag == "SexpC":
-        return f"Sexp[{table.label(c.args[0])}]({r(c.args[1])}; {rs(c.args[2])})"
+        return [f"Sexp[{table.label(c.args[0])}](", (_TY, c.args[1]), "; ", *_joined(_TY, _items(c.args[2])), ")"]
     if tag == "Match":
-        pats = ", ".join(render_pattern(p, table, names) for p in _items(c.args[1]))
-        return f"Match({r(c.args[0])}; {pats})"
+        # The patterns are lettered before the subject, and printed after it.
+        pats = _joined(_PAT, _items(c.args[1]))
+        return ["Match(", _HOLD, *pats, _KEEP, (_TY, c.args[0]), "; ", _PUT, ")"]
     # Residuals print their open list as a union (a row) or as arguments,
     # an open tail after `|`.
     if tag == "Lacks":
-        return f"Lacks[{table.label(c.args[0])}]({r(t_sexp(c.args[1]))})"
+        return [f"Lacks[{table.label(c.args[0])}](", (_TY, t_sexp(c.args[1])), ")"]
     if tag == "IndRow":
-        return f"IndRow({r(t_sexp(c.args[0]))}; {r(c.args[1])})"
+        return ["IndRow(", (_TY, t_sexp(c.args[0])), "; ", (_TY, c.args[1]), ")"]
     if tag == "IndArgs":
         items, tail = _list_from_term(c.args[0])
-        parts = [", ".join(r(x) for x in items)] if items else []
+        pieces = _joined(_TY, items)
         if _var_id(tail) is not None:
-            parts.append(r(tail))
-        return f"IndArgs({' | '.join(parts)}; {r(c.args[1])})"
+            pieces += [" | " if items else "", (_TY, tail)]
+        return ["IndArgs(", *pieces, "; ", (_TY, c.args[1]), ")"]
     raise ValueError(f"not a constraint: {c!r}")
 
 
-def render_pattern(p, table: TagTable, names: Optional[_NameGen] = None) -> str:
-    names = names or _NameGen()
-
-    def rs(ps):
-        return ", ".join(render_pattern(x, table, names) for x in _items(ps))
-
+def _pattern_pieces(p, table) -> list:
     tag = p.tag if isinstance(p, Compound) else None
     if tag == "PWild" or _var_id(p) is not None:
         return "_"
     if tag == "PAt":
-        return f"{_render(p.args[0], table, names)} @ {render_pattern(p.args[1], table, names)}"
+        return [(_TY, p.args[0]), " @ ", (_PAT, p.args[1])]
     if tag == "PArray":
-        return f"[{rs(p.args[0])}]"
+        return ["[", *_joined(_PAT, _items(p.args[0])), "]"]
     if tag == "PSexp":
         label = table.label(p.args[0])
-        return f"{label}({rs(p.args[1])})" if _items(p.args[1]) else label
+        args = _items(p.args[1])
+        return [f"{label}(", *_joined(_PAT, args), ")"] if args else label
     if tag == "PShape":
         return f"#{p.args[0]}"
     raise ValueError(f"not a pattern: {p!r}")
@@ -670,6 +700,9 @@ def render_pattern(p, table: TagTable, names: Optional[_NameGen] = None) -> str:
 class TypeParseError(ValueError):
     pass
 
+
+# An error message quotes at most this many characters of the text.
+_QUOTED = 60
 
 # A token is `->`, `=>`, a word, or any other single non-space character.
 _TOKEN = re.compile(r"->|=>|\w+|\S")
@@ -702,7 +735,12 @@ class _TypeParser:
         self.free: dict[str, FreeVar] = {}  # free variables, numbered in order
 
     def error(self, msg):
-        raise TypeParseError(f"{msg} at offset {self.starts[self.pos]} in {self.text!r}")
+        at, text = self.starts[self.pos], self.text
+        if len(text) > _QUOTED:  # a long text is quoted around the offset
+            lo = max(0, min(at - _QUOTED // 2, len(text) - _QUOTED))
+            hi = lo + _QUOTED
+            text = ("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else "")
+        raise TypeParseError(f"{msg} at offset {at} in {text!r}")
 
     def after(self, i: int) -> Optional[str]:
         """The token after the group that the bracket at i opens."""

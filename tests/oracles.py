@@ -5,6 +5,9 @@ recursive-type unfolding, and the candidate-list enumerator counts bounded
 constructor lists directly; neither touches the relational engine.
 `pick_next` is the list-based reference for the solver's pick order: it
 reads weights through the solver's own `constraint_weight` and nothing else.
+`ListQueue` is the reference for the solver's queue and its equality
+bypass: a plain list of every pending item, equalities too, picked by
+`pick_next`.
 `recheck_unify`/`recheck_disunify` are the reference disequality store,
 built on the engine's own `_unify_terms`: it rechecks every pending pair
 after every unification, without watches. `resolve_scopes` is the
@@ -286,6 +289,65 @@ def pick_next(queue, state):
             if w == 0:
                 break
     return best
+
+
+class ListQueue:
+    """`solver.ConstraintQueue` as a tuple of every pending item in
+    enqueue order, equalities included, picked by `pick_next`: with
+    `solver._enqueue` queuing everything, each equality is picked like any
+    other item.
+
+    Like the solver's queue, it holds one lacks residual per tag and open
+    tail: a waiting lacks residual that repeats an earlier waiting one is
+    dropped. (The solver's queue keeps the one it filed on the tail first,
+    which is the earlier one until two open tails are unified.)"""
+
+    def __init__(self, pending=()):
+        self.pending = pending
+
+    @property
+    def size(self) -> int:
+        return len(self.pending)
+
+    @property
+    def mixed(self) -> int:
+        return sum(not isinstance(c, Compound) or c.tag == "Eq" for c in self.pending)
+
+    def __bool__(self):
+        return bool(self.pending)
+
+    def push_all(self, items) -> "ListQueue":
+        return ListQueue(self.pending + tuple(items)) if items else self
+
+    def items(self) -> list:
+        return list(self.pending)
+
+    def pop(self, state):
+        pending = self._kept(state)
+        i = pick_next(pending, state)
+        if i is None:
+            return None
+        return pending[i], ListQueue(pending[:i] + pending[i + 1 :])
+
+    def residuals(self, state) -> list:
+        return list(self._kept(state))
+
+    def _kept(self, state) -> tuple:
+        kept, seen = [], set()
+        for c in self.pending:
+            w = shallow_walk(c, state.subst)
+            if isinstance(w, Compound) and w.tag == "Lacks" and constraint_weight(c, state) is None:
+                key = (w.args[0], shallow_walk(w.args[1], state.subst).id)
+                if key in seen:
+                    continue
+                seen.add(key)
+            kept.append(c)
+        return tuple(kept)
+
+
+def queue_everything(queue, items):
+    """`solver._enqueue` with no equality taken out: every item is queued."""
+    return queue.push_all(items), []
 
 
 def diseq_survives(pairs, subst):

@@ -148,6 +148,16 @@ def test_too_deep_nesting_is_malformed(write, source, where):
     assert out.splitlines() == ["Malformed", f"{where}: nesting deeper than {MAX_NESTING} levels"]
 
 
+def _check_in_fresh_interpreter(path):
+    """`shapecheck check` in a fresh interpreter, whose recursion limit no earlier run raised."""
+    return subprocess.run(
+        [sys.executable, "-m", "shapecheck", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+
+
 @pytest.mark.parametrize(
     "build, k",
     [
@@ -162,13 +172,7 @@ def test_program_at_the_nesting_bound_still_checks(tmp_path, build, k):
         parse_program(build(k + 1))
     path = tmp_path / "p.lama"
     path.write_text(build(k), encoding="utf-8")
-    # A fresh interpreter, whose recursion limit no earlier run raised.
-    proc = subprocess.run(
-        [sys.executable, "-m", "shapecheck", "check", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
+    proc = _check_in_fresh_interpreter(path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "Typed"
 
@@ -204,6 +208,41 @@ def test_long_programs_check_under_the_default_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["Typed"] * len(LONG_PROGRAMS) + ["True"]
+
+
+def _array_chain(n):
+    """v0 is an Int and each later v{i} the array of the one before: the
+    type of v{n - 1} is nested n levels deep."""
+    return "var v0 = 1;\n" + "\n".join(f"var v{i} = [v{i - 1}];" for i in range(1, n))
+
+
+def _nested_array(depth):
+    return "[" * depth + "Int" + "]" * depth
+
+
+def test_instantiating_a_deep_type_checks_under_the_default_recursion_limit(tmp_path):
+    # A call instantiates the 400-level result type of f.
+    path = tmp_path / "p.lama"
+    path.write_text(_array_chain(400) + "\nfun f (x) { v399 } var r = f (1);\n", encoding="utf-8")
+    proc = _check_in_fresh_interpreter(path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "Typed"
+    assert lines[1:] == [f"v{i} : {_nested_array(i)}" for i in range(400)] + [
+        f"f : forall a. (a) -> {_nested_array(399)}",
+        f"r : {_nested_array(399)}",
+    ]
+
+
+def test_reporting_a_deep_type_needs_no_deep_recursion(tmp_path):
+    path = tmp_path / "p.lama"
+    path.write_text(_array_chain(1200) + "\n", encoding="utf-8")
+    proc = _check_in_fresh_interpreter(path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "Typed"
+    assert len(lines) == 1201
+    assert f"v1199 : {_nested_array(1199)}" in lines
 
 
 @pytest.mark.parametrize(
@@ -505,6 +544,9 @@ def test_corpus_expected_type_nested_too_deep_fails_by_name(write, tmp_path):
     code, out = run_cli("corpus", str(tmp_path))
     assert code == 1
     assert f"a.lama: FAIL (bad expected type for x: nesting deeper than {MAX_NESTING} levels" in out
+    # The message quotes the text around the offset, not all of it.
+    fail = next(line for line in out.splitlines() if line.startswith("a.lama: FAIL"))
+    assert len(fail) < 200, fail
 
 
 def test_corpus_reads_back_constructors_named_as_constraints(write, tmp_path):

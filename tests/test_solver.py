@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from shapecheck import solver
-from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source
+from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source, solve_gen
 from shapecheck.engine import (
     Compound,
     Counters,
@@ -23,10 +23,12 @@ from shapecheck.engine import (
     disunify,
     empty_state,
     fresh_many,
+    reify_term,
     run,
     shallow_walk,
     unify,
 )
+from shapecheck.gen import infer_program
 from shapecheck.solver import (
     ConstraintQueue,
     SolverOpts,
@@ -34,6 +36,7 @@ from shapecheck.solver import (
     entail_all,
     variant_key,
 )
+from shapecheck.syntax import parse_program
 from shapecheck.types import (
     LNIL,
     lcons,
@@ -147,7 +150,7 @@ def test_free_subject_all_box_match_is_unpickable():
 
 
 # ---------------------------------------------------------------------------
-# The two-lane queue against the list-based reference
+# The queue against the list-based reference
 # ---------------------------------------------------------------------------
 
 _TYPE_VARS = 3  # subjects; a binding makes one ground or links it onward
@@ -209,9 +212,9 @@ def test_queue_picks_as_the_list_reference(initial, steps):
     reference = fresh_items(initial)
     queue = ConstraintQueue().push_all(reference)
     for bindings, spawned in steps:
-        # Both lanes together hold exactly the reference's items.
+        # The queue holds exactly the reference's items.
         assert queue.size == len(reference)
-        assert sorted(map(id, sum(queue.lanes(), []))) == sorted(map(id, reference))
+        assert sorted(map(id, queue.items())) == sorted(map(id, reference))
         for i, value in bindings:
             if i < _TYPE_VARS:
                 # Links only point to a later variable, so no cycle forms.
@@ -270,7 +273,7 @@ def test_queue_wakes_as_the_list_reference_under_unification(initial, steps):
     queue = ConstraintQueue().push_all(reference)
     for ops, spawned in steps:
         assert queue.size == len(reference)
-        assert sorted(map(id, sum(queue.lanes(), []))) == sorted(map(id, reference))
+        assert sorted(map(id, queue.items())) == sorted(map(id, reference))
         for op, i, j in ops:
             if op == "link":
                 goal = unify(tvars[i], tvars[j])
@@ -1080,13 +1083,13 @@ def test_variant_key_ignores_variable_ids_and_hook_binder_names():
     assert renamed == base
 
 
-def test_variant_key_sees_lane_split_diseq_and_root_binding():
+def test_variant_key_sees_raw_item_diseq_and_root_binding():
     x, y, z = Var(1), Var(2), Var(3)
     base = _scenario(x, y, z, "r7")
-    # The same two items, the equality waiting in the other lane.
-    other_lane = ConstraintQueue(None, None, (c_eq(x, T_INT), (c_ind(x, y), None)), None, 1, 2)
-    assert other_lane.size == 2
-    assert _scenario(x, y, z, "r7", queue=other_lane) != base
+    # The same two items, queued behind a raw variable.
+    behind_raw = ConstraintQueue().push_all([Var(4), c_eq(x, T_INT), c_ind(x, y)])
+    assert behind_raw.mixed == 2
+    assert _scenario(x, y, z, "r7", queue=behind_raw) != base
     assert _scenario(x, y, z, "r7", diseq=None) != base
     assert _scenario(x, y, z, "r7", diseq=T_INT) != base
     assert _scenario(x, y, z, "r7", roots=llist([x, Var(4)])) != base
@@ -1208,3 +1211,106 @@ def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatc
         assert check_source(source).verdict in (TYPED, ILL_TYPED)
     assert len(visits) > 100
     assert keyed == []
+
+
+# ---------------------------------------------------------------------------
+# The equality bypass against a queue of every item
+# ---------------------------------------------------------------------------
+
+# Small programs over three variables and two functions, one statement
+# per template: integers, strings, arrays, S-expressions, lists, case
+# patterns (constructors, `@`, shapes) and calls of both functions.
+_STATEMENTS = (
+    "{a} := {b};",
+    "{a} := 1;",
+    '{a} := "s";',
+    "{a} := [{b}];",
+    "{a} := {b} [0];",
+    "{a} := A ({b});",
+    "{a} := B ({b}, {c});",
+    "{a} := Nil;",
+    "{a} := Cons ({b}, {c});",
+    "{a} := case {b} of A (u) -> u | B (u, w) -> w | _ -> {c} esac;",
+    "{a} := case {b} of u@Cons (_, _) -> u | Nil -> {c} esac;",
+    "{a} := case {b} of #box -> 1 | #str -> 2 | _ -> 0 esac;",
+    "{a} := f ({b});",
+    "{a} := g ({b});",
+    "{a} := {b} + 1;",
+)
+_PREAMBLE = "var x, y, z;\nfun f (p) { p [0] }\nfun g (q) { case q of A (r) -> r | _ -> q esac }\n"
+_statement = st.tuples(
+    st.sampled_from(_STATEMENTS), st.sampled_from("xyz"), st.sampled_from("xyz"), st.sampled_from("xyz")
+).map(lambda t: t[0].format(a=t[1], b=t[2], c=t[3]))
+_small_programs = st.lists(_statement, min_size=1, max_size=6).map(lambda ss: _PREAMBLE + "\n".join(ss))
+
+
+def _outcome(source, prune, fuel):
+    """What decides a check's verdict and message, every answer of up to
+    7 and the dispatch count, but not the steps (a queued equality takes
+    one per pick); None when the fuel runs out. The constraint a message
+    names (the cut `Call`, or the last dispatched one) is compared as a
+    term, not rendered: a type that shares subterms prints as a tree,
+    exponentially long."""
+    options = CheckOptions(fuel=fuel, max_answers=7, prune=prune)
+    result, counters = solve_gen(infer_program(parse_program(source)), options)
+    if result.fuel_exhausted:
+        return None
+    named = counters.cycle or counters.last_constraint
+    terms = [*result.answers, *([reify_term(named[0], named[1])] if named else [])]
+    cut_at = counters.cycle[2:] if counters.cycle else None
+    return (len(result.answers), cut_at, counters.dispatched), terms
+
+
+def _same_term(a, b) -> bool:
+    """a == b, comparing each pair of shared subterms once: answers share
+    subterms, and as trees they can be exponentially larger."""
+    todo, met = [(a, b)], set()
+    while todo:
+        x, y = todo.pop()
+        if (id(x), id(y)) in met:
+            continue
+        met.add((id(x), id(y)))
+        if isinstance(x, Compound) and isinstance(y, Compound) and x.tag == y.tag and len(x.args) == len(y.args):
+            todo.extend(zip(x.args, y.args))
+        elif isinstance(x, Compound) or isinstance(y, Compound) or x != y:
+            return False
+    return True
+
+
+def _assert_bypass_as_queued(source, prune) -> bool:
+    """The outcome of a program is the same with every equality queued;
+    False, comparing nothing, for a program whose check runs out of fuel.
+    The queued run, which takes more steps, has ten times the fuel."""
+    bypass = _outcome(source, prune, 20_000)
+    if bypass is None:
+        return False
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "ConstraintQueue", oracles.ListQueue)
+        m.setattr(solver, "_enqueue", oracles.queue_everything)
+        queued = _outcome(source, prune, 200_000)
+    assert queued is not None
+    assert bypass[0] == queued[0]
+    assert len(bypass[1]) == len(queued[1])
+    assert all(map(_same_term, bypass[1], queued[1]))
+    return True
+
+
+_DIFFERENTIAL_SOURCES = {
+    **{path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "corpus").glob("*.lama")},
+    "mixed": (ROOT / "tests" / "golden" / "mixed.lama").read_text(encoding="utf-8"),
+    **{f"loop{i}": source for i, (source, _, _) in enumerate(LOOP_PROGRAMS)},
+}
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SOURCES))
+def test_equality_bypass_answers_as_a_queue_of_every_item(name, prune):
+    # Dispatching new equalities at once, outside the queue, gives what
+    # queuing every item in one list and picking by weight gives.
+    assert _assert_bypass_as_queued(_DIFFERENTIAL_SOURCES[name], prune)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs, st.booleans())
+def test_equality_bypass_answers_as_a_queue_of_every_item_on_small_programs(source, prune):
+    assume(_assert_bypass_as_queued(source, prune))
