@@ -114,17 +114,23 @@ Term = Any
 
 
 # ---------------------------------------------------------------------------
-# Persistent substitution map (integer keys).
+# Persistent substitution map.
 # ---------------------------------------------------------------------------
 
-_BITS = 5
-_FAN = 1 << _BITS
-_MASK = _FAN - 1
-_EMPTY_NODE = (None,) * _FAN
+_ABSENT = object()  # a diff's old value for a key the next version added
 
 
 class PMap:
-    """Persistent integer-keyed map: a path-copying 32-way trie.
+    """Persistent map over hashable keys, rerooted (Baker 1991, "Shallow
+    binding makes functional arrays fast").
+
+    Every version made from one `PMap()` shares one dict. The live
+    version owns it; every other version is a diff (key, its value there
+    or `_ABSENT`, the next version toward the live one). Reading or
+    extending a version that is not live first reverses the diffs on its
+    path (`_assoc`), so the version the search is using reads and writes
+    at dict speed. Reading an old version mutates the shared dict, so
+    versions of one map must not be used from two threads at once.
 
     Substitutions are extended once per binding along every search branch;
     a copy-on-write dict would make long runs quadratic. Each version also
@@ -132,36 +138,28 @@ class PMap:
     version can list what it gained (`keys_since`).
     """
 
-    __slots__ = ("_root", "_depth", "_log")
+    __slots__ = ("_data", "_log")
 
-    def __init__(self, root=None, depth: int = 0, log=None):
-        self._root = root
-        self._depth = depth
-        self._log = log  # (key, older log) cells, newest first
+    def __init__(self):
+        self._data = {}  # the dict when live, else a diff
+        self._log = None  # (key, older log) cells, newest first
 
-    def get(self, key: int, default=None):
-        node = self._root
-        if node is None or key >= _FAN << (_BITS * self._depth):
-            return default
-        depth = self._depth
-        while depth > 0:
-            node = node[(key >> (_BITS * depth)) & _MASK]
-            if node is None:
-                return default
-            depth -= 1
-        slot = node[key & _MASK]
-        return default if slot is None else slot[0]
+    def get(self, key, default=None):
+        data = self._data
+        if data.__class__ is not dict:
+            data = self._assoc()
+        return data.get(key, default)
 
-    def set(self, key: int, value) -> "PMap":
-        root, depth = self._root, self._depth
-        if root is None:
-            root = _EMPTY_NODE
-        while key >= _FAN << (_BITS * depth):
-            wrapped = list(_EMPTY_NODE)
-            wrapped[0] = root
-            root = tuple(wrapped)
-            depth += 1
-        return PMap(self._assoc(root, depth, key, value), depth, (key, self._log))
+    def set(self, key, value) -> "PMap":
+        data = self._data
+        if data.__class__ is not dict:
+            data = self._assoc()
+        new = PMap.__new__(PMap)
+        new._data = data
+        new._log = (key, self._log)
+        self._data = (key, data.get(key, _ABSENT), new)
+        data[key] = value
+        return new
 
     def keys_since(self, older: Optional["PMap"]) -> list:
         """The keys set to make this version from `older`, newest first.
@@ -175,15 +173,25 @@ class PMap:
             cell = cell[1]
         return out
 
-    @staticmethod
-    def _assoc(node, depth, key, value):
-        entries = list(node) if node is not None else list(_EMPTY_NODE)
-        idx = (key >> (_BITS * depth)) & _MASK
-        if depth == 0:
-            entries[idx] = (value,)
-        else:
-            entries[idx] = PMap._assoc(entries[idx], depth - 1, key, value)
-        return tuple(entries)
+    def _assoc(self) -> dict:
+        """Reroot: make this version live and return the shared dict.
+        The diffs on the path to the live version are undone from its end,
+        each turned around to point back along the path."""
+        path = []
+        v = self
+        while v._data.__class__ is not dict:
+            path.append(v)
+            v = v._data[2]
+        data = v._data
+        for v in reversed(path):
+            key, old, nxt = v._data
+            nxt._data = (key, data.get(key, _ABSENT), v)
+            if old is _ABSENT:
+                del data[key]
+            else:
+                data[key] = old
+            v._data = data
+        return data
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ class _Gen:
                     self.eq(t, self.infer_expr(item.init))
                 ty = T_INT
             elif isinstance(item, S.FunDecl):
-                # The function sees itself monomorphically.
+                # A linkage variable, equated with the generalized arrow: a
+                # call in the body instantiates the whole scheme afresh.
                 m = self.fresh()
                 self.env[item.binder] = m
                 self.eq(m, self.infer_fun(item.fun))

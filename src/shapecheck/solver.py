@@ -460,11 +460,42 @@ def entail_all(constraints, opts: SolverOpts):
     answers the ancestor finds sooner. That holds when the query's answer
     is Var(0) and entail_all is its last goal, as in `checker.solve_gen`.
     Counters record the first such cut in `cycle`.
+
+    A pick that its branch has dispatched before (see `_entailed_key`) is
+    dropped: it counts as a dispatch but binds nothing.
     """
-    return _entail(*_enqueue(ConstraintQueue(), constraints), opts, PMap())
+    return _entail(*_enqueue(ConstraintQueue(), constraints), opts, PMap(), PMap())
 
 
-def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap):
+def _entailed_key(c, subst):
+    """The key of a picked constraint c (walked, not an equality) in its
+    branch's set of dispatched ones, and the terms it names: the tag and
+    each argument walked one level, a list as its walked items and walked
+    tail, each term by identity, so a key walks no term. The set keeps the
+    terms, so their ids stay theirs. A constraint with an earlier one's
+    key is that one under every later binding, entailed by its dispatch's
+    bindings and residuals. None for a Call that may be its own
+    descendant, which dropping would take as proved while proving it: only
+    a Call spawns a Call, so a Call is keyed only when its arrow's
+    constraint list is bound to its end and holds no Call and no raw
+    variable."""
+    if c.tag == "Call":
+        fn = shallow_walk(c.args[0], subst)
+        cs = _walk_list(fn.args[1], subst) if isinstance(fn, Compound) and fn.tag == "TArrow" else None
+        if cs is None or not all([isinstance(x, Compound) and x.tag != "Call" for x in cs]):
+            return None
+    key, terms = [c.tag], []
+    for a in c.args:
+        a, n = shallow_walk(a, subst), len(terms)
+        while isinstance(a, Compound) and a.tag == "lcons":
+            terms.append(shallow_walk(a.args[0], subst))
+            a = shallow_walk(a.args[1], subst)
+        terms.append(a)
+        key.append(id(a) if len(terms) == n + 1 else tuple(map(id, terms[n:])))
+    return tuple(key), terms
+
+
+def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap, entailed: PMap):
     """The goal that dispatches the equalities eqs, in order, then solves
     the queue. An equality is dispatched like a picked item (it counts,
     and it is the last constraint) without entering the queue (see
@@ -480,24 +511,29 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap):
             counters.last_constraint = (eq, state.subst)
             s = eq_t(eq.args[0], eq.args[1])(state)
             if i == len(eqs) - 1 or s is None or callable(s) or s[1] is not None:
-                return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits)))
+                return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits, entailed)))
             state = s[0]
         picked = queue.pop(state)
         if picked is None:
-            return _label(queue, opts, visits)(state) if queue else succeed(state)
+            return _label(queue, opts, visits, entailed)(state) if queue else succeed(state)
         item, rest = picked
         counters.dispatched += 1
         # Stored lazily (term + persistent substitution); reified only if
         # the failure report needs it.
         counters.last_constraint = (item, state.subst)
-        below = visits
+        below, known = visits, entailed
 
         def kont(spawned):
-            return delay(lambda: _entail(*_enqueue(rest, spawned), opts, below))
+            return delay(lambda: _entail(*_enqueue(rest, spawned), opts, below, known))
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
             return mbind(eq_t(w.args[0], w.args[1])(state), kont([]))
+        keyed = _entailed_key(w, state.subst)
+        if keyed is not None:
+            if entailed.get(keyed[0]) is not None:
+                return kont([])(state)
+            known = entailed.set(*keyed)
         if w.tag == "Ind":
             return solve_ind(w.args[0], w.args[1], opts, kont)(state)
         if w.tag == "Call":
@@ -532,7 +568,7 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap):
     return goal
 
 
-def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
+def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap, entailed: PMap):
     """Close the open rows of a queue that holds only residuals, one
     labeling step, then go on solving ("constrain, then label").
 
@@ -558,7 +594,7 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap):
                 tails.setdefault(tail.id, (tail, c.args[2]))
         if not tails:
             return succeed(state)
-        again = delay(lambda: _entail(queue, [], opts, visits))
+        again = delay(lambda: _entail(queue, [], opts, visits, entailed))
         closed = [unify(tail, LNIL) for tail, _ in tails.values()]
         branches = [conj(*closed, again)]
         for i, (tail, n) in enumerate(tails.values()):

@@ -245,6 +245,18 @@ def test_reporting_a_deep_type_needs_no_deep_recursion(tmp_path):
     assert f"v1199 : {_nested_array(1199)}" in lines
 
 
+def test_repeated_index_into_a_deep_instance_needs_no_deep_recursion(tmp_path):
+    # Both `r [0]` index the same 1,200-level instance, a term that the
+    # set of dispatched constraints hashes and compares as a key.
+    path = tmp_path / "p.lama"
+    path.write_text(_array_chain(1200) + "\nfun f (x) { v1199 } var r = f (1); var p = r [0]; var q = r [0];\n", encoding="utf-8")
+    proc = _check_in_fresh_interpreter(path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "Typed"
+    assert f"q : {_nested_array(1198)}" in lines
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -358,7 +370,7 @@ def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
     [
         pytest.param(*case, id=f"{case[0]}-{case[1]}")
         for case in [
-            ("case_list", None, "Typed", 35, 36, 76),
+            ("case_list", None, "Typed", 34, 36, 75),
             ("closure_chain", None, "Typed", 22, 22, 76),
             ("heterogeneous", None, "IllTyped", 2, 2, 2),
             ("sexp_assign", None, "Typed", 7, 8, 18),

@@ -158,6 +158,56 @@ def test_pmap_matches_dict(d):
         assert m.get(k) == v
 
 
+# Small and large integers, and tuples as the solver's set of dispatched
+# constraints uses.
+_pmap_keys = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10**12),
+    st.tuples(st.sampled_from(["Ind", "SexpC"]), st.integers(min_value=0, max_value=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=0), _pmap_keys, st.integers(), st.integers(min_value=0)), max_size=60),
+    st.lists(st.integers(min_value=0), max_size=20),
+)
+def test_pmap_versions_read_and_extend_as_copied_dicts(ops, reads):
+    # A branching tree of versions: each op extends an arbitrary earlier
+    # version, then reads another, so the shared dict is rerooted back and
+    # forth; every version still reads as the dict it was made as, and
+    # lists the keys set to make it.
+    versions, models, logs, parents = [PMap()], [{}], [[]], [None]
+    for at, key, value, peek in ops:
+        i = at % len(versions)
+        versions.append(versions[i].set(key, value))
+        models.append({**models[i], key: value})
+        logs.append([key, *logs[i]])
+        parents.append(i)
+        j = peek % len(versions)
+        assert versions[j].get(key, "absent") == models[j].get(key, "absent")
+    keys = {key for _, key, _, _ in ops} | {-1, ("Ind", 9)}
+    for i in [r % len(versions) for r in reads] + list(range(len(versions))):
+        for key in keys:
+            assert versions[i].get(key, "absent") == models[i].get(key, "absent")
+        assert versions[i].keys_since(None) == logs[i]
+        if parents[i] is not None:
+            assert versions[i].keys_since(versions[parents[i]]) == logs[i][:1]
+
+
+def test_failed_unification_leaves_its_input_version_readable():
+    # The unification binds x and y before it fails on the last pair, so
+    # the shared dict is left at a newer version than its input.
+    x, y = Var(0), Var(1)
+    subst = PMap().set(5, C("k"))
+    a, b = C("p", x, y, C("a")), C("p", C("k"), C("m"), C("b"))
+    assert engine._unify_terms(a, b, subst, None) is None
+    assert (subst.get(0), subst.get(1), subst.get(5)) == (None, None, C("k"))
+    assert subst.keys_since(None) == [5]
+    extended = subst.set(0, C("z"))
+    assert extended.get(0) == C("z") and subst.get(0) is None
+
+
 # ---------------------------------------------------------------------------
 # Unification and walking
 # ---------------------------------------------------------------------------

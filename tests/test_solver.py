@@ -1314,3 +1314,151 @@ def test_equality_bypass_answers_as_a_queue_of_every_item(name, prune):
 @given(_small_programs, st.booleans())
 def test_equality_bypass_answers_as_a_queue_of_every_item_on_small_programs(source, prune):
     assume(_assert_bypass_as_queued(source, prune))
+
+
+# ---------------------------------------------------------------------------
+# Dropping what the branch entails against dispatching every pick
+# ---------------------------------------------------------------------------
+
+
+def _entailed_outcome(source, prune, fuel, answers=7):
+    """How a check's search ended, its answers and, when it has none, the
+    constraint its message names, as terms, its work counters, and whether
+    the search was done; None when the fuel runs out."""
+    options = CheckOptions(fuel=fuel, max_answers=answers, prune=prune)
+    result, counters = solve_gen(infer_program(parse_program(source)), options)
+    if result.fuel_exhausted:
+        return None
+    ended = "answers" if result.answers else "cycle" if counters.cycle else "fails"
+    named = counters.cycle or counters.last_constraint
+    terms = result.answers or ([reify_term(named[0], named[1])] if named else [])
+    work = (counters.dispatched, counters.unifications, counters.steps)
+    return ended, len(result.answers), terms, work, result.ended
+
+
+def _same_up_to_names(a, b) -> bool:
+    """`_same_term`, with names (of mu and arrow binders) renamed one to
+    one and free variables compared by their display index: a dropped
+    dispatch allocates no fresh variables, and an occurs hook names the
+    binder it closes after a variable's id."""
+    todo, met, left, right = [(a, b)], set(), {}, {}
+    while todo:
+        x, y = todo.pop()
+        if (id(x), id(y)) in met:
+            continue
+        met.add((id(x), id(y)))
+        if isinstance(x, Compound) and isinstance(y, Compound) and x.tag == y.tag and len(x.args) == len(y.args):
+            todo.extend(zip(x.args, y.args))
+        elif isinstance(x, str) and isinstance(y, str):
+            if left.setdefault(x, y) != y or right.setdefault(y, x) != x:
+                return False
+        elif isinstance(x, FreeVar) and isinstance(y, FreeVar):
+            if x.index != y.index:
+                return False
+        elif isinstance(x, Compound) or isinstance(y, Compound) or x != y:
+            return False
+    return True
+
+
+def _both_ways(source, prune, fuel, answers):
+    """The outcome of a check (see `_entailed_outcome`) as it is, and with
+    every pick dispatched; the reference run has twice the fuel."""
+    dropping = _entailed_outcome(source, prune, fuel, answers)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_entailed_key", lambda c, subst: None)
+        dispatching = _entailed_outcome(source, prune, 2 * fuel, answers)
+    return dropping, dispatching
+
+
+def _assert_dropping_as_dispatching(source, prune, exact=True) -> bool:
+    """A check gives what it gives with every pick dispatched, in no more
+    work; False, comparing nothing, when either run runs out of fuel. The
+    dispatching run can run out where the dropping one ends: a repeated
+    equality of two mu types may unfold without end.
+
+    A branch that drops a pick takes fewer steps to its answers, so the
+    fair search can interleave its branches in another order, and a run
+    that stops at an answer can have done other work first. So work is
+    compared where both searches were done and, when exact, up to the
+    first answer (the verdict's); answers that come in another order are
+    compared as sets, each run's first ones among the other's first 28.
+    Only the first answer must come first when exact."""
+    for answers in (1, 7):
+        dropping, dispatching = _both_ways(source, prune, 20_000, answers)
+        if dropping is None or dispatching is None:
+            return False
+        assert dropping[:2] == dispatching[:2]
+        first = exact and answers == 1
+        if first or (dropping[4] and dispatching[4]):
+            assert all(d <= r for d, r in zip(dropping[3], dispatching[3]))
+        if first:
+            assert all(map(_same_up_to_names, dropping[2], dispatching[2]))
+        elif not all(map(_same_up_to_names, dropping[2], dispatching[2])):
+            more = _both_ways(source, prune, 20_000, 28)
+            if None in more:
+                return False
+            more_dropping, more_dispatching = (o[2] for o in more)
+            for mine, theirs in ((dropping[2], more_dispatching), (dispatching[2], more_dropping)):
+                assert all(any(_same_up_to_names(a, b) for b in theirs) for a in mine)
+    return True
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SOURCES))
+def test_dropping_entailed_picks_answers_as_dispatching_them(name, prune):
+    assert _assert_dropping_as_dispatching(_DIFFERENTIAL_SOURCES[name], prune)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs, st.booleans())
+def test_dropping_entailed_picks_answers_as_dispatching_them_on_small_programs(source, prune):
+    assume(_assert_dropping_as_dispatching(source, prune, exact=False))
+
+
+_PICK = "fun pick (p) { p [0] }\nvar a = [1], b = 0;\n"
+
+
+def test_a_repeated_call_of_a_scheme_without_calls_is_dropped(monkeypatch):
+    # The second `pick (a)` walks to the first one's key (its result is
+    # the Int of b either way), so it is dropped: no instantiation, and
+    # no Ind to spawn and dispatch.
+    source = _PICK + "b := pick (a);\nb := pick (a);\n"
+    dropping = check_source(source)
+    monkeypatch.setattr(solver, "_entailed_key", lambda c, subst: None)
+    dispatching = check_source(source)
+    assert dropping.verdict == dispatching.verdict == TYPED
+    assert dropping.render_bindings() == dispatching.render_bindings()
+    assert int(dropping.stats["engine-unifications"]) < int(dispatching.stats["engine-unifications"])
+    assert int(dropping.stats["fuel-used"]) < int(dispatching.stats["fuel-used"])
+
+
+def test_a_call_of_a_scheme_that_holds_a_call_is_never_dropped(monkeypatch):
+    # h's scheme holds a Call of pick, so a Call of h may have itself as a
+    # descendant: it gets no key, however often it repeats; a Call of pick
+    # does.
+    source = _PICK + "fun h (p) { pick (p) }\nb := h (a);\nb := h (a);\nb := pick (a);\n"
+    keyed = []
+    original = solver._entailed_key
+
+    def spying(c, subst):
+        key = original(c, subst)
+        if c.tag == "Call":
+            fn = shallow_walk(c.args[0], subst)
+            held = [shallow_walk(x, subst).tag for x in solver._walk_list(fn.args[1], subst)]
+            keyed.append(("Call" in held, key is not None))
+        return key
+
+    monkeypatch.setattr(solver, "_entailed_key", spying)
+    assert check_source(source).verdict == TYPED
+    assert (True, False) in keyed and (False, True) in keyed
+    assert (True, True) not in keyed
+
+
+@pytest.mark.parametrize("source, verdict, types", LOOP_PROGRAMS)
+def test_loop_programs_end_as_with_every_pick_dispatched(source, verdict, types, monkeypatch):
+    dropping = check_source(source)
+    monkeypatch.setattr(solver, "_entailed_key", lambda c, subst: None)
+    dispatching = check_source(source)
+    assert dropping.verdict == dispatching.verdict == verdict
+    assert dropping.message == dispatching.message
+    assert dropping.render_bindings() == dispatching.render_bindings()
