@@ -4,11 +4,14 @@ First-order terms over logic variables, triangular substitutions, goals
 as state-to-stream functions with fair interleaving, disequality
 constraints, and per-variable occurs hooks that may substitute a finite
 term when the occurs check would otherwise fail.
+
+Each run counts its work in its own `Counters`, which every state
+carries and hands to the stream functions and the unifier, so a run
+started inside another run's goal counts apart from it.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Optional
 
 
@@ -200,7 +203,8 @@ class PMap:
 
 
 class Counters:
-    """Mutable per-run statistics, shared by every state of one query."""
+    """Mutable per-run statistics, shared by every state of one query and
+    passed explicitly to whatever counts work (each state's `counters`)."""
 
     __slots__ = (
         "steps",
@@ -224,13 +228,6 @@ class Counters:
         # The first branch the solver's loop check ended: (item, subst,
         # its dispatch number, the repeated ancestor's dispatch number).
         self.cycle = None
-
-
-_tls = threading.local()
-
-
-def _active_counters() -> Optional[Counters]:
-    return getattr(_tls, "counters", None)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +402,15 @@ def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None, done: Opt
     return rebuild_term(t, subst, leaf, done)
 
 
-def _unify_terms(a, b, subst, hooks):
+def _unify_terms(a, b, subst, hooks, counters=None):
     """Triangular unification: the extended substitution, or None. The
     result reports every binding made: `result.keys_since(subst)` lists
     the bound variable ids, newest first, and the result is subst itself
     when nothing was bound.
 
     hooks is None when occurs hooks are disabled (trial unification and
-    hook-suggestion re-checks).
+    hook-suggestion re-checks). counters, when given, pay for the terms
+    the hooks close (see `_extend`).
     """
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
@@ -425,21 +423,21 @@ def _unify_terms(a, b, subst, hooks):
             # The younger variable is bound to the older one, so a variable
             # unified with fresh ones again and again stays one link away.
             return subst.set(a.id, b) if a.id > b.id else subst.set(b.id, a)
-        return _extend(a, b, subst, hooks)
+        return _extend(a, b, subst, hooks, counters)
     if isinstance(b, Var):
-        return _extend(b, a, subst, hooks)
+        return _extend(b, a, subst, hooks, counters)
     if isinstance(a, Compound) and isinstance(b, Compound):
         if a.tag != b.tag or len(a.args) != len(b.args):
             return None
         for x, y in zip(a.args, b.args):
-            subst = _unify_terms(x, y, subst, hooks)
+            subst = _unify_terms(x, y, subst, hooks, counters)
             if subst is None:
                 return None
         return subst
     return subst if a == b else None
 
 
-def _extend(v: Var, t, subst, hooks):
+def _extend(v: Var, t, subst, hooks, counters):
     # t is walked: an atom, a variable-free compound or another unbound
     # variable cannot contain v, so only other compounds are searched.
     if isinstance(t, Compound) and not var_free(t) and occurs(v.id, t, subst):
@@ -451,7 +449,6 @@ def _extend(v: Var, t, subst, hooks):
         # A unit of fuel per compound the hook closes: fuel then bounds a
         # term that grows at every binding (a row whose cells hold its own
         # open tail grows by about 1.6 times per closing).
-        counters = _active_counters()
         if counters is not None:
             counters.steps += len(done)
         # The suggestion is re-checked with hooks disabled.
@@ -541,27 +538,25 @@ def _diseq_survives(pending, watch, subst, before):
 # ---------------------------------------------------------------------------
 
 
-def _force(s):
-    counters = _active_counters()
-    if counters is not None:
-        counters.steps += 1
+def _force(s, counters: Counters):
+    counters.steps += 1
     return s()
 
 
-def mplus(s1, s2):
+def mplus(s1, s2, counters: Counters):
     if s1 is None:
         return s2
     if callable(s1):
-        return lambda: mplus(s2, _force(s1))  # swap: fair interleaving
-    return (s1[0], mplus(s1[1], s2))
+        return lambda: mplus(s2, _force(s1, counters), counters)  # swap: fair interleaving
+    return (s1[0], mplus(s1[1], s2, counters))
 
 
-def mbind(s, g):
+def mbind(s, g, counters: Counters):
     if s is None:
         return None
     if callable(s):
-        return lambda: mbind(_force(s), g)
-    return mplus(g(s[0]), mbind(s[1], g))
+        return lambda: mbind(_force(s, counters), g, counters)
+    return mplus(g(s[0]), mbind(s[1], g, counters), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +575,22 @@ def fail(state: State):
 
 
 def conj(*goals: Goal) -> Goal:
+    """The goals in order: run directly while each gives one mature
+    answer, and from the first that gives another stream on, each bound
+    to that stream in order."""
     if not goals:
         return succeed
     if len(goals) == 1:
         return goals[0]
 
     def goal(state):
-        s = goals[0](state)
-        for g in goals[1:]:
-            s = mbind(s, g)
+        for i, g in enumerate(goals):
+            s = g(state)
+            if s is None or callable(s) or s[1] is not None:
+                for later in goals[i + 1:]:
+                    s = mbind(s, later, state.counters)
+                return s
+            state = s[0]
         return s
 
     return goal
@@ -601,7 +603,7 @@ def disj(*goals: Goal) -> Goal:
     def goal(state):
         s = goals[-1](state)
         for g in reversed(goals[:-1]):
-            s = mplus(g(state), s)
+            s = mplus(g(state), s, state.counters)
         return s
 
     return goal
@@ -640,7 +642,7 @@ def bind(state: State, a: Term, b: Term, hooks: Optional[dict] = None) -> Option
     counters = state.counters
     counters.unifications += 1
     counters.steps += 1
-    subst = _unify_terms(a, b, state.subst, state.hooks if hooks is None else hooks)
+    subst = _unify_terms(a, b, state.subst, state.hooks if hooks is None else hooks, counters)
     if subst is None:
         return None
     diseqs, watch = state.diseqs, state.watch
@@ -707,34 +709,24 @@ def run(
     counters = counters or Counters()
     counters.answers_requested = max_answers if max_answers is not None else -1
 
-    holder = {}
-
-    def k(v):
-        holder["q"] = v
-        return query(v)
-
-    prev = getattr(_tls, "counters", None)
-    _tls.counters = counters
-    try:
-        stream = fresh_with(k)(empty_state(counters))
-        answers = []
-        ended = False
-        fuel_exhausted = False
-        while True:
-            if max_answers is not None and len(answers) >= max_answers:
+    (q,), st = empty_state(counters).fresh_vars(1)
+    stream = query(q)(st)
+    answers = []
+    ended = False
+    fuel_exhausted = False
+    while True:
+        if max_answers is not None and len(answers) >= max_answers:
+            break
+        if stream is None:
+            ended = True
+            break
+        if callable(stream):
+            if fuel is not None and counters.steps >= fuel:
+                fuel_exhausted = True
                 break
-            if stream is None:
-                ended = True
-                break
-            if callable(stream):
-                if fuel is not None and counters.steps >= fuel:
-                    fuel_exhausted = True
-                    break
-                stream = _force(stream)
-            else:
-                st, stream = stream
-                answers.append(reify_term(holder["q"], st.subst))
-                counters.answers_found += 1
-    finally:
-        _tls.counters = prev
+            stream = _force(stream, counters)
+        else:
+            st, stream = stream
+            answers.append(reify_term(q, st.subst))
+            counters.answers_found += 1
     return RunResult(answers, ended, fuel_exhausted, counters)

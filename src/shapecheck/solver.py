@@ -511,7 +511,7 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap, e
             counters.last_constraint = (eq, state.subst)
             s = eq_t(eq.args[0], eq.args[1])(state)
             if i == len(eqs) - 1 or s is None or callable(s) or s[1] is not None:
-                return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits, entailed)))
+                return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits, entailed)), counters)
             state = s[0]
         picked = queue.pop(state)
         if picked is None:
@@ -528,7 +528,7 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap, e
 
         w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
-            return mbind(eq_t(w.args[0], w.args[1])(state), kont([]))
+            return mbind(eq_t(w.args[0], w.args[1])(state), kont([]), counters)
         keyed = _entailed_key(w, state.subst)
         if keyed is not None:
             if entailed.get(keyed[0]) is not None:
@@ -609,8 +609,8 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap, entailed: PMa
 
 # ---------------------------------------------------------------------------
 # Handlers. Each reads its subject by walking it (`_unfolded`), binds with
-# `bind`, and runs its equalities and other goals directly while each has
-# one answer (`_chain`); a stream is built only at a real choice.
+# `bind`, and runs its equalities and other goals as one `conj`, which
+# builds a stream only at a real choice.
 # ---------------------------------------------------------------------------
 
 
@@ -621,22 +621,6 @@ def _unfolded(t, subst):
     if isinstance(w, Compound) and w.tag == "TMu":
         return unfold_mu(w, subst)
     return w
-
-
-def _chain(state, goals, last):
-    """The goal last after goals, from state, as `conj(*goals, last)` runs
-    them: directly while each gives one mature answer, and from the first
-    that gives another stream on, each bound to that stream in order."""
-    for i, goal in enumerate(goals):
-        s = goal(state)
-        if s is None:
-            return None
-        if callable(s) or s[1] is not None:
-            for later in goals[i + 1:]:
-                s = mbind(s, later)
-            return mbind(s, last)
-        state = s[0]
-    return last(state)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +640,9 @@ def solve_ind(container, elem, opts: SolverOpts, kont):
             shapes = [T_STR, t_array(part)] + ([t_sexp(part)] if opts.sexp_bound else [])
             return disj(*(conj(unify(w, shape), goal) for shape in shapes))(st)
         if w.tag == "TStr":
-            return _chain(state, [eq_t(elem, T_INT)], kont([]))
+            return conj(eq_t(elem, T_INT), kont([]))(state)
         if w.tag == "TArray":
-            return _chain(state, [eq_t(elem, w.args[0])], kont([]))
+            return conj(eq_t(elem, w.args[0]), kont([]))(state)
         if w.tag == "TSexp":
             return _ind_row(w.args[0], elem, kont)(state)
         return None
@@ -682,7 +666,7 @@ def _ind_row(row, elem, kont):
             entries = shallow_walk(entries.args[1], state.subst)
         if isinstance(entries, Var):
             spawned.append(c_ind_row(entries, elem))
-        return _chain(state, goals, kont(spawned))
+        return conj(*goals, kont(spawned))(state)
 
     return goal
 
@@ -693,7 +677,7 @@ def _ind_args(args, elem, kont):
     def goal(state):
         goals, spawned = [], []
         _ind_items(args, elem, state.subst, goals, spawned)
-        return _chain(state, goals, kont(spawned))
+        return conj(*goals, kont(spawned))(state)
 
     return goal
 
@@ -743,9 +727,9 @@ def solve_call(fn, args, result, opts: SolverOpts, kont):
             spawned = [apply_type_subst(mapping, c, st.subst) for c in (_walk_list(fc, st.subst) or [])]
             goals = [eq_t(apply_type_subst(mapping, p, st.subst), a) for p, a in zip(params, args)]
             goals.append(eq_t(apply_type_subst(mapping, r, st.subst), result))
-            return _chain(st, goals, kont(spawned))
+            return conj(*goals, kont(spawned))(st)
 
-        return _chain(state, [_force_empty(fxs, opts), _force_empty(fc, opts)], instantiate)
+        return conj(_force_empty(fxs, opts), _force_empty(fc, opts), instantiate)(state)
 
     return goal
 
@@ -794,7 +778,7 @@ def solve_sexp(tag, subject, args, opts: SolverOpts, kont):
     want_args = llist(args)
 
     def found(state, cell_args, rest, n):
-        return _chain(state, [eq_ts(want_args, cell_args)], _lacks(tag, rest, n + 1, opts, kont))
+        return conj(eq_ts(want_args, cell_args), _lacks(tag, rest, n + 1, opts, kont))(state)
 
     def new_cell(state, v, shape, n):
         (cell_args, rest), st = state.fresh_vars(2)
@@ -925,6 +909,6 @@ def solve_match(subject, pats, opts: SolverOpts, kont):
         subj = _unfolded(subject, state.subst)
         for p in _walk_list(pats, st.subst) or []:
             handle(p, subj)
-        return _chain(st, goals, kont(spawned))
+        return conj(*goals, kont(spawned))(st)
 
     return goal

@@ -12,9 +12,11 @@ stack of tasks: pairs of types, type lists, rows, constructor cells,
 constraint lists, constraints, pattern lists and patterns. It binds
 through the engine's unification (`engine.bind`), registering the type
 occurs hook on a variable right before binding it, and builds a stream
-only where a second answer exists: at two free list spines, and at two mu
-types whose binders are not one ground name. A stretch without a stream
-step makes at most one unfolding and 64 tasks, so fuel bounds its work.
+only where a second answer exists: at two free list spines. Two mu types
+with one binder name compare their bodies; with different names both
+unfold, as a mu against any other type unfolds. A stretch without a
+stream step makes at most one unfolding and 64 tasks, so fuel bounds its
+work.
 
 Reified and parsed types are compared by `types_equal`, which runs no
 engine: a walk over pairs of types that takes a pair met again under a
@@ -33,7 +35,6 @@ from .engine import (
     PMap,
     Var,
     bind,
-    disunify,
     mplus,
     rebuild_term,
     shallow_walk,
@@ -362,17 +363,16 @@ def _walk(state, todo):
         elif kind == _TERM:
             state = bind(state, a, b)
         elif kind == _TYPE and "TMu" in (a.tag, b.tag):
-            if a.tag == b.tag:
-                x1 = shallow_walk(a.args[0], subst)
-                if x1 != shallow_walk(b.args[0], subst) or isinstance(x1, Var):
-                    return _mu_fork(state, a, b, todo)
+            # Every binder is a name (`type_occurs_hook`, `parse_type`, and
+            # `apply_type_subst` keeps it), so two different ones never unify.
+            if a.tag == b.tag and shallow_walk(a.args[0], subst) == shallow_walk(b.args[0], subst):
                 todo.append((_TYPE, a.args[1], b.args[1]))
                 continue
             if unfolds == _UNFOLDS:
                 todo.append((_TYPE, a, b))
                 return lambda: _walk(state, todo)
             unfolds += 1
-            todo.append((_TYPE, unfold_mu(a, subst), b) if a.tag == "TMu" else (_TYPE, a, unfold_mu(b, subst)))
+            todo.append((_TYPE, unfold_mu(a, subst) if a.tag == "TMu" else a, unfold_mu(b, subst) if b.tag == "TMu" else b))
             continue
         elif a.tag != b.tag:
             return None
@@ -410,20 +410,7 @@ def _list_fork(state, kind, a, b, todo):
         st = _fresh_cell(state, a, "lcons")
         return None if st is None else _walk(st, todo + [(kind, a, b)])
 
-    return mplus(None if nil is None else _walk(nil, list(todo)), cons)
-
-
-def _mu_fork(state, a, b, todo):
-    """A mu against a mu whose binders are not one ground name: the
-    binders unify and the bodies meet, or they differ and both sides
-    unfold (contractivity keeps ground comparisons productive)."""
-    same = bind(state, a.args[0], b.args[0])
-    other = disunify(a.args[0], b.args[0])(state)
-    unfolded = (_TYPE, unfold_mu(a, state.subst), unfold_mu(b, state.subst)) if other else None
-    return mplus(
-        same and (lambda: _walk(same, todo + [(_TYPE, a.args[1], b.args[1])])),
-        other and (lambda: _walk(other[0], todo + [unfolded])),
-    )
+    return mplus(None if nil is None else _walk(nil, list(todo)), cons, state.counters)
 
 
 def _renamed(state, a, b):

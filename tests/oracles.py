@@ -369,7 +369,7 @@ def recheck_unify(a, b):
     them rechecked after every unification."""
 
     def goal(state):
-        subst = _unify_terms(a, b, state.subst, state.hooks)
+        subst = _unify_terms(a, b, state.subst, state.hooks, state.counters)
         if subst is None:
             return None
         diseqs = diseq_survives(state.diseqs, subst)

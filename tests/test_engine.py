@@ -755,6 +755,40 @@ def test_counters_track_unifications():
     assert c.answers_found == 1
 
 
+def test_conj_of_a_mature_goal_and_a_delayed_one_costs_one_forcing():
+    # One unification and one forcing of the delayed goal: the delayed
+    # stream is the conjunction's own, not wrapped in a second thunk.
+    res = run(lambda q: conj(unify(q, C("a")), delay(lambda: succeed)))
+    assert res.answers == [C("a")]
+    assert (res.counters.unifications, res.counters.steps) == (1, 2)
+
+
+def test_a_run_inside_a_goal_counts_into_its_own_counters():
+    # The inner run starts inside a forcing of the outer stream, closes a
+    # term with an occurs hook (fuel per compound) and forces its own
+    # delayed goals; none of that is the outer run's work.
+    def inner_query(q):
+        def k(x):
+            return conj(bind_occurs_hook(x, type_occurs_hook), delay(lambda: unify(x, C("f", x))), unify(q, x))
+
+        return fresh_with(k)
+
+    def outer(answer):
+        def goal(q):
+            return conj(delay(lambda: lambda st: unify(q, answer())(st)), delay(lambda: unify(C("b"), C("b"))))
+
+        return goal
+
+    alone = run(inner_query)
+    precomputed = run(outer(lambda: alone.answers[0]))
+    inner = Counters()
+    nested = run(outer(lambda: run(inner_query, counters=inner).answers[0]))
+    assert nested.answers == precomputed.answers == alone.answers
+    assert nested.counters.steps == precomputed.counters.steps
+    assert nested.counters.unifications == precomputed.counters.unifications
+    assert (inner.steps, inner.unifications) == (alone.counters.steps, alone.counters.unifications)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

@@ -201,8 +201,13 @@ def test_eq_t_ground_distinct_fails():
 
 
 def test_eq_t_mu_same_body_different_binders():
-    # mu x1. Int  ==  mu x2. Int
+    # mu x1. Int  ==  mu x2. Int: both sides unfold in place, so the one
+    # answer is mature and no unification is made.
     assert ok(lambda q: eq_t(t_mu("x1", T_INT), t_mu("x2", T_INT)))
+    state = empty_state()
+    s = eq_t(t_mu("x1", T_INT), t_mu("x2", T_INT))(state)
+    assert not callable(s) and s[1] is None
+    assert (state.counters.unifications, state.counters.steps) == (0, 0)
 
 
 def test_eq_t_mu_folded_vs_unfolded():
