@@ -17,7 +17,6 @@ from .checker import (
     TYPED,
     UNKNOWN,
 )
-from .cli import main
 
 __all__ = [
     "CheckOptions",
@@ -31,3 +30,13 @@ __all__ = [
     "UNKNOWN",
     "MALFORMED",
 ]
+
+
+def __getattr__(name):
+    # `main` is loaded on first use: the CLI imports argparse, which a
+    # library caller does not need (PEP 562).
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,13 +14,12 @@ type. Verdicts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import Counters, conj, fresh_many, reify_term, run, unify
 from .gen import GenResult, infer_program
 from .solver import SolverOpts, entail_all
-from .syntax import ParseError, ResolveError, parse_program
+from .syntax import ParseError, Record, ResolveError, parse_program
 from .types import (
     TagTable,
     _NameGen,
@@ -41,13 +40,16 @@ MALFORMED = "Malformed"
 EXIT_CODES = {TYPED: 0, ILL_TYPED: 1, UNKNOWN: 2, MALFORMED: 3}
 
 
-@dataclass
-class CheckOptions:
-    fuel: int = DEFAULT_FUEL  # at least 1
-    max_answers: int = 1  # at least 1
-    max_constructors: Optional[int] = None  # None, or at least 0
-    prune: bool = True
-    emit_constraints: bool = False
+class CheckOptions(Record):
+    __slots__ = ("fuel", "max_answers", "max_constructors", "prune", "emit_constraints")
+
+    def __init__(self, fuel: int = DEFAULT_FUEL, max_answers: int = 1,
+                 max_constructors: Optional[int] = None, prune: bool = True, emit_constraints: bool = False):
+        self.fuel = fuel  # at least 1
+        self.max_answers = max_answers  # at least 1
+        self.max_constructors = max_constructors  # None, or at least 0
+        self.prune = prune
+        self.emit_constraints = emit_constraints
 
     def validate(self):
         """Raise ValueError naming the first option out of its range."""
@@ -59,14 +61,17 @@ class CheckOptions:
             raise ValueError(f"max_constructors must be at least 0, not {self.max_constructors}")
 
 
-@dataclass
-class Report:
-    verdict: str
-    bindings: list = field(default_factory=list)  # of (name, reified type term)
-    table: Optional[TagTable] = None
-    message: str = ""
-    stats: dict = field(default_factory=dict)
-    constraints_rendered: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("verdict", "bindings", "table", "message", "stats", "constraints_rendered")
+
+    def __init__(self, verdict: str, bindings: Optional[list] = None, table: Optional[TagTable] = None,
+                 message: str = "", stats: Optional[dict] = None, constraints_rendered: Optional[list] = None):
+        self.verdict = verdict
+        self.bindings = [] if bindings is None else bindings  # of (name, reified type term)
+        self.table = table
+        self.message = message
+        self.stats = {} if stats is None else stats
+        self.constraints_rendered = [] if constraints_rendered is None else constraints_rendered
 
     @property
     def exit_code(self) -> int:
@@ -77,14 +82,14 @@ class Report:
         return [f"{name} : {pretty_type(ty, self.table, names)}" for name, ty in self.bindings]
 
 
-def _stats_dict(counters: Counters, generated: int, fuel_used: int) -> dict:
+def _stats_dict(counters: Counters, generated: int) -> dict:
     return {
         "constraints-generated": generated,
         "constraints-dispatched": counters.dispatched,
         "engine-unifications": counters.unifications,
         "answers-requested": counters.answers_requested,
         "answers-found": counters.answers_found,
-        "fuel-used": fuel_used,
+        "fuel-used": counters.steps,
     }
 
 
@@ -121,8 +126,7 @@ def check_source(source: str, options: Optional[CheckOptions] = None) -> Report:
     if options.emit_constraints:
         rendered = [render_constraint(c, genr.table) for c in genr.constraints]
     result, counters = solve_gen(genr, options)
-    fuel_used = options.fuel if result.fuel_exhausted else counters.steps
-    stats = _stats_dict(counters, len(genr.constraints), fuel_used)
+    stats = _stats_dict(counters, len(genr.constraints))
     if result.answers:
         answer = result.answers[0]
         types, _ = _list_from_term(answer)

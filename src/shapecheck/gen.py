@@ -17,8 +17,6 @@ is an engine variable, so the solver takes them as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as S
 from .engine import Compound, Var
 from .types import (
@@ -44,12 +42,14 @@ from .types import (
 )
 
 
-@dataclass
-class GenResult:
-    constraints: list  # of distinct constraint terms, in first-emitted order
-    table: TagTable
-    roots: list  # of (name, type term) in declaration order
-    var_count: int  # the type variables are Var(1) ... Var(var_count)
+class GenResult(S.Record):
+    __slots__ = ("constraints", "table", "roots", "var_count")
+
+    def __init__(self, constraints: list, table: TagTable, roots: list, var_count: int):
+        self.constraints = constraints  # of distinct constraint terms, in first-emitted order
+        self.table = table
+        self.roots = roots  # of (name, type term) in declaration order
+        self.var_count = var_count  # the type variables are Var(1) ... Var(var_count)
 
 
 def _vars(t, out: dict) -> dict:

@@ -13,7 +13,6 @@ own queue.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from .engine import (
     Compound,
@@ -30,6 +29,7 @@ from .engine import (
     succeed,
     unify,
 )
+from .syntax import Record
 from .types import (
     LNIL,
     T_INT,
@@ -55,11 +55,13 @@ from .types import (
 )
 
 
-@dataclass
-class SolverOpts:
-    table: TagTable
-    prune: bool = True
-    max_ctors: int | None = None  # overrides the interned constructor count
+class SolverOpts(Record):
+    __slots__ = ("table", "prune", "max_ctors")
+
+    def __init__(self, table: TagTable, prune: bool = True, max_ctors: int | None = None):
+        self.table = table
+        self.prune = prune
+        self.max_ctors = max_ctors  # overrides the interned constructor count
 
     @property
     def sexp_bound(self) -> int:

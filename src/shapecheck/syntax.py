@@ -19,7 +19,6 @@ over one table of levels, `:=` being the loosest and right-associative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 
@@ -44,172 +43,184 @@ class ResolveError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Node:
-    pass
+class Record:
+    """A record whose fields are its class's `__slots__`, all set by the
+    class's own `__init__`. As with a dataclass, `==` compares the fields
+    with those of a record of the same class, the repr names them, and a
+    record is unhashable, since its fields can be set."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
+class Node(Record):
+    __slots__ = ()
+
+
 class IntLit(Node):
-    value: int
+    __slots__ = ("value",)
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass
 class StrLit(Node):
-    value: str
+    __slots__ = ("value",)
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass
 class VarRef(Node):
-    name: str
-    line: int = 0
-    col: int = 0
-    binder: int = -1
+    __slots__ = ("name", "line", "col", "binder")
+    def __init__(self, name: str, line: int = 0, col: int = 0, binder: int = -1):
+        self.name, self.line, self.col, self.binder = name, line, col, binder
 
 
-@dataclass
 class Assign(Node):
-    lhs: Node
-    rhs: Node
+    __slots__ = ("lhs", "rhs")
+    def __init__(self, lhs: Node, rhs: Node):
+        self.lhs, self.rhs = lhs, rhs
 
 
-@dataclass
 class If(Node):
-    cond: Node
-    then: Node
-    orelse: Optional[Node]
+    __slots__ = ("cond", "then", "orelse")
+    def __init__(self, cond: Node, then: Node, orelse: Optional[Node]):
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass
 class While(Node):
-    cond: Node
-    body: Node
+    __slots__ = ("cond", "body")
+    def __init__(self, cond: Node, body: Node):
+        self.cond, self.body = cond, body
 
 
-@dataclass
 class For(Node):
-    init: Node
-    cond: Node
-    step: Node
-    body: Node
+    __slots__ = ("init", "cond", "step", "body")
+    def __init__(self, init: Node, cond: Node, step: Node, body: Node):
+        self.init, self.cond, self.step, self.body = init, cond, step, body
 
 
-@dataclass
 class Binop(Node):
-    op: str
-    left: Node
-    right: Node
+    __slots__ = ("op", "left", "right")
+    def __init__(self, op: str, left: Node, right: Node):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
 class CallE(Node):
-    fn: Node
-    args: list
+    __slots__ = ("fn", "args")
+    def __init__(self, fn: Node, args: list):
+        self.fn, self.args = fn, args
 
 
-@dataclass
 class Index(Node):
-    subject: Node
-    index: Node
+    __slots__ = ("subject", "index")
+    def __init__(self, subject: Node, index: Node):
+        self.subject, self.index = subject, index
 
 
-@dataclass
 class ArrayLit(Node):
-    elems: list
+    __slots__ = ("elems",)
+    def __init__(self, elems: list):
+        self.elems = elems
 
 
-@dataclass
 class SexpLit(Node):
-    label: str
-    args: list
+    __slots__ = ("label", "args")
+    def __init__(self, label: str, args: list):
+        self.label, self.args = label, args
 
 
-@dataclass
 class FunLit(Node):
-    params: list  # of (name, binder id)
-    body: Node
+    __slots__ = ("params", "body")
+    def __init__(self, params: list, body: Node):
+        self.params, self.body = params, body  # params: (name, binder id) pairs
 
 
-@dataclass
 class Length(Node):
-    subject: Node
+    __slots__ = ("subject",)
+    def __init__(self, subject: Node):
+        self.subject = subject
 
 
-@dataclass
 class Case(Node):
-    scrutinee: Node
-    branches: list  # of (Pattern, Node)
+    __slots__ = ("scrutinee", "branches")
+    def __init__(self, scrutinee: Node, branches: list):
+        self.scrutinee, self.branches = scrutinee, branches  # of (Pattern, Node)
 
 
-@dataclass
 class VarDecl(Node):
-    name: str
-    init: Optional[Node]
-    line: int = 0
-    col: int = 0
-    binder: int = -1
+    __slots__ = ("name", "init", "line", "col", "binder")
+    def __init__(self, name: str, init: Optional[Node], line: int = 0, col: int = 0, binder: int = -1):
+        self.name, self.init, self.line, self.col, self.binder = name, init, line, col, binder
 
 
-@dataclass
 class FunDecl(Node):
-    name: str
-    fun: FunLit
-    line: int = 0
-    col: int = 0
-    binder: int = -1
+    __slots__ = ("name", "fun", "line", "col", "binder")
+    def __init__(self, name: str, fun: FunLit, line: int = 0, col: int = 0, binder: int = -1):
+        self.name, self.fun, self.line, self.col, self.binder = name, fun, line, col, binder
 
 
-@dataclass
 class Scope(Node):
-    items: list
+    __slots__ = ("items",)
+    def __init__(self, items: list):
+        self.items = items
 
 
 # Patterns.
 
 
-@dataclass
 class PWild(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class PBind(Node):
-    name: str
-    binder: int = -1
+    __slots__ = ("name", "binder")
+    def __init__(self, name: str, binder: int = -1):
+        self.name, self.binder = name, binder
 
 
-@dataclass
 class PAt(Node):
-    name: str
-    pat: Node
-    binder: int = -1
+    __slots__ = ("name", "pat", "binder")
+    def __init__(self, name: str, pat: Node, binder: int = -1):
+        self.name, self.pat, self.binder = name, pat, binder
 
 
-@dataclass
 class PSexp(Node):
-    label: str
-    args: list
+    __slots__ = ("label", "args")
+    def __init__(self, label: str, args: list):
+        self.label, self.args = label, args
 
 
-@dataclass
 class PArray(Node):
-    elems: list
+    __slots__ = ("elems",)
+    def __init__(self, elems: list):
+        self.elems = elems
 
 
-@dataclass
 class PShape(Node):
-    kind: str  # box / unbox / str / array / sexp / fun
+    __slots__ = ("kind",)
+    def __init__(self, kind: str):
+        self.kind = kind  # box / unbox / str / array / sexp / fun
 
 
-@dataclass
 class PInt(Node):
-    value: int
+    __slots__ = ("value",)
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass
-class Program:
-    body: Scope
-    builtins: dict  # name -> binder id
+class Program(Record):
+    __slots__ = ("body", "builtins")
+    def __init__(self, body: Scope, builtins: dict):
+        self.body, self.builtins = body, builtins  # builtins: name -> binder id
 
 
 # ---------------------------------------------------------------------------

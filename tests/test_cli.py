@@ -125,6 +125,34 @@ def test_constructor_case_golden_counters(write):
     assert (stats["fuel-used"], stats["engine-unifications"]) == ("121", "76")
 
 
+FUEL_BURNERS = {
+    # A recursive function over a list (ROADMAP item 2).
+    "total": (
+        "fun total (xs) { case xs of Nil -> 0 | Cons (h, t) -> h + total (t) esac }\n"
+        "var n = total (Cons (1, Nil))\n",
+        99,
+    ),
+    # An equality between two mu types (ROADMAP item 4).
+    "mu-vs-mu": (
+        "var x, y, z; fun f (p) { p [0] } fun g (q) { case q of A (r) -> r | _ -> q esac }\n"
+        "z := case y of A (u) -> u | B (u, w) -> w | _ -> y esac; x := B (y, z); y := g (y); y := B (z, x);\n",
+        98,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUEL_BURNERS))
+def test_fuel_exhaustion_reports_one_step_count(write, name):
+    # The fuel is checked before each forcing, and one forcing can take
+    # several steps, so a run may pass its budget. The message and
+    # `fuel-used` both give the steps taken.
+    source, steps = FUEL_BURNERS[name]
+    code, out = run_cli("check", write("p.lama", source), "--max-steps", "97", "--stats")
+    lines = out.splitlines()
+    assert (code, lines[:2]) == (2, ["Unknown", f"fuel exhausted after {steps} steps"])
+    assert f"fuel-used={steps}" in lines
+
+
 def _nested_tags(k):
     return "var x;\nx := " + "A (" * k + "1" + ")" * k
 

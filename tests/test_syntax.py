@@ -368,10 +368,10 @@ def test_var_visible_in_own_initializer():
     def walk(n):
         if isinstance(n, S.VarRef):
             refs.append(n)
-        for f in getattr(n, "__dataclass_fields__", {}):
+        for f in n.__slots__:
             v = getattr(n, f)
             for item in v if isinstance(v, list) else [v]:
-                if isinstance(item, S.Node) or isinstance(item, S.Scope):
+                if isinstance(item, S.Node):
                     walk(item)
 
     walk(decl.init)
@@ -431,7 +431,7 @@ def _binders(node, out=None) -> list:
         out += [("param", name, b) for name, b in node.params]
     elif hasattr(node, "binder"):
         out.append((type(node).__name__, node.name, node.binder))
-    for f in getattr(node, "__dataclass_fields__", {}):
+    for f in node.__slots__ if isinstance(node, S.Node) else ():
         v = getattr(node, f)
         if isinstance(v, (S.Node, list, tuple)):
             _binders(v, out)
@@ -441,6 +441,7 @@ def _binders(node, out=None) -> list:
 def _assert_resolves_as_reference(src):
     prog = parse_program(src)
     got = (_binders(prog.body), dict(prog.builtins))
+    assert got[0], "the walk found no binder"
     oracles.resolve_scopes(prog)
     assert got == (_binders(prog.body), prog.builtins)
 
