@@ -12,6 +12,7 @@ started inside another run's goal counts apart from it.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Any, Callable, Optional
 
 
@@ -37,12 +38,12 @@ class Compound:
     """A functor application: tag plus a tuple of argument terms. Terms
     are immutable, so what is computed from one is cached on it."""
 
-    __slots__ = ("tag", "args", "_var_free", "_hash")
+    __slots__ = ("tag", "args", "_flags", "_hash")
 
     def __init__(self, tag: str, args: tuple):
         self.tag = tag
         self.args = args
-        self._var_free = None  # cached: no Var anywhere in the raw structure
+        self._flags = None  # cached: VAR_FREE and CLOSED (see `flags`)
         self._hash = None  # cached hash
 
     def __repr__(self):
@@ -89,11 +90,8 @@ def _spine_hash(t: Compound) -> int:
 
 
 class FreeVar:
-    """A reified free variable: display index plus the original engine id.
-
-    Keeping the engine id means a reified term can always be converted
-    back to an engine term, as an occurs hook does.
-    """
+    """A reified free variable: display index plus the original engine id,
+    by which two are compared."""
 
     __slots__ = ("index", "var_id")
 
@@ -292,34 +290,45 @@ def shallow_walk(t: Term, subst: PMap) -> Term:
 _MISSING = object()
 
 
-def var_free(t: Term) -> bool:
-    """True when the raw structure of t contains no logic variable, so no
-    substitution can make one appear (cached on compounds). The walk
-    keeps its own stack, so a deep term takes no Python stack."""
-    if isinstance(t, Var):
-        return False
-    if not isinstance(t, Compound):
-        return True
-    if t._var_free is None:
-        stack = [t]  # each compound waits for the flag of the one above it
+# A compound's flags: VAR_FREE when its raw structure holds no logic
+# variable, so no substitution can change it; CLOSED when it also holds
+# no `TName` compound (a type name, see `types.apply_type_subst`), so no
+# rewrite of names or variables can change it.
+VAR_FREE, CLOSED = 1, 3
+
+
+def flags(t: Compound) -> int:
+    """The flags of a compound: 0, VAR_FREE or CLOSED, cached on it. The
+    walk keeps its own stack, so a deep term takes no Python stack."""
+    if t._flags is None:
+        stack = [t]  # each compound waits for the flags of the one above it
         while stack:
             x = stack[-1]
-            flag = True
+            f = VAR_FREE if x.tag == "TName" else CLOSED
             for a in x.args:
-                if isinstance(a, Var):
-                    flag = False
-                    break
-                if isinstance(a, Compound) and not a._var_free:
-                    if a._var_free is None:
-                        flag = None  # known once a's is
+                if isinstance(a, Compound):
+                    if a._flags is None:
+                        f = None  # known once a's are
                         stack.append(a)
-                    else:
-                        flag = False
+                        break
+                    f &= a._flags
+                    if not f:
+                        break
+                elif isinstance(a, Var):
+                    f = 0
                     break
-            if flag is not None:
-                x._var_free = flag
+            if f is not None:
+                x._flags = f
                 stack.pop()
-    return t._var_free
+    return t._flags
+
+
+def var_free(t: Term) -> bool:
+    """True when the raw structure of t contains no logic variable, so no
+    substitution can make one appear (see `flags`)."""
+    if isinstance(t, Var):
+        return False
+    return not isinstance(t, Compound) or (t._flags if t._flags is not None else flags(t)) != 0
 
 
 def occurs(vid: int, t: Term, subst: PMap) -> bool:
@@ -341,26 +350,35 @@ def occurs(vid: int, t: Term, subst: PMap) -> bool:
             x = nxt
         else:
             if isinstance(x, Compound) and id(x) not in entered:
-                flag = x._var_free
-                if flag is None:
-                    flag = var_free(x)
-                if not flag:
+                f = x._flags
+                if f is None:
+                    f = flags(x)
+                if not f:
                     entered.add(id(x))
                     stack.extend(x.args)
     return False
 
 
+def rebuilt(t: Compound, parts) -> Compound:
+    """t itself when parts are its arguments, object for object; else a
+    new compound of t's tag over parts."""
+    if all(map(is_, parts, t.args)):
+        return t
+    return Compound(t.tag, tuple(parts))
+
+
 _BUILD = object()  # rebuild_term's marker: the compound below it has its parts built
 
 
-def rebuild_term(t: Term, subst: Optional[PMap], leaf: Callable[[Term], Term], done: Optional[dict] = None) -> Term:
-    """t deep-walked under subst (None: as it is), each compound rebuilt
-    from its rebuilt parts and every other subterm x replaced by leaf(x),
-    in pre-order. A compound reached again (see `occurs`) is rebuilt once;
-    done, when given, collects {id of a walked compound: its rebuilt form}.
-    The walk keeps its own stack, so a deep term takes no Python stack."""
-    if done is None:
-        done = {}
+def rebuild_term(t: Term, subst: PMap, leaf: Callable[[Var], Term]):
+    """t deep-walked under subst, every unbound variable x replaced by
+    leaf(x) in pre-order: (the term, the number of compounds built). A
+    var-free subterm comes back as it is, and so does a compound whose
+    parts all do (see `rebuilt`); a compound reached again (see `occurs`)
+    is rebuilt once. The walk keeps its own stack, so a deep term takes
+    no Python stack."""
+    done = {}  # id of a walked compound -> its rebuilt form
+    built = 0
     out = []  # rebuilt subterms, in order
     todo = [t]
     while todo:
@@ -368,38 +386,38 @@ def rebuild_term(t: Term, subst: Optional[PMap], leaf: Callable[[Term], Term], d
         if x is _BUILD:
             x = todo.pop()
             n = len(x.args)
-            parts = tuple(out[len(out) - n:])
+            new = done[id(x)] = rebuilt(x, out[len(out) - n:])
             del out[len(out) - n:]
-            built = done[id(x)] = Compound(x.tag, parts)
-            out.append(built)
+            out.append(new)
+            built += new is not x
             continue
-        if subst is not None:
+        if x.__class__ is Var:
             x = shallow_walk(x, subst)
-        if not isinstance(x, Compound):
-            out.append(leaf(x))
+            if x.__class__ is Var:
+                out.append(leaf(x))
+                continue
+        if x.__class__ is not Compound or (x._flags if x._flags is not None else flags(x)) != 0:
+            out.append(x)
             continue
-        built = done.get(id(x))
-        if built is not None:
-            out.append(built)
+        new = done.get(id(x))
+        if new is not None:
+            out.append(new)
             continue
         todo += (x, _BUILD)
         todo.extend(reversed(x.args))
-    return out[0]
+    return out[0], built
 
 
-def reify_term(t: Term, subst: PMap, numbering: Optional[dict] = None, done: Optional[dict] = None) -> Term:
+def reify_term(t: Term, subst: PMap) -> Term:
     """Deep-walk a term, renaming free variables in first-occurrence order
     (see `rebuild_term`)."""
-    if numbering is None:
-        numbering = {}
+    numbering = {}
 
     def leaf(x):
-        if isinstance(x, Var):
-            n = numbering.setdefault(x.id, len(numbering))
-            return FreeVar(n, x.id)
-        return x
+        n = numbering.setdefault(x.id, len(numbering))
+        return FreeVar(n, x.id)
 
-    return rebuild_term(t, subst, leaf, done)
+    return rebuild_term(t, subst, leaf)[0]
 
 
 def _unify_terms(a, b, subst, hooks, counters=None):
@@ -409,8 +427,8 @@ def _unify_terms(a, b, subst, hooks, counters=None):
     when nothing was bound.
 
     hooks is None when occurs hooks are disabled (trial unification and
-    hook-suggestion re-checks). counters, when given, pay for the terms
-    the hooks close (see `_extend`).
+    hook-suggestion re-checks). counters, when given, pay for the
+    compounds the hooks build (see `_extend`).
     """
     a = shallow_walk(a, subst)
     b = shallow_walk(b, subst)
@@ -438,19 +456,21 @@ def _unify_terms(a, b, subst, hooks, counters=None):
 
 
 def _extend(v: Var, t, subst, hooks, counters):
-    # t is walked: an atom, a variable-free compound or another unbound
-    # variable cannot contain v, so only other compounds are searched.
+    """Bind v to t, a walked term. When v occurs in t, v's occurs hook,
+    hook(v's id, t, subst), may suggest a term to bind instead; it
+    returns the suggestion and the number of compounds it built."""
+    # An atom, a variable-free compound or another unbound variable cannot
+    # contain v, so only other compounds are searched.
     if isinstance(t, Compound) and not var_free(t) and occurs(v.id, t, subst):
         hook = hooks.get(v.id) if hooks is not None else None
         if hook is None:
             return None
-        done = {}
-        suggested = hook(v.id, reify_term(t, subst, done=done))
-        # A unit of fuel per compound the hook closes: fuel then bounds a
+        suggested, built = hook(v.id, t, subst)
+        # A unit of fuel per compound the hook builds: fuel then bounds a
         # term that grows at every binding (a row whose cells hold its own
         # open tail grows by about 1.6 times per closing).
         if counters is not None:
-            counters.steps += len(done)
+            counters.steps += built
         # The suggestion is re-checked with hooks disabled.
         if occurs(v.id, suggested, subst):
             return None
@@ -701,7 +721,7 @@ def run(
     """Pull up to max_answers reified answers for one query variable.
 
     Fuel is measured in engine work units (stream forcings, unifications,
-    and a unit per compound of each term an occurs hook closes);
+    and a unit per compound an occurs hook builds);
     exhausting it is reported on the result, never raised.
     The query variable is reified per answer with free variables numbered
     in first-occurrence order.

@@ -726,10 +726,13 @@ def solve_call(fn, args, result, opts: SolverOpts, kont):
                 name = shallow_walk(name, st.subst)
                 if isinstance(name, str):
                     mapping[name], st = st.fresh_var()
-            spawned = [apply_type_subst(mapping, c, st.subst) for c in (_walk_list(fc, st.subst) or [])]
-            goals = [eq_t(apply_type_subst(mapping, p, st.subst), a) for p, a in zip(params, args)]
-            goals.append(eq_t(apply_type_subst(mapping, r, st.subst), result))
-            return conj(*goals, kont(spawned))(st)
+            cs = _walk_list(fc, st.subst) or []
+            # One rewrite, with one memo, of the constraints, the parameters
+            # and the result, as the arguments of one compound.
+            parts = apply_type_subst(mapping, Compound("", (*cs, *params, r)), st.subst).args
+            goals = [eq_t(p, a) for p, a in zip(parts[len(cs):], args)]
+            goals.append(eq_t(parts[-1], result))
+            return conj(*goals, kont(list(parts[:len(cs)])))(st)
 
         return conj(_force_empty(fxs, opts), _force_empty(fc, opts), instantiate)(state)
 

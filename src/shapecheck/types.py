@@ -29,14 +29,17 @@ import re
 from typing import Optional
 
 from .engine import (
+    CLOSED,
     Compound,
     FreeVar,
     Goal,
     PMap,
     Var,
     bind,
+    flags,
     mplus,
     rebuild_term,
+    rebuilt,
     shallow_walk,
     var_free,
 )
@@ -192,7 +195,9 @@ class TagTable:
 def apply_type_subst(mapping: dict, term, subst):
     """Capture-avoiding replacement of TName occurrences, deep-walking as
     it goes. Binders in TMu / TArrow shadow identically-named entries.
-    A compound is rewritten once per set of names in scope, however many
+    A closed subterm (see `engine.flags`) comes back as it is, and so does
+    a compound whose parts all do (see `engine.rebuilt`). Any other
+    compound is rewritten once per set of names in scope, however many
     paths lead to it (through the substitution, or as a `mu` type that
     unfolding referenced more than once). The walk keeps its own stack,
     so a deep term takes no Python stack.
@@ -207,12 +212,13 @@ def apply_type_subst(mapping: dict, term, subst):
         t, names, memo, kept = todo.pop()
         if kept is not None:
             n = len(t.args) - len(kept)
-            built = memo[id(t)] = Compound(t.tag, kept + tuple(out[len(out) - n:]))
+            built = memo[id(t)] = rebuilt(t, kept + tuple(out[len(out) - n:]))
             del out[len(out) - n:]
             out.append(built)
             continue
-        t = shallow_walk(t, subst)
-        if not isinstance(t, Compound):
+        if t.__class__ is Var:
+            t = shallow_walk(t, subst)
+        if t.__class__ is not Compound or (t._flags if t._flags is not None else flags(t)) == CLOSED:
             out.append(t)
             continue
         done = memo.get(id(t))
@@ -231,7 +237,7 @@ def apply_type_subst(mapping: dict, term, subst):
                 inner_memo = memos.setdefault(frozenset(inner), {})
             if done is None:
                 todo.append((t, None, memo, kept))
-                todo.extend((a, inner, inner_memo, None) for a in reversed(t.args[len(kept):]))
+                todo += [(a, inner, inner_memo, None) for a in reversed(t.args[len(kept):])]
                 continue
             memo[id(t)] = done
         out.append(done)
@@ -261,17 +267,13 @@ def unfold_mu(t: Compound, subst):
 # ---------------------------------------------------------------------------
 
 
-def type_occurs_hook(vid: int, reified):
-    """Replace the offending variable with a type name and wrap in a mu.
-    A compound shared in the reified term is converted once."""
-    name = f"r{vid}"
-
-    def back(t):
-        if isinstance(t, FreeVar):
-            return t_name(name) if t.var_id == vid else Var(t.var_id)
-        return t
-
-    return t_mu(name, rebuild_term(reified, None, back))
+def type_occurs_hook(vid: int, t, subst):
+    """t, in which the variable vid occurs under subst, closed into a mu:
+    deep-walked, vid replaced by the mu's name (see `engine._extend` and
+    `engine.rebuild_term`, which builds only the compounds that change)."""
+    name = t_name(f"r{vid}")
+    body, built = rebuild_term(t, subst, lambda x: name if x.id == vid else x)
+    return t_mu(name.args[0], body), built
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +701,10 @@ class _TypeParser:
     """Recursive descent over the tokens of a rendered type. Two forms are
     told apart by the token after a bracketed group, found through the
     group's matching bracket: a `(`...`)` group is an arrow's parameters
-    when `->` follows it, and `Ind(`, `Eq(`, `Call(` and `Sexp[L](` start
-    a constraint only when `&` or `=>` follows. Nothing is parsed twice.
+    when `->` follows it, and `Ind(`, `Eq(`, `Call(`, `Match(` and
+    `Sexp[L](` start a constraint only when `&` or `=>` follows. A pattern
+    is `t @ p` when an `@` comes before its end outside brackets. Nothing
+    is parsed twice.
     """
 
     def __init__(self, text: str, table: TagTable):
@@ -793,7 +797,7 @@ class _TypeParser:
         i = self.pos
         if self.toks[i] == "Sexp" and self.toks[i + 1] == "[":
             i = self.close.get(i + 1, i)
-        elif self.toks[i] not in ("Ind", "Eq", "Call"):
+        elif self.toks[i] not in ("Ind", "Eq", "Call", "Match"):
             return False
         return self.toks[i + 1] == "(" and self.after(i + 1) in ("&", "=>")
 
@@ -805,22 +809,23 @@ class _TypeParser:
                 constraints.append(self.constraint())
             self.expect("=>")
         self.expect("(")
-        params = self.types_until(")")
+        params = self.until(")", self.type_)
         self.expect("->")
         return t_arrow(llist(bvars), llist(constraints), llist(params), self.type_())
 
-    def types_until(self, end: str) -> list:
-        """Comma-separated types up to and including the token end."""
+    def until(self, end: str, item) -> list:
+        """Comma-separated items, each read by item(), up to and including
+        the token end."""
         items = []
         if not self.eat(end):
-            items.append(self.type_())
+            items.append(item())
             while not self.eat(end):
                 self.expect(",")
-                items.append(self.type_())
+                items.append(item())
         return items
 
     def constraint(self):
-        if self.toks[self.pos] not in ("Ind", "Eq", "Call", "Sexp"):
+        if self.toks[self.pos] not in ("Ind", "Eq", "Call", "Match", "Sexp"):
             self.error("expected a constraint")
         word = self.word()
         if word in ("Ind", "Eq"):
@@ -834,18 +839,50 @@ class _TypeParser:
             self.expect("(")
             fn = self.type_()
             self.expect(";")
-            args = self.types_until(";")
+            args = self.until(";", self.type_)
             res = self.type_()
             self.expect(")")
             return c_call(fn, llist(args), res)
+        if word == "Match":
+            self.expect("(")
+            subj = self.type_()
+            self.expect(";")
+            return c_match(subj, llist(self.until(")", self.pattern)))
         self.expect("[")
         label = self.word()
         self.expect("]")
         self.expect("(")
         subj = self.type_()
         self.expect(";")
-        args = self.types_until(")")
+        args = self.until(")", self.type_)
         return c_sexp(self.table.intern(label, len(args)), subj, llist(args))
+
+    def pattern(self):
+        """`_`, `#shape`, `Label`, `Label(p, ...)`, `[p, ...]` or `t @ p`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        i = self.pos
+        while self.toks[i] not in (",", ")", "]", "@", ""):
+            i = self.close.get(i, i) + 1
+        if self.toks[i] == "@":
+            ty = self.type_()
+            self.expect("@")
+            pat = p_at(ty, self.pattern())
+        elif self.eat("#"):
+            pat = p_shape(self.word("a shape"))
+        elif self.eat("["):
+            pat = p_array(llist(self.until("]", self.pattern)))
+        elif self.eat("_"):
+            pat = P_WILD
+        elif self.toks[self.pos][:1].isupper():
+            label = self.word("a pattern")
+            args = self.until(")", self.pattern) if self.eat("(") else []
+            pat = p_sexp(self.table.intern(label, len(args)), llist(args))
+        else:
+            self.error("expected a pattern")
+        self.depth -= 1
+        return pat
 
     def union(self):
         members = [self.member()]
@@ -875,7 +912,7 @@ class _TypeParser:
         if word == "Str":
             return T_STR
         if word[0].isupper():
-            args = self.types_until(")") if self.eat("(") else []
+            args = self.until(")", self.type_) if self.eat("(") else []
             return t_ctor(self.table.intern(word, len(args)), llist(args))
         if word in self.bound:
             return t_name(word)

@@ -27,6 +27,11 @@ types: the checker's `eq_t` run over both types after `canonicalize`,
 within a fuel budget, where the checker's `types_equal` runs no engine.
 `bind_occurs_hook` registers an occurs hook as a goal, for tests that
 build goal pipelines by hand.
+`reference_apply_type_subst`, `reference_rebuild_term`,
+`reference_reify_term` and `reference_type_occurs_hook` are the copying
+rewriters: each builds every compound in reach anew, and the hook
+reifies its term and then turns it back, where the checker's rewriters
+return what cannot change as the same object.
 `reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
 `reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
 the reference constraint handlers, as goal pipelines: each unifies a
@@ -45,6 +50,7 @@ from typing import Optional
 from shapecheck import syntax as S
 from shapecheck.engine import (
     Compound,
+    FreeVar,
     Goal,
     State,
     Term,
@@ -72,7 +78,6 @@ from shapecheck.types import (
     _items,
     _var_id,
     _walk_list,
-    apply_type_subst,
     c_ind_args,
     c_ind_row,
     c_match,
@@ -687,6 +692,122 @@ def eager_solve_sexp(tag, subject, args, opts, kont):
 
 
 # ---------------------------------------------------------------------------
+# Reference rewriters: every compound copied.
+# ---------------------------------------------------------------------------
+
+
+def reference_apply_type_subst(mapping: dict, term, subst):
+    """Capture-avoiding replacement of TName occurrences, deep-walking as
+    it goes, every compound in reach built anew (closed ones too), each
+    once per set of names in scope. Binders in TMu / TArrow shadow
+    identically-named entries."""
+    memos = {}  # names in scope -> {id of a compound: its rewrite}
+    out = []  # rewritten subterms, in order
+    # Tasks: (term, names in scope, memo, None) rewrites term; (compound,
+    # None, memo, kept) builds it from kept and the rewrites of its other
+    # arguments, the last ones on out.
+    todo = [(term, mapping, memos.setdefault(frozenset(mapping), {}), None)]
+    while todo:
+        t, names, memo, kept = todo.pop()
+        if kept is not None:
+            n = len(t.args) - len(kept)
+            built = memo[id(t)] = Compound(t.tag, kept + tuple(out[len(out) - n:]))
+            del out[len(out) - n:]
+            out.append(built)
+            continue
+        t = shallow_walk(t, subst)
+        if not isinstance(t, Compound):
+            out.append(t)
+            continue
+        done = memo.get(id(t))
+        if done is None:
+            tag, kept, inner, inner_memo = t.tag, (), names, memo
+            if tag == "TName":
+                done = names.get(t.args[0], t)
+            elif tag == "TMu" or tag == "TArrow":
+                if tag == "TMu":
+                    kept = shadowed = (shallow_walk(t.args[0], subst),)
+                else:
+                    kept, bvars = t.args[:1], _walk_list(t.args[0], subst)
+                    shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
+                inner = {k: v for k, v in names.items() if k not in shadowed}
+                done = None if inner else t
+                inner_memo = memos.setdefault(frozenset(inner), {})
+            if done is None:
+                todo.append((t, None, memo, kept))
+                todo.extend((a, inner, inner_memo, None) for a in reversed(t.args[len(kept):]))
+                continue
+            memo[id(t)] = done
+        out.append(done)
+    return out[0]
+
+
+_BUILD = object()  # reference_rebuild_term's marker: the compound below it has its parts built
+
+
+def reference_rebuild_term(t, subst, leaf, done: dict):
+    """t deep-walked under subst (None: as it is), every compound in reach
+    built anew from its rebuilt parts and every other subterm x replaced
+    by leaf(x). done collects {id of a walked compound: its rebuilt form};
+    a compound reached again is rebuilt once."""
+    out = []  # rebuilt subterms, in order
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if x is _BUILD:
+            x = todo.pop()
+            n = len(x.args)
+            parts = tuple(out[len(out) - n:])
+            del out[len(out) - n:]
+            built = done[id(x)] = Compound(x.tag, parts)
+            out.append(built)
+            continue
+        if subst is not None:
+            x = shallow_walk(x, subst)
+        if not isinstance(x, Compound):
+            out.append(leaf(x))
+            continue
+        built = done.get(id(x))
+        if built is not None:
+            out.append(built)
+            continue
+        todo += (x, _BUILD)
+        todo.extend(reversed(x.args))
+    return out[0]
+
+
+def reference_reify_term(t, subst, done: Optional[dict] = None):
+    """t deep-walked, every compound copied, free variables renamed in
+    first-occurrence order."""
+    numbering = {}
+
+    def leaf(x):
+        if isinstance(x, Var):
+            n = numbering.setdefault(x.id, len(numbering))
+            return FreeVar(n, x.id)
+        return x
+
+    return reference_rebuild_term(t, subst, leaf, {} if done is None else done)
+
+
+def reference_type_occurs_hook(vid: int, t, subst):
+    """The type occurs hook in two passes: t reified under subst, then
+    rebuilt with each free variable turned back into a variable and vid
+    into the mu's name. Returns the mu and the number of compounds of the
+    walked t (the hook's fuel under an earlier rule)."""
+    done = {}
+    reified = reference_reify_term(t, subst, done)
+    name = f"r{vid}"
+
+    def back(x):
+        if isinstance(x, FreeVar):
+            return t_name(name) if x.var_id == vid else Var(x.var_id)
+        return x
+
+    return t_mu(name, reference_rebuild_term(reified, None, back, {})), len(done)
+
+
+# ---------------------------------------------------------------------------
 # Reference type equality: the relational goals, one per tag.
 # ---------------------------------------------------------------------------
 
@@ -695,7 +816,8 @@ def bind_occurs_hook(t: Term, hook) -> Goal:
     """Register an occurs hook; t must walk to an unbound variable.
 
     When binding that variable fails the occurs check, hook(variable id,
-    reified target) is called and may return a term to bind instead.
+    walked target, substitution) is called and returns a term to bind
+    instead and the number of compounds it built (see `engine._extend`).
     """
 
     def goal(state):
@@ -787,7 +909,7 @@ def _ref_eq_arrow(a: Compound, b: Compound) -> Goal:
         def renamed(fresh):
             new = [t_name(f"%{v.id}") for v in fresh]
             ra, rb = (
-                apply_type_subst(dict(zip(names, new)), t_arrow(LNIL, *t.args[1:]), state.subst)
+                reference_apply_type_subst(dict(zip(names, new)), t_arrow(LNIL, *t.args[1:]), state.subst)
                 for t, names in ((a, xs), (b, ys))
             )
             return _ref_eq_arrow(ra, rb)
@@ -1066,15 +1188,15 @@ def reference_solve_call(fn, args, result, opts, kont):
                     v, st = st.fresh_var()
                     mapping[name] = v
             spawned = [
-                apply_type_subst(mapping, c, st.subst)
+                reference_apply_type_subst(mapping, c, st.subst)
                 for c in (_walk_list(fc, st.subst) or [])
             ]
             params = _walk_list(ps, st.subst) or []
             goals = [
-                eq_t(apply_type_subst(mapping, p, st.subst), a)
+                eq_t(reference_apply_type_subst(mapping, p, st.subst), a)
                 for p, a in zip(params, args)
             ]
-            goals.append(eq_t(apply_type_subst(mapping, r, st.subst), result))
+            goals.append(eq_t(reference_apply_type_subst(mapping, r, st.subst), result))
             goals.append(kont(spawned))
             return conj(*goals)(st)
 

@@ -136,7 +136,7 @@ FUEL_BURNERS = {
     "mu-vs-mu": (
         "var x, y, z; fun f (p) { p [0] } fun g (q) { case q of A (r) -> r | _ -> q esac }\n"
         "z := case y of A (u) -> u | B (u, w) -> w | _ -> y esac; x := B (y, z); y := g (y); y := B (z, x);\n",
-        98,
+        97,
     ),
 }
 
@@ -398,12 +398,12 @@ def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
     [
         pytest.param(*case, id=f"{case[0]}-{case[1]}")
         for case in [
-            ("case_list", None, "Typed", 34, 36, 73),
-            ("closure_chain", None, "Typed", 22, 22, 75),
+            ("case_list", None, "Typed", 34, 36, 71),
+            ("closure_chain", None, "Typed", 22, 22, 55),
             ("heterogeneous", None, "IllTyped", 2, 2, 2),
             ("sexp_assign", None, "Typed", 7, 8, 16),
             ("sort", None, "Typed", 27, 21, 37),
-            ("self_array", 50_000, "Unknown", 7, 6, 24),
+            ("self_array", 50_000, "Unknown", 7, 6, 15),
         ]
     ],
 )

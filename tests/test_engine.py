@@ -31,7 +31,8 @@ from shapecheck.engine import (
     succeed,
     unify,
 )
-from shapecheck.types import type_occurs_hook
+from shapecheck.solver import SolverOpts, solve_call
+from shapecheck.types import LNIL, T_INT, TagTable, llist, t_arrow, t_name, type_occurs_hook
 
 
 def C(tag, *args):
@@ -260,34 +261,60 @@ def test_reify_numbers_free_vars_in_order():
     assert ans == C("p", FreeVar(0, ans.args[0].var_id), FreeVar(1, ans.args[1].var_id), ans.args[0])
 
 
-def test_reify_and_the_type_hook_take_no_stack_on_a_deep_term():
-    # A term nested 5,000 compounds deep (not a list spine), reified and
-    # closed by the type occurs hook at the default recursion limit.
-    x = Var(0)
-    deep = x
-    for _ in range(5000):
-        deep = C("TArray", deep)
-    assert sys.getrecursionlimit() <= 1000
-    reified = reify_term(deep, PMap())
-    closed = type_occurs_hook(0, reified)
-    depth, t = 0, closed.args[1]
-    while t.tag == "TArray":
+def _nested(tag, leaf, depth):
+    """leaf under depth compounds of tag, each built fresh."""
+    for _ in range(depth):
+        leaf = C(tag, leaf)
+    return leaf
+
+
+def _under(t, tag):
+    """How many compounds of tag t is nested in, and what they wrap."""
+    depth = 0
+    while isinstance(t, Compound) and t.tag == tag:
         depth, t = depth + 1, t.args[0]
-    assert (closed.tag, depth, t) == ("TMu", 5000, C("TName", "r0"))
+    return depth, t
+
+
+def test_reify_and_the_type_hook_take_no_stack_on_a_deep_term():
+    # Terms nested 5,000 compounds deep (not a list spine), each built
+    # fresh, so their flags are computed on the way, at the default
+    # recursion limit: one closed by the type occurs hook, a var-free one
+    # reified, and a scheme over one instantiated by a call.
+    assert sys.getrecursionlimit() <= 1000
+    closed, built = type_occurs_hook(0, _nested("TArray", Var(0), 5000), PMap())
+    assert (closed.tag, _under(closed.args[1], "TArray"), built) == ("TMu", (5000, C("TName", "r0")), 5000)
+
+    ground = _nested("TArray", T_INT, 5000)
+    assert reify_term(ground, PMap()) is ground
+
+    # forall a. ([...[a]...]) -> [...[a]...], called at a free variable:
+    # the parameter and the result are one rewrite of one deep term.
+    deep = _nested("TArray", t_name("a"), 5000)
+    scheme = t_arrow(llist(["a"]), LNIL, llist([deep]), deep)
+
+    opts = SolverOpts(TagTable())
+    (answer,) = run(lambda q: fresh_with(lambda a: solve_call(scheme, [a], q, opts, lambda _: succeed))).answers
+    depth, leaf = _under(answer, "TArray")
+    assert (depth, isinstance(leaf, FreeVar)) == (5000, True)
 
 
 def test_a_hook_costs_a_unit_of_fuel_per_compound_it_closes():
-    # x = f(g(x), h): one unification, the hook closing a term of three
-    # compounds (f, g and h), and the query's answer.
+    # x = f(g(x), big): one unification and the query's answer, plus the
+    # hook's rewrite, which builds f and g anew and keeps big, 51 var-free
+    # compounds, as it is. The copying hook paid for all 53.
+    big = _nested("h", C("k"), 50)
+
     def goal(q):
         def k(x):
-            return conj(bind_occurs_hook(x, type_occurs_hook), unify(x, C("f", C("g", x), C("h"))), unify(q, x))
+            return conj(bind_occurs_hook(x, type_occurs_hook), unify(x, C("f", C("g", x), big)), unify(q, x))
 
         return fresh_with(k)
 
-    plain = run(lambda q: fresh_with(lambda x: conj(unify(x, C("f", C("h"))), unify(q, x)))).counters.steps
+    plain = run(lambda q: fresh_with(lambda x: conj(unify(x, C("f", big)), unify(q, x)))).counters.steps
     hooked = run(goal).counters.steps
-    assert hooked - plain == 3
+    assert hooked - plain == 2
+    assert oracles.reference_type_occurs_hook(0, C("f", C("g", Var(0)), big), PMap())[1] == 53
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +623,13 @@ def test_is_not_var_on_fresh_fails():
 
 
 def test_occurs_hook_fires_and_suggestion_accepted():
-    # On x = f(x), suggest binding x to the constant "fix" instead.
-    def hook(vid, reified):
-        return C("fix")
+    # On x = f(x), suggest binding x to the constant "fix" instead. The
+    # hook gets x's id and the walked term, and builds no compound.
+    seen = []
+
+    def hook(vid, t, subst):
+        seen.append((vid, t))
+        return C("fix"), 0
 
     def goal(q):
         def k(x):
@@ -609,12 +640,13 @@ def test_occurs_hook_fires_and_suggestion_accepted():
     res = run(goal)
     # Suggestion replaces the whole offending unification target for x.
     assert res.answers == [C("fix")]
+    assert seen == [(1, C("f", Var(1)))]
 
 
 def test_occurs_hook_bad_suggestion_rejected():
     # A suggestion that itself fails occurs (hooks disabled) kills the branch.
-    def hook(vid, reified):
-        return C("f", Var(vid))  # still cyclic once re-checked
+    def hook(vid, t, subst):
+        return C("f", Var(vid)), 1  # still cyclic once re-checked
 
     def goal(q):
         def k(x):
@@ -628,9 +660,9 @@ def test_occurs_hook_bad_suggestion_rejected():
 def test_occurs_hook_cleared_after_successful_unification():
     calls = []
 
-    def hook(vid, reified):
+    def hook(vid, t, subst):
         calls.append(vid)
-        return C("fix")
+        return C("fix"), 0
 
     def goal(q):
         def k(x):
@@ -661,7 +693,7 @@ def test_occurs_hook_cleared_after_successful_unification():
 
 
 def test_hook_not_consulted_without_occurs_failure():
-    def hook(vid, reified):
+    def hook(vid, t, subst):
         raise AssertionError("hook must not fire")
 
     def goal(q):

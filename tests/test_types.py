@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +20,12 @@ from shapecheck.engine import (
     fresh_with,
     reify_term,
     run,
+    shallow_walk,
     unify,
 )
 from shapecheck.types import (
     LNIL,
+    P_WILD,
     T_INT,
     T_STR,
     TagTable,
@@ -30,9 +33,13 @@ from shapecheck.types import (
     apply_type_subst,
     c_eq,
     c_ind,
+    c_match,
     eq_t,
     lcons,
     llist,
+    p_at,
+    p_sexp,
+    p_shape,
     parse_type,
     pretty_type,
     render_constraint,
@@ -49,7 +56,9 @@ from shapecheck.types import (
 
 import oracles as O
 from oracles import canonicalize, unmu
-from shapecheck import types
+from shapecheck import engine, types
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ok(goal_of_var, **kw):
@@ -169,22 +178,142 @@ def test_apply_type_subst_rewrites_a_shared_term_once(monkeypatch):
     assert apply_type_subst({"x": T_INT}, shadowed, subst) is shadowed
 
 
+def test_rewriters_do_not_enter_what_cannot_change(monkeypatch):
+    # Beside a variable, a closed term (no variable, no name) is not
+    # entered by a rewrite of names, nor a var-free one by reification:
+    # only the pair above them is rebuilt.
+    closed, named = T_INT, t_name("x")
+    for _ in range(100):
+        closed, named = t_array(closed), t_array(named)
+    rewrites = _counting(monkeypatch, types, "rebuilt")
+    out = apply_type_subst({"x": T_STR}, Compound("TPair", (closed, named, Var(0))), PMap())
+    assert (len(rewrites), out.args[0] is closed) == (101, True)
+    reifies = _counting(monkeypatch, engine, "rebuilt")
+    out = reify_term(Compound("TPair", (named, Var(0))), PMap())
+    assert (len(reifies), out.args[0] is named) == (1, True)
+
+
 def test_occurs_hook_converts_a_shared_term_once(monkeypatch):
+    # The hook closes the walked term in one rewrite, which builds each
+    # of the 16 shared pairs once and pays a unit of fuel for each.
     top, subst = _shared_chain(16, Var(99))
-    reified = reify_term(top, subst)
-    converted = []
-    original = types.rebuild_term
-
-    def counting(t, subst, leaf, done=None):
-        done = {} if done is None else done
-        out = original(t, subst, leaf, done)
-        converted.append(len(done))
-        return out
-
-    monkeypatch.setattr(types, "rebuild_term", counting)
-    hooked = type_occurs_hook(99, reified)
-    assert converted == [16]
+    rewrites = _counting(monkeypatch, types, "rebuild_term")
+    hooked, built = type_occurs_hook(99, top, subst)
+    assert (len(rewrites), built) == (1, 16)
     assert _leftmost(hooked.args[1], 16) == t_name("r99")
+
+
+# The rewriters against the copying ones (`oracles.reference_*`), on terms
+# over names, atoms, free variables and variables bound by the case's
+# substitution. Each step of a recipe makes a compound over terms made
+# before it, so later terms share earlier ones.
+_NAMES = ("x", "y", "z")
+_FREE = [Var(i) for i in range(4)]
+_BOUND = [Var(i) for i in range(4, 8)]
+_STEP = st.tuples(
+    st.sampled_from(["TArray", "TPair", "TMu", "TArrow", "Match"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(_NAMES),
+)
+
+
+def _made(pool, steps):
+    pool = list(pool)
+    for kind, i, j, name in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if kind == "TArray":
+            t = t_array(a)
+        elif kind == "TPair":
+            t = Compound("TPair", (a, b))
+        elif kind == "TMu":
+            t = t_mu(name, a)
+        elif kind == "TArrow":
+            t = t_arrow(llist([name]), llist([c_eq(a, b), c_ind(b, t_name(name))]), llist([a]), b)
+        else:
+            t = c_match(a, llist([p_at(b, P_WILD), p_sexp(0, llist([p_shape("box")]))]))
+        pool.append(t)
+    return pool
+
+
+@st.composite
+def _rewrite_cases(draw):
+    """(term, substitution, mapping of names). The bound variables name
+    terms of a first pool, made without them, or an earlier bound
+    variable; the term is the last of a second pool over both. Some cases
+    put a 300-deep chain of fresh compounds in the first pool."""
+    leaves = [T_INT, T_STR, Compound("TInt", ()), *map(t_name, _NAMES), *_FREE]
+    first = _made(leaves, draw(st.lists(_STEP, max_size=10)))
+    if draw(st.booleans()):
+        deep = first[draw(st.integers(0, 10**6)) % len(first)]
+        for _ in range(300):
+            deep = Compound("TArray", (deep,))
+        first.append(deep)
+    subst = PMap()
+    for k, v in enumerate(_BOUND):
+        options = first + _BOUND[:k]
+        subst = subst.set(v.id, options[draw(st.integers(0, 10**6)) % len(options)])
+    second = _made(first + _BOUND, draw(st.lists(_STEP, min_size=1, max_size=10)))
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    mapping = {n: second[draw(st.integers(0, 10**6)) % len(second)] for n in names}
+    return second[-1], subst, mapping
+
+
+def _assert_shared(term, subst, out, kept):
+    """Walk term under subst and out side by side: a subterm that kept(x)
+    says cannot change comes back as itself, and so does a compound whose
+    parts all come back as they were."""
+    todo, seen = [(term, out)], set()
+    while todo:
+        a, b = todo.pop()
+        a = shallow_walk(a, subst)
+        if not isinstance(a, Compound) or b is a or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        assert not kept(a), a
+        if isinstance(b, Compound) and b.tag == a.tag and len(b.args) == len(a.args):  # else a replaced name
+            assert not all(x is y for x, y in zip(b.args, a.args)), a
+            todo.extend(zip(a.args, b.args))
+
+
+def _compounds(t, subst=None) -> dict:
+    """id -> compound, for every compound in reach of t (under subst)."""
+    found, todo = {}, [t]
+    while todo:
+        x = todo.pop()
+        if subst is not None:
+            x = shallow_walk(x, subst)
+        if isinstance(x, Compound) and id(x) not in found:
+            found[id(x)] = x
+            todo.extend(x.args)
+    return found
+
+
+def _closed(t):
+    return engine.flags(t) == engine.CLOSED
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rewrite_cases())
+def test_rewriters_agree_with_the_copying_ones_and_keep_what_cannot_change(case):
+    term, subst, mapping = case
+    out = apply_type_subst(mapping, term, subst)
+    assert out == O.reference_apply_type_subst(mapping, term, subst)
+    _assert_shared(term, subst, out, _closed)
+
+    reified = reify_term(term, subst)
+    assert reified == O.reference_reify_term(term, subst)
+    _assert_shared(term, subst, reified, engine.var_free)
+
+    before = _compounds(term, subst)
+    for v in _FREE:
+        hooked, built = type_occurs_hook(v.id, term, subst)
+        assert hooked == O.reference_type_occurs_hook(v.id, term, subst)[0]
+        _assert_shared(term, subst, hooked.args[1], engine.var_free)
+        # A unit of fuel per compound built: every compound of the result
+        # that the term does not reach, but for the mu's name.
+        new = [x for i, x in _compounds(hooked.args[1]).items() if i not in before]
+        assert built == sum(x != t_name(f"r{v.id}") for x in new)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +536,10 @@ def test_render_constraint_forms():
         "Ind(Int)",
         "[Call(Int)]",
         "forall a. Eq(a, Call(Int)) & Call(a; Ind(Int); a) => (Eq(Int, Str)) -> (Call(Int) | Nil)",
+        # Every pattern form; a pattern `t @ p` is told by its `@`.
+        "forall a b. Match(a; Nil, Cons(b @ _, _), #box, [_, A(_)]) => (a) -> b",
+        "forall a. Match(a; [Int] @ [_], Nil | Cons(Int, a) @ Cons(_, Nil), (a) -> a @ #fun) => (a) -> a",
+        "forall a b. Match(b; a @ b @ _) & Eq(a, b) => (a) -> b",
     ],
 )
 def test_parse_render_round_trip(text):
@@ -433,6 +566,9 @@ def test_parse_rejects_garbage():
         parse_type("a | b", tb)
     with pytest.raises(TypeParseError, match="bad union member"):
         parse_type("A | a | b", tb)
+    # A pattern names no variable unless a type before `@` does.
+    with pytest.raises(TypeParseError, match="expected a pattern at offset 19"):
+        parse_type("forall a. Match(a; x) => (a) -> a", tb)
 
 
 def test_parse_bounds_nesting():
@@ -441,11 +577,35 @@ def test_parse_bounds_nesting():
     tb = TagTable()
     at_bound = "[" * (MAX_NESTING - 1) + "Int" + "]" * (MAX_NESTING - 1)
     assert parse_type(at_bound, tb) == parse_type(f"(({at_bound}))", tb)
-    for deep in ("[" * 3000 + "Int" + "]" * 3000, "mu a. " * 3000 + "Int", "(Int) -> " * 3000 + "Int"):
+    for deep in (
+        "[" * 3000 + "Int" + "]" * 3000,
+        "mu a. " * 3000 + "Int",
+        "(Int) -> " * 3000 + "Int",
+        "forall a. Match(a; " + "[" * 3000 + "_" + "]" * 3000 + ") => (a) -> a",
+        "forall a. Match(a; " + "a @ " * 3000 + "_) => (a) -> a",
+    ):
         with pytest.raises(TypeParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
             parse_type(deep, tb)
     with pytest.raises(TypeParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
         parse_type("[" * MAX_NESTING + "Int" + "]" * MAX_NESTING, tb)
+
+
+_GOLDEN_SOURCES = {
+    **{p.stem: p for p in (ROOT / "corpus").glob("*.lama")},
+    "mixed": ROOT / "tests" / "golden" / "mixed.lama",
+}
+
+
+@pytest.mark.parametrize("program", sorted(_GOLDEN_SOURCES))
+def test_golden_bindings_parse_back_to_their_reports(program):
+    # Every `name : type` line a golden stores, schemes with a `Match`
+    # constraint included, parses back to the type its report binds.
+    lines = (ROOT / "tests" / "golden" / f"{program}.out").read_text(encoding="utf-8").splitlines()
+    printed = [ln.split(" : ", 1) for ln in lines if " : " in ln and not ln.startswith("constraint: ")]
+    report = check_source(_GOLDEN_SOURCES[program].read_text(encoding="utf-8"))
+    assert [name for name, _ in printed] == [name for name, _ in report.bindings]
+    for (name, text), (_, bound) in zip(printed, report.bindings):
+        assert types_equal(parse_type(text, report.table), bound), name
 
 
 def test_ty_term_round_trip():
