@@ -370,13 +370,18 @@ def rebuilt(t: Compound, parts) -> Compound:
 _BUILD = object()  # rebuild_term's marker: the compound below it has its parts built
 
 
-def rebuild_term(t: Term, subst: PMap, leaf: Callable[[Var], Term]):
+def rebuild_term(t: Term, subst: PMap, leaf: Callable[[Var], Term], node=None):
     """t deep-walked under subst, every unbound variable x replaced by
-    leaf(x) in pre-order: (the term, the number of compounds built). A
-    var-free subterm comes back as it is, and so does a compound whose
-    parts all do (see `rebuilt`); a compound reached again (see `occurs`)
-    is rebuilt once. The walk keeps its own stack, so a deep term takes
-    no Python stack."""
+    leaf(x) in pre-order: (the term, the number of compounds built).
+
+    node, when given, is asked first of each compound that could change:
+    it returns the compound's replacement, or None to rewrite its parts.
+    A subterm that cannot change comes back as it is: one var-free, or
+    with node, one closed, since node may rename what it holds (see
+    `flags`). So does a compound whose parts all do (see `rebuilt`); a
+    compound reached again (see `occurs`) is rewritten once. The walk
+    keeps its own stack, so a deep term takes no Python stack."""
+    kept = VAR_FREE if node is None else CLOSED  # flags from this up (0 < VAR_FREE < CLOSED) cannot change
     done = {}  # id of a walked compound -> its rebuilt form
     built = 0
     out = []  # rebuilt subterms, in order
@@ -396,10 +401,14 @@ def rebuild_term(t: Term, subst: PMap, leaf: Callable[[Var], Term]):
             if x.__class__ is Var:
                 out.append(leaf(x))
                 continue
-        if x.__class__ is not Compound or (x._flags if x._flags is not None else flags(x)) != 0:
+        if x.__class__ is not Compound or (x._flags if x._flags is not None else flags(x)) >= kept:
             out.append(x)
             continue
         new = done.get(id(x))
+        if new is None and node is not None:
+            new = node(x)
+            if new is not None:
+                done[id(x)] = new
         if new is not None:
             out.append(new)
             continue
@@ -632,16 +641,6 @@ def disj(*goals: Goal) -> Goal:
 def delay(thunk: Callable[[], Goal]) -> Goal:
     """Inverse-eta-delay: wrap a recursive goal so streams stay productive."""
     return lambda state: (lambda: thunk()(state))
-
-
-def fresh_with(k: Callable[[Var], Goal]) -> Goal:
-    """Allocate one fresh variable and continue (continuation-passing)."""
-
-    def goal(state):
-        v, st = state.fresh_var()
-        return k(v)(st)
-
-    return goal
 
 
 def fresh_many(n: int, k: Callable[[list], Goal]) -> Goal:

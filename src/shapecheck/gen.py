@@ -18,7 +18,7 @@ is an engine variable, so the solver takes them as they are.
 from __future__ import annotations
 
 from . import syntax as S
-from .engine import Compound, Var
+from .engine import Compound, PMap, Var, rebuild_term
 from .types import (
     LNIL,
     P_WILD,
@@ -31,7 +31,6 @@ from .types import (
     c_match,
     c_sexp,
     llist,
-    map_args,
     p_array,
     p_at,
     p_sexp,
@@ -50,28 +49,6 @@ class GenResult(S.Record):
         self.table = table
         self.roots = roots  # of (name, type term) in declaration order
         self.var_count = var_count  # the type variables are Var(1) ... Var(var_count)
-
-
-def _vars(t, out: dict) -> dict:
-    """Add the engine variables of t to out, an ordered set, in
-    first-occurrence order."""
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Var):
-            out[x] = None
-        elif isinstance(x, Compound):
-            todo.extend(reversed(x.args))
-    return out
-
-
-def _rename(t, mapping: dict):
-    """t with each variable in mapping replaced by a type name."""
-    if isinstance(t, Var):
-        return t_name(mapping[t]) if t in mapping else t
-    if isinstance(t, Compound) and t.args:
-        return map_args(t, lambda a: _rename(a, mapping))
-    return t
 
 
 class _Gen:
@@ -225,27 +202,34 @@ class _Gen:
 
     def generalize(self, env_top, params, result, body):
         """Quantify every variable newer than env_top, that is, not free
-        in the environment; constraints touching a quantified variable
-        travel with the arrow, the others join the enclosing body's."""
-        own = {}
-        for t in params:
-            _vars(t, own)
-        _vars(result, own)
-        body_vars = [_vars(c, {}) for c in body]
-        for vs in body_vars:
-            own.update(vs)
-        mapping = {v: self.fresh_bound_name() for v in own if v.id > env_top}
+        in the environment, naming each in first-occurrence order; in one
+        rewrite (`engine.rebuild_term`), which returns what holds no such
+        variable as it is. So a constraint touching a quantified variable
+        comes back anew and travels with the arrow; the others join the
+        enclosing body's."""
+        names = {}  # quantified variable -> its type name
+
+        def leaf(v):
+            if v.id <= env_top:
+                return v
+            name = names.get(v)
+            if name is None:
+                name = names[v] = t_name(self.fresh_bound_name())
+            return name
+
+        n = len(params)
+        parts = rebuild_term(Compound("", (*params, result, *body)), PMap(), leaf)[0].args
         moved = []
-        for c, vs in zip(body, body_vars):
-            if any(v in mapping for v in vs):
-                moved.append(_rename(c, mapping))
-            else:
+        for c, renamed in zip(body, parts[n + 1:]):
+            if renamed is c:
                 self.out[c] = None
+            else:
+                moved.append(renamed)
         return t_arrow(
-            llist(list(mapping.values())),
+            llist([name.args[0] for name in names.values()]),
             llist(moved),
-            llist([_rename(p, mapping) for p in params]),
-            _rename(result, mapping),
+            llist(parts[:n]),
+            parts[n],
         )
 
     # -- patterns -----------------------------------------------------------

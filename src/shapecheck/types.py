@@ -29,17 +29,14 @@ import re
 from typing import Optional
 
 from .engine import (
-    CLOSED,
     Compound,
     FreeVar,
     Goal,
     PMap,
     Var,
     bind,
-    flags,
     mplus,
     rebuild_term,
-    rebuilt,
     shallow_walk,
     var_free,
 )
@@ -194,54 +191,29 @@ class TagTable:
 
 def apply_type_subst(mapping: dict, term, subst):
     """Capture-avoiding replacement of TName occurrences, deep-walking as
-    it goes. Binders in TMu / TArrow shadow identically-named entries.
-    A closed subterm (see `engine.flags`) comes back as it is, and so does
-    a compound whose parts all do (see `engine.rebuilt`). Any other
-    compound is rewritten once per set of names in scope, however many
-    paths lead to it (through the substitution, or as a `mu` type that
-    unfolding referenced more than once). The walk keeps its own stack,
-    so a deep term takes no Python stack.
-    """
-    memos = {}  # names in scope -> {id of a compound: its rewrite}
-    out = []  # rewritten subterms, in order
-    # Tasks: (term, names in scope, memo, None) rewrites term; (compound,
-    # None, memo, kept) builds it from kept and the rewrites of its other
-    # arguments, the last ones on out.
-    todo = [(term, mapping, memos.setdefault(frozenset(mapping), {}), None)]
-    while todo:
-        t, names, memo, kept = todo.pop()
-        if kept is not None:
-            n = len(t.args) - len(kept)
-            built = memo[id(t)] = rebuilt(t, kept + tuple(out[len(out) - n:]))
-            del out[len(out) - n:]
-            out.append(built)
-            continue
-        if t.__class__ is Var:
-            t = shallow_walk(t, subst)
-        if t.__class__ is not Compound or (t._flags if t._flags is not None else flags(t)) == CLOSED:
-            out.append(t)
-            continue
-        done = memo.get(id(t))
-        if done is None:
-            tag, kept, inner, inner_memo = t.tag, (), names, memo
-            if tag == "TName":
-                done = names.get(t.args[0], t)
-            elif tag == "TMu" or tag == "TArrow":
-                if tag == "TMu":
-                    kept = shadowed = (shallow_walk(t.args[0], subst),)
-                else:
-                    kept, bvars = t.args[:1], _walk_list(t.args[0], subst)
-                    shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
-                inner = {k: v for k, v in names.items() if k not in shadowed}
-                done = None if inner else t
-                inner_memo = memos.setdefault(frozenset(inner), {})
-            if done is None:
-                todo.append((t, None, memo, kept))
-                todo += [(a, inner, inner_memo, None) for a in reversed(t.args[len(kept):])]
-                continue
-            memo[id(t)] = done
-        out.append(done)
-    return out[0]
+    it goes (one `engine.rebuild_term`, so what cannot change comes back
+    as it is). Binders in TMu / TArrow shadow identically-named entries:
+    a binder that shadows every mapped name keeps its body as it is, and
+    one that shadows some is rewritten by a call with the other names, so
+    the calls nest no deeper than the mapping is long."""
+
+    def node(t):
+        tag = t.tag
+        if tag == "TName":
+            return mapping.get(t.args[0], t)
+        if tag == "TMu":
+            shadowed = (shallow_walk(t.args[0], subst),)
+        elif tag == "TArrow":
+            bvars = _walk_list(t.args[0], subst)
+            shadowed = {shallow_walk(b, subst) for b in bvars} if bvars is not None else ()
+        else:
+            return None
+        inner = {k: v for k, v in mapping.items() if k not in shadowed}
+        if not inner:
+            return t
+        return None if len(inner) == len(mapping) else apply_type_subst(inner, t, subst)
+
+    return rebuild_term(term, subst, lambda x: x, node)[0]
 
 
 def _walk_list(term, subst) -> Optional[list]:
@@ -467,15 +439,6 @@ def _list_from_term(t):
 
 def _items(t) -> list:
     return _list_from_term(t)[0]
-
-
-def map_args(t: Compound, f) -> Compound:
-    """t with f applied to each argument. A list spine is walked in a
-    loop, so a long list (a large function's constraints) takes no stack."""
-    if t.tag != "lcons":
-        return Compound(t.tag, tuple(f(a) for a in t.args))
-    items, tail = _list_from_term(t)
-    return llist([f(x) for x in items], f(tail))
 
 
 def _var_id(t) -> Optional[int]:

@@ -31,7 +31,11 @@ build goal pipelines by hand.
 `reference_reify_term` and `reference_type_occurs_hook` are the copying
 rewriters: each builds every compound in reach anew, and the hook
 reifies its term and then turns it back, where the checker's rewriters
-return what cannot change as the same object.
+return what cannot change as the same object. `reference_generalize` is
+the copying generalizer: it collects a function's variables in one walk
+and renames them in another, copying every compound, where the checker
+names and renames in one rewrite that shares what it does not change.
+`fresh_with` and `map_args` are goal and term helpers only tests use.
 `reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
 `reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
 the reference constraint handlers, as goal pipelines: each unifies a
@@ -62,7 +66,6 @@ from shapecheck.engine import (
     disunify,
     fail,
     fresh_many,
-    fresh_with,
     run,
     shallow_walk,
     succeed,
@@ -76,6 +79,7 @@ from shapecheck.types import (
     T_STR,
     _binder_name,
     _items,
+    _list_from_term,
     _var_id,
     _walk_list,
     c_ind_args,
@@ -86,7 +90,6 @@ from shapecheck.types import (
     eq_ts,
     lcons,
     llist,
-    map_args,
     p_shape,
     t_array,
     t_arrow,
@@ -97,6 +100,25 @@ from shapecheck.types import (
     type_occurs_hook,
     unfold_mu,
 )
+
+# ---------------------------------------------------------------------------
+# Goal and term helpers that only tests use.
+# ---------------------------------------------------------------------------
+
+
+def fresh_with(k) -> Goal:
+    """One fresh variable, then the goal k(it)."""
+    return fresh_many(1, lambda vs: k(vs[0]))
+
+
+def map_args(t: Compound, f) -> Compound:
+    """t with f applied to each argument. A list spine is walked in a
+    loop, so a long list (a large function's constraints) takes no stack."""
+    if t.tag != "lcons":
+        return Compound(t.tag, tuple(f(a) for a in t.args))
+    items, tail = _list_from_term(t)
+    return llist([f(x) for x in items], f(tail))
+
 
 # Ground type syntax for the oracle: plain tuples.
 #   ("int",) ("str",) ("arr", t) ("sexp", ((tag, (t, ...)), ...))
@@ -805,6 +827,58 @@ def reference_type_occurs_hook(vid: int, t, subst):
         return x
 
     return t_mu(name, reference_rebuild_term(reified, None, back, {})), len(done)
+
+
+def _vars(t, out: dict) -> dict:
+    """Add the engine variables of t to out, an ordered set, in
+    first-occurrence order."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            out[x] = None
+        elif isinstance(x, Compound):
+            todo.extend(reversed(x.args))
+    return out
+
+
+def _rename(t, mapping: dict):
+    """t with each variable in mapping replaced by a type name, every
+    compound copied."""
+    if isinstance(t, Var):
+        return t_name(mapping[t]) if t in mapping else t
+    if isinstance(t, Compound) and t.args:
+        return map_args(t, lambda a: _rename(a, mapping))
+    return t
+
+
+def reference_generalize(gen, env_top, params, result, body):
+    """The copying generalizer, a stand-in for the method
+    `gen._Gen.generalize`: the variables of the parameters, the result
+    and the body are collected first, those newer than env_top named in
+    first-occurrence order, and then every term that mentions one is
+    copied with the names in. A constraint mentioning a named variable
+    travels with the arrow; the others join the enclosing body's."""
+    own = {}
+    for t in params:
+        _vars(t, own)
+    _vars(result, own)
+    body_vars = [_vars(c, {}) for c in body]
+    for vs in body_vars:
+        own.update(vs)
+    mapping = {v: gen.fresh_bound_name() for v in own if v.id > env_top}
+    moved = []
+    for c, vs in zip(body, body_vars):
+        if any(v in mapping for v in vs):
+            moved.append(_rename(c, mapping))
+        else:
+            gen.out[c] = None
+    return t_arrow(
+        llist(list(mapping.values())),
+        llist(moved),
+        llist([_rename(p, mapping) for p in params]),
+        _rename(result, mapping),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from shapecheck.engine import (
     delay,
     disunify,
     fresh_many,
-    fresh_with,
     run,
     unify,
 )
@@ -49,6 +48,7 @@ from shapecheck.types import (
 )
 
 import oracles as O
+from oracles import fresh_with
 
 OKC = Compound("ok", ())
 

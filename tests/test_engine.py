@@ -7,7 +7,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import bind_occurs_hook, is_not_var, is_var
+from oracles import bind_occurs_hook, fresh_with, is_not_var, is_var
 from shapecheck import engine
 from shapecheck.engine import (
     Compound,
@@ -23,7 +23,6 @@ from shapecheck.engine import (
     empty_state,
     fail,
     fresh_many,
-    fresh_with,
     occurs,
     reify_term,
     run,

@@ -2,14 +2,17 @@
 
 import inspect
 import sys
+from pathlib import Path
 
 from shapecheck import gen as G
 from shapecheck.engine import Compound, Var
 from shapecheck.gen import infer_program
 from shapecheck.syntax import parse_program
-from shapecheck.types import LNIL, T_INT, T_STR, _list_from_term, c_eq, pretty_type
+from shapecheck.types import LNIL, T_INT, T_STR, TagTable, _list_from_term, c_eq, c_ind, pretty_type, t_array, t_name
 
-from oracles import canonicalize
+from oracles import canonicalize, reference_generalize
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def gen(src):
@@ -212,23 +215,73 @@ def test_long_inner_function_generalizes_in_little_stack():
 
 def test_generalization_does_not_rescan_the_environment(monkeypatch):
     # Each function quantifies the variables newer than itself, so the
-    # work per function does not grow with the functions declared before.
+    # work per function (the variables its one rewrite meets) does not
+    # grow with the functions declared before.
     calls = [0]
-    walk = G._vars
+    walk = G.rebuild_term
 
-    def counting(t, out):
-        calls[0] += 1
-        return walk(t, out)
+    def counting(t, subst, leaf, *rest):
+        def counted(v):
+            calls[0] += 1
+            return leaf(v)
 
-    monkeypatch.setattr(G, "_vars", counting)
+        return walk(t, subst, counted, *rest)
 
-    def vars_calls(n):
+    monkeypatch.setattr(G, "rebuild_term", counting)
+
+    def leaf_calls(n):
         calls[0] = 0
         infer_program(parse_program("\n".join(f"fun f{i} (x) {{ x + {i} }}" for i in range(n))))
         return calls[0]
 
-    small, large = vars_calls(200), vars_calls(400)
+    small, large = leaf_calls(200), leaf_calls(400)
     assert large <= 2.2 * small, (small, large)
+
+
+def test_generalization_shares_what_it_does_not_rename():
+    # A body constraint without a quantified variable joins the enclosing
+    # body as the same object; a moved one keeps its closed parts.
+    g = G._Gen(TagTable())
+    outer = g.fresh()
+    env_top = g.counter
+    param, result = g.fresh(), g.fresh()
+    closed = t_array(t_array(T_INT))
+    stays, moves = c_eq(outer, T_INT), c_eq(param, closed)
+    arrow = g.generalize(env_top, [param], result, {stays: None, moves: None, c_ind(param, result): None})
+    assert list(g.out) == [stays] and next(iter(g.out)) is stays
+    bvars, constrs, params, res = arrow.args
+    assert (items(bvars), items(params), res) == (["q1", "q2"], [t_name("q1")], t_name("q2"))
+    moved = items(constrs)
+    assert moved == [c_eq(t_name("q1"), closed), c_ind(t_name("q1"), t_name("q2"))]
+    assert moved[0].args[1] is closed
+    # One type name object per variable, however often it occurs.
+    assert moved[0].args[0] is moved[1].args[0] is items(params)[0]
+
+
+def _reference_cases():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    paths = [*sorted((ROOT / "corpus").glob("*.lama")), *sorted((ROOT / "tests" / "golden").glob("*.lama"))]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    for seed in (1, 2):
+        sources += [case.source for case in programs.straight_line_cases(seed)]
+        sources += [case.source for case in programs.synth_mixed_cases(seed)]
+    return sources
+
+
+def test_generalization_agrees_with_the_copying_one(monkeypatch):
+    # Constraints and roots equal the copying generalizer's
+    # (`oracles.reference_generalize`) on the corpus, the goldens and the
+    # bench programs.
+    for source in _reference_cases():
+        got = gen(source)
+        with monkeypatch.context() as m:
+            m.setattr(G._Gen, "generalize", reference_generalize)
+            want = gen(source)
+        assert (got.constraints, got.roots, got.var_count) == (want.constraints, want.roots, want.var_count)
 
 
 def test_recursive_function_sees_monomorphic_self():

@@ -1,6 +1,7 @@
 """The public records (`CheckOptions`, `Report`) and what importing the
 package loads."""
 
+import ast
 import os
 import re
 import subprocess
@@ -152,3 +153,32 @@ def test_no_source_module_imports_dataclasses():
     assert paths
     for path in paths:
         assert not IMPORTS_DATACLASSES.search(path.read_text(encoding="utf-8")), path.name
+
+
+def _unused_definitions(package: Path) -> list:
+    """The top-level functions and classes of the package's modules that
+    no other top-level statement of the package names (as a name, an
+    attribute or an import); dunders are not counted."""
+    statements = [
+        (path.name, stmt)
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    named = [
+        {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        for _, stmt in statements
+    ]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
+        if not dunder and not any(stmt.name in names for j, names in enumerate(named) if j != i):
+            unused.append(f"{module}:{stmt.name}")
+    return unused
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # A helper only tests use belongs with the tests (`tests/oracles.py`).
+    assert _unused_definitions(SRC / "shapecheck") == []

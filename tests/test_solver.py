@@ -1182,6 +1182,21 @@ def test_loop_check_outcomes(source, verdict, types):
         assert not report.message.startswith("search cycles")
 
 
+def test_case_list_instantiates_a_repeated_call_once(monkeypatch):
+    # `f`'s scheme calls `write` five times. The generalizer keeps the
+    # builtin arrow as the same object in each of those Calls, so once
+    # their results are equated the entailed set drops the repeats before
+    # they are instantiated; the counts stay those of dispatching them.
+    calls = []
+    instantiate = solver.apply_type_subst
+    monkeypatch.setattr(solver, "apply_type_subst", lambda *args: calls.append(None) or instantiate(*args))
+    report = check_source((ROOT / "corpus" / "case_list.lama").read_text(encoding="utf-8"))
+    stats = report.stats
+    assert report.verdict == TYPED
+    assert len(calls) == 4
+    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (34, 36, 71)
+
+
 def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatch):
     # The size and shape prefilter leaves no candidate ancestor on these
     # programs, so their quantified Call dispatches cost no key.

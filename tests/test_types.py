@@ -17,7 +17,6 @@ from shapecheck.engine import (
     conj,
     empty_state,
     fresh_many,
-    fresh_with,
     reify_term,
     run,
     shallow_walk,
@@ -55,7 +54,7 @@ from shapecheck.types import (
 )
 
 import oracles as O
-from oracles import canonicalize, unmu
+from oracles import canonicalize, fresh_with, map_args, unmu
 from shapecheck import engine, types
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,12 +184,12 @@ def test_rewriters_do_not_enter_what_cannot_change(monkeypatch):
     closed, named = T_INT, t_name("x")
     for _ in range(100):
         closed, named = t_array(closed), t_array(named)
-    rewrites = _counting(monkeypatch, types, "rebuilt")
+    rebuilds = _counting(monkeypatch, engine, "rebuilt")
     out = apply_type_subst({"x": T_STR}, Compound("TPair", (closed, named, Var(0))), PMap())
-    assert (len(rewrites), out.args[0] is closed) == (101, True)
-    reifies = _counting(monkeypatch, engine, "rebuilt")
+    assert (len(rebuilds), out.args[0] is closed) == (101, True)
+    rebuilds.clear()
     out = reify_term(Compound("TPair", (named, Var(0))), PMap())
-    assert (len(reifies), out.args[0] is named) == (1, True)
+    assert (len(rebuilds), out.args[0] is named) == (1, True)
 
 
 def test_occurs_hook_converts_a_shared_term_once(monkeypatch):
@@ -893,7 +892,7 @@ def _unfold_some(t, rng, budget):
         t = types.unfold_mu(t, PMap())
     if not isinstance(t, Compound):
         return t
-    return types.map_args(t, lambda a: _unfold_some(a, rng, budget))
+    return map_args(t, lambda a: _unfold_some(a, rng, budget))
 
 
 def _timed_equal(a, b) -> bool:
