@@ -6,10 +6,24 @@ where it occurs (the solver needs the global constructor count, which is
 complete before it starts). A conjunction is idempotent, so each function
 body, and the top level, collects its constraints in one insertion-ordered
 set: a constraint equal to one already emitted there is dropped, and the
-rest keep their first-emitted order. Function literals are generalized on
-the spot: variables created inside the function are quantified and the
-body constraints that mention them move into the arrow, to be
-instantiated at call sites; the others join the enclosing set.
+rest keep their first-emitted order; an equality of one term object with
+itself holds and is not added. Function literals are generalized on the
+spot: variables created inside the function are quantified and the body
+constraints that mention them move into the arrow, to be instantiated at
+call sites; the others join the enclosing set.
+
+Before it generalizes, a function solves its own equalities: each body
+constraint that `types.eq_t` would answer with plain bindings of the
+function's variables is dropped and its bindings substituted (an `Eq`
+between such a variable and a term it does not occur in, between two
+variables one of them the function's, or between two equal var-free
+terms; a `Call` of a builtin whose argument and result pairs all are).
+Every other constraint stays whole: an `Eq` that would bind an outer
+variable travels in the scheme (the enclosing body never sees it, as
+before), one that fails stays to fail when solved, and one that fails
+the occurs check stays for the solver's hook to close into a `mu`. The
+scheme means the same (exists q. q = T and C is C[T/q]) and is smaller,
+and every call instantiates and dispatches less.
 
 Types, constraints and patterns are built as engine terms; a type variable
 is an engine variable, so the solver takes them as they are.
@@ -18,7 +32,7 @@ is an engine variable, so the solver takes them as they are.
 from __future__ import annotations
 
 from . import syntax as S
-from .engine import Compound, PMap, Var, rebuild_term
+from .engine import Compound, PMap, Var, occurs, rebuild_term, shallow_walk, var_free
 from .types import (
     LNIL,
     P_WILD,
@@ -75,7 +89,10 @@ class _Gen:
         """Add Eq(a, b) to `out`. A repeat of the same two term objects is
         found in `eqs` by their ids, without hashing a term; `eqs` holds
         each constraint it keys, so those ids stay in use. Any other
-        repeat is dropped by `out` as every constraint is."""
+        repeat is dropped by `out` as every constraint is. An equality of
+        one term object with itself holds, and is not added."""
+        if a is b:
+            return
         key = (id(a), id(b))
         if key not in self.eqs:
             c = self.eqs[key] = c_eq(a, b)
@@ -202,11 +219,14 @@ class _Gen:
 
     def generalize(self, env_top, params, result, body):
         """Quantify every variable newer than env_top, that is, not free
-        in the environment, naming each in first-occurrence order; in one
-        rewrite (`engine.rebuild_term`), which returns what holds no such
-        variable as it is. So a constraint touching a quantified variable
-        comes back anew and travels with the arrow; the others join the
-        enclosing body's."""
+        in the environment. First the body's equalities that bind only
+        such variables are solved (`_presolve`); then one rewrite
+        (`engine.rebuild_term`) substitutes their answers and names each
+        variable left in first-occurrence order, and returns what holds
+        no such variable as it is. So a constraint touching a quantified
+        or solved variable comes back anew and travels with the arrow;
+        the others join the enclosing body's."""
+        kept, subst = _presolve(env_top, body)
         names = {}  # quantified variable -> its type name
 
         def leaf(v):
@@ -218,16 +238,16 @@ class _Gen:
             return name
 
         n = len(params)
-        parts = rebuild_term(Compound("", (*params, result, *body)), PMap(), leaf)[0].args
-        moved = []
-        for c, renamed in zip(body, parts[n + 1:]):
+        parts = rebuild_term(Compound("", (*params, result, *kept)), subst, leaf)[0].args
+        moved = {}  # an ordered set: the substitution may make two equal
+        for c, renamed in zip(kept, parts[n + 1:]):
             if renamed is c:
                 self.out[c] = None
             else:
-                moved.append(renamed)
+                moved[renamed] = None
         return t_arrow(
             llist([name.args[0] for name in names.values()]),
-            llist(moved),
+            llist(list(moved)),
             llist(parts[:n]),
             parts[n],
         )
@@ -258,6 +278,72 @@ class _Gen:
         if isinstance(p, S.PShape):
             return p_shape(p.kind)
         raise TypeError(f"unexpected pattern: {p!r}")
+
+
+def _presolve(env_top, body):
+    """The constraints of body that stay, and the substitution that
+    solves the others: in one pass, in order, each `Eq` or builtin `Call`
+    that `types.eq_t` would answer with plain bindings of variables newer
+    than env_top is dropped and its bindings kept (`_bind`, `_bind_call`).
+    Every other constraint stays, compounds unsplit, since `eq_t` unfolds
+    `mu`s, renames arrows and forks on lists."""
+    subst = PMap()
+    kept = []
+    for c in body:
+        if c.tag == "Eq":
+            solved = _bind(env_top, c.args[0], c.args[1], subst)
+        elif c.tag == "Call":
+            solved = _bind_call(env_top, c.args, subst)
+        else:
+            solved = None
+        if solved is None:
+            kept.append(c)
+        else:
+            subst = solved
+    return kept, subst
+
+
+def _bind(env_top, a, b, subst):
+    """subst extended to make a and b equal, or None: when, walked, they
+    are one variable, two equal var-free terms, or a variable newer than
+    env_top and a term it does not occur in (of two variables the younger
+    is bound, as the unifier does). An equality that would bind an outer
+    variable, fail, or close a `mu` (the solver's occurs hook) is None."""
+    a = shallow_walk(a, subst)
+    b = shallow_walk(b, subst)
+    if a.__class__ is Var:
+        if b.__class__ is Var:
+            if a is b:
+                return subst
+            v, t = (a, b) if a.id > b.id else (b, a)
+        else:
+            v, t = a, b
+    elif b.__class__ is Var:
+        v, t = b, a
+    else:
+        return subst if var_free(a) and var_free(b) and (a is b or a == b) else None
+    if v.id <= env_top or occurs(v.id, t, subst):
+        return None
+    return subst.set(v.id, t)
+
+
+def _bind_call(env_top, call, subst):
+    """subst extended by `_bind` over the parameter/argument pairs and the
+    result pair of a call of a var-free arrow with empty binder and
+    constraint lists, or None."""
+    fn, args, result = call
+    fn = shallow_walk(fn, subst)
+    if fn.__class__ is not Compound or fn.tag != "TArrow" or not var_free(fn) or fn.args[0] != LNIL or fn.args[1] != LNIL:
+        return None
+    ps = fn.args[2]
+    while ps.tag == "lcons" and args.__class__ is Compound and args.tag == "lcons":
+        subst = _bind(env_top, ps.args[0], args.args[0], subst)
+        if subst is None:
+            return None
+        ps, args = ps.args[1], args.args[1]
+    if ps != LNIL or args != LNIL:
+        return None
+    return _bind(env_top, fn.args[3], result, subst)
 
 
 BUILTIN_TYPES = {

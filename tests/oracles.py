@@ -34,7 +34,10 @@ reifies its term and then turns it back, where the checker's rewriters
 return what cannot change as the same object. `reference_generalize` is
 the copying generalizer: it collects a function's variables in one walk
 and renames them in another, copying every compound, where the checker
-names and renames in one rewrite that shares what it does not change.
+names and renames in one rewrite that shares what it does not change;
+`reference_presolve` is the copying stand-in for the checker's solving
+of a function's own equalities before it generalizes, and
+`reference_presolving_generalize` runs the two in turn.
 `fresh_with` and `map_args` are goal and term helpers only tests use.
 `reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
 `reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
@@ -876,6 +879,96 @@ def reference_generalize(gen, env_top, params, result, body):
     return t_arrow(
         llist(list(mapping.values())),
         llist(moved),
+        llist([_rename(p, mapping) for p in params]),
+        _rename(result, mapping),
+    )
+
+
+def reference_presolve(env_top, body):
+    """The copying presolve, a stand-in for `gen._presolve`: the body
+    constraints that stay, and a dict from each variable the others solve
+    to its term. An equality is solved when its sides, with their bound
+    variables looked through, are one variable, or two equal terms with
+    no variable in them, or a variable newer than env_top (of two
+    variables the younger) and a term that, copied with every solved
+    variable in, does not hold it. A call of a variable-free arrow with
+    empty binder and constraint lists is solved when every
+    parameter/argument pair and the result pair is, tried on a copy of
+    the dict."""
+    solved = {}
+    kept = []
+    for c in body:
+        pairs = None
+        if c.tag == "Eq":
+            pairs = [c.args]
+        elif c.tag == "Call":
+            fn = _looked_through(c.args[0], solved)
+            if isinstance(fn, Compound) and fn.tag == "TArrow" and not _vars(fn, {}) and fn.args[:2] == (LNIL, LNIL):
+                (ps, ps_tail), (args, args_tail) = _list_from_term(fn.args[2]), _list_from_term(c.args[1])
+                if len(ps) == len(args) and ps_tail == args_tail == LNIL:
+                    pairs = [*zip(ps, args), (fn.args[3], c.args[2])]
+        trial = dict(solved)
+        if pairs is not None and all(_reference_bind(env_top, a, b, trial) for a, b in pairs):
+            solved = trial
+        else:
+            kept.append(c)
+    return kept, solved
+
+
+def _looked_through(t, solved: dict):
+    while isinstance(t, Var) and t in solved:
+        t = solved[t]
+    return t
+
+
+def _substitute(t, solved: dict):
+    """t with every variable solved copied in, every compound copied."""
+    if isinstance(t, Var):
+        return _substitute(solved[t], solved) if t in solved else t
+    if isinstance(t, Compound) and t.args:
+        return map_args(t, lambda a: _substitute(a, solved))
+    return t
+
+
+def _reference_bind(env_top, a, b, solved: dict) -> bool:
+    a, b = _looked_through(a, solved), _looked_through(b, solved)
+    if isinstance(b, Var) and (not isinstance(a, Var) or b.id > a.id):
+        a, b = b, a
+    if not isinstance(a, Var):
+        return not _vars(a, {}) and not _vars(b, {}) and a == b
+    if a == b:
+        return True
+    if a.id <= env_top or a in _vars(_substitute(b, solved), {}):
+        return False
+    solved[a] = b
+    return True
+
+
+def reference_presolving_generalize(gen, env_top, params, result, body):
+    """`reference_generalize` after `reference_presolve`, a stand-in for
+    the method `gen._Gen.generalize`: the solved variables are copied
+    into the parameters, the result and every constraint that mentions a
+    variable newer than env_top; such a constraint travels with the
+    arrow, once however many the copying made equal, and the others join
+    the enclosing body's."""
+    kept, solved = reference_presolve(env_top, body)
+    params = [_substitute(p, solved) for p in params]
+    result = _substitute(result, solved)
+    local = [any(v.id > env_top for v in _vars(c, {})) for c in kept]
+    body = [_substitute(c, solved) if moves else c for c, moves in zip(kept, local)]
+    own = {}
+    for t in (*params, result, *body):
+        _vars(t, own)
+    mapping = {v: gen.fresh_bound_name() for v in own if v.id > env_top}
+    moved = {}
+    for c, moves in zip(body, local):
+        if moves:
+            moved[_rename(c, mapping)] = None
+        else:
+            gen.out[c] = None
+    return t_arrow(
+        llist(list(mapping.values())),
+        llist(list(moved)),
         llist([_rename(p, mapping) for p in params]),
         _rename(result, mapping),
     )

@@ -1,16 +1,31 @@
 """Constraint extraction from resolved programs."""
 
 import inspect
+import re
 import sys
 from pathlib import Path
 
 from shapecheck import gen as G
+from shapecheck.checker import ILL_TYPED, TYPED, CheckOptions, check_source
 from shapecheck.engine import Compound, Var
 from shapecheck.gen import infer_program
 from shapecheck.syntax import parse_program
-from shapecheck.types import LNIL, T_INT, T_STR, TagTable, _list_from_term, c_eq, c_ind, pretty_type, t_array, t_name
+from shapecheck.types import (
+    LNIL,
+    T_INT,
+    T_STR,
+    TagTable,
+    _list_from_term,
+    c_eq,
+    c_ind,
+    pretty_type,
+    t_array,
+    t_name,
+    types_equal,
+)
 
-from oracles import canonicalize, reference_generalize
+from oracles import canonicalize, reference_generalize, reference_presolving_generalize
+from test_solver import LOOP_PROGRAMS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,9 +145,16 @@ def test_binop_pins_operands_to_int():
 
 
 def test_a_repeated_constraint_is_emitted_once_in_first_occurrence_order():
-    g = gen("var x;\nx := x + 1;\nx := x + 1")
-    # Each statement emits Eq(x, Int), Eq(Int, Int) and Eq(x, Int) again.
-    assert g.constraints == [c_eq(root_type(g, "x"), T_INT), c_eq(T_INT, T_INT)]
+    g = gen("var x, y;\nx := y + 1;\nx := y + 1")
+    # Each statement emits Eq(y, Int) and Eq(x, Int).
+    assert g.constraints == [c_eq(root_type(g, "y"), T_INT), c_eq(root_type(g, "x"), T_INT)]
+
+
+def test_an_equality_of_one_term_with_itself_is_not_emitted():
+    # `1 + 1` equates the one Int object with itself twice; `x := x`
+    # equates x's variable with itself.
+    g = gen("var x;\nx := 1 + 1;\nx := x")
+    assert g.constraints == [c_eq(root_type(g, "x"), T_INT)]
 
 
 def test_a_function_residual_equal_to_an_outer_constraint_is_emitted_once():
@@ -147,8 +169,8 @@ def test_a_function_residual_equal_to_an_outer_constraint_is_emitted_once():
         y, f = root_type(g, "y"), root_type(g, "f")
         arrow = declared_arrow(g, "f")
         assert arrow.args[1] == LNIL
-        assert g.constraints[:3] == [c_eq(y, T_INT), c_eq(T_INT, T_INT), c_eq(f, arrow)]
-        assert [c.tag for c in g.constraints[3:]] == ["Call"]
+        assert g.constraints[:2] == [c_eq(y, T_INT), c_eq(f, arrow)]
+        assert [c.tag for c in g.constraints[2:]] == ["Call"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +218,9 @@ def _free_tyvars(t):
 def test_long_inner_function_generalizes_in_little_stack():
     # The inner arrow's constraint list is an engine list as long as its
     # body; the outer generalization walks it without a frame per item.
-    # Each statement declares a fresh variable, so no two constraints
-    # are equal.
-    body = "\n".join(f"var v{i} = [x];" for i in range(1500))
+    # Each statement indexes into a fresh element variable, so no two
+    # constraints are equal.
+    body = "\n".join(f"var v{i} = x [{i}];" for i in range(1500))
     g_src = f"fun outer (z) {{ fun f (y) {{ var x = y;\n{body}\nx }} ;\nf (z) }} ;\nouter"
     prog = parse_program(g_src)
     limit = sys.getrecursionlimit()
@@ -208,9 +230,10 @@ def test_long_inner_function_generalizes_in_little_stack():
         text = pretty_type(canonicalize(declared_arrow(g, "outer")), g.table)
     finally:
         sys.setrecursionlimit(limit)
-    # Two equalities per statement (the element's and the array's), the
-    # copy of y, and the outer link.
-    assert text.count("Eq(") == 2 * 1500 + 2
+    # One indexing per statement stays in f's scheme; the equalities
+    # (each statement's, the copy of y, the outer link) are solved.
+    assert text.count("Ind(") == 1500
+    assert "Eq(" not in text
 
 
 def test_generalization_does_not_rescan_the_environment(monkeypatch):
@@ -239,23 +262,34 @@ def test_generalization_does_not_rescan_the_environment(monkeypatch):
 
 
 def test_generalization_shares_what_it_does_not_rename():
-    # A body constraint without a quantified variable joins the enclosing
-    # body as the same object; a moved one keeps its closed parts.
+    # A body constraint without a function variable joins the enclosing
+    # body as the same object; a moved one keeps its closed parts, and so
+    # does the term that a solved equality puts in.
+    def generalize(g, how):
+        outer = g.fresh()
+        env_top = g.counter
+        param, result, elem = g.fresh(), g.fresh(), g.fresh()
+        body = [c_eq(outer, T_INT), c_eq(elem, CLOSED), c_ind(param, elem), c_ind(param, result)]
+        return how(g, env_top, [param], result, dict.fromkeys(body)), body[0]
+
     g = G._Gen(TagTable())
-    outer = g.fresh()
-    env_top = g.counter
-    param, result = g.fresh(), g.fresh()
-    closed = t_array(t_array(T_INT))
-    stays, moves = c_eq(outer, T_INT), c_eq(param, closed)
-    arrow = g.generalize(env_top, [param], result, {stays: None, moves: None, c_ind(param, result): None})
+    arrow, stays = generalize(g, G._Gen.generalize)
     assert list(g.out) == [stays] and next(iter(g.out)) is stays
     bvars, constrs, params, res = arrow.args
     assert (items(bvars), items(params), res) == (["q1", "q2"], [t_name("q1")], t_name("q2"))
     moved = items(constrs)
-    assert moved == [c_eq(t_name("q1"), closed), c_ind(t_name("q1"), t_name("q2"))]
-    assert moved[0].args[1] is closed
+    assert moved == [c_ind(t_name("q1"), CLOSED), c_ind(t_name("q1"), t_name("q2"))]
+    assert moved[0].args[1] is CLOSED
     # One type name object per variable, however often it occurs.
     assert moved[0].args[0] is moved[1].args[0] is items(params)[0]
+    # The copying presolve and generalizer give the same arrow and the
+    # same enclosing set.
+    ref = G._Gen(TagTable())
+    assert generalize(ref, reference_presolving_generalize)[0] == arrow
+    assert list(ref.out) == [stays]
+
+
+CLOSED = t_array(t_array(T_INT))
 
 
 def _reference_cases():
@@ -273,15 +307,71 @@ def _reference_cases():
 
 
 def test_generalization_agrees_with_the_copying_one(monkeypatch):
-    # Constraints and roots equal the copying generalizer's
-    # (`oracles.reference_generalize`) on the corpus, the goldens and the
-    # bench programs.
-    for source in _reference_cases():
+    # Constraints and roots equal those of the copying presolve and
+    # generalizer (`oracles.reference_presolving_generalize`) on the
+    # corpus, the goldens, the bench programs and the programs below.
+    for source in [*_reference_cases(), *STAYS]:
         got = gen(source)
         with monkeypatch.context() as m:
-            m.setattr(G._Gen, "generalize", reference_generalize)
+            m.setattr(G._Gen, "generalize", reference_presolving_generalize)
             want = gen(source)
         assert (got.constraints, got.roots, got.var_count) == (want.constraints, want.roots, want.var_count)
+
+
+def _reason(message):
+    """A report message's leading words: the reason for Unknown, the
+    kind of the failed constraint for IllTyped."""
+    return re.match(r"[A-Za-z ]*", message).group()
+
+
+def test_solving_before_generalizing_keeps_every_verdict(monkeypatch):
+    # The copying generalizer without the presolve
+    # (`oracles.reference_generalize`) gives the same verdicts, the same
+    # types to every binding that is not a function, and messages with
+    # the same reason, pruned and unpruned.
+    sources = [*_reference_cases(), *(source for source, _, _ in LOOP_PROGRAMS), *STAYS]
+    for prune in (True, False):
+        options = CheckOptions(prune=prune)
+        for source in sources:
+            got = check_source(source, options)
+            with monkeypatch.context() as m:
+                m.setattr(G._Gen, "generalize", reference_generalize)
+                want = check_source(source, options)
+            assert got.verdict == want.verdict, source
+            assert [name for name, _ in got.bindings] == [name for name, _ in want.bindings]
+            for (name, ty), (_, ref) in zip(got.bindings, want.bindings):
+                if ty.tag != "TArrow":
+                    assert types_equal(ty, ref), (source, name)
+            assert _reason(got.message) == _reason(want.message), source
+
+
+# Each keeps an equality the presolve must not solve.
+STAYS = [
+    # t's Eq binds the outer y: it travels in g's scheme, which nothing
+    # calls, not to the top level, where y is Int.
+    'var y = 1; fun g () { var t = y; t := "s" }',
+    # An equality that fails holds no variable and joins the top level.
+    'fun g (x) { 1 + "a" }',
+    # An equality that fails the occurs check builds a mu when solved.
+    "fun f (x) { x := [x]; x }",
+]
+
+
+def test_what_the_presolve_leaves_keeps_its_meaning():
+    outer, fails, cyclic = (check_source(source) for source in STAYS)
+    assert outer.verdict == TYPED
+    assert outer.render_bindings() == ["y : Int", "g : Eq(Int, Str) => () -> Int"]
+    assert (fails.verdict, fails.message) == (ILL_TYPED, "Eq(Str, Int)")
+    assert cyclic.verdict == TYPED
+    assert cyclic.render_bindings() == ["f : forall a. Eq(a, [a]) => (a) -> a"]
+
+
+def test_a_function_solves_its_own_equalities():
+    # sort's equalities among its own variables are solved before it is
+    # generalized; its scheme keeps the shape checks.
+    g = gen((ROOT / "corpus" / "sort.lama").read_text(encoding="utf-8"))
+    text = pretty_type(canonicalize(declared_arrow(g, "sort")), g.table)
+    assert text == "forall a b c. Match(a; #box) & Ind(a, Int) & Ind(a, b) & Ind(a, c) => (a) -> a"
 
 
 def test_recursive_function_sees_monomorphic_self():
@@ -335,10 +425,10 @@ def test_golden_constraint_counts_for_corpus():
     for path in sorted(pathlib.Path("corpus").glob("*.lama")):
         golden[path.name] = len(gen(path.read_text()).constraints)
     assert golden == {
-        "case_list.lama": 10,
-        "closure_chain.lama": 7,
-        "heterogeneous.lama": 6,
-        "self_array.lama": 5,
+        "case_list.lama": 9,
+        "closure_chain.lama": 6,
+        "heterogeneous.lama": 5,
+        "self_array.lama": 4,
         "sexp_assign.lama": 4,
-        "sort.lama": 12,
+        "sort.lama": 11,
     }

@@ -1142,8 +1142,16 @@ def test_hooks_are_empty_at_every_entail_entry(monkeypatch):
     monkeypatch.setattr(solver, "_entail", spy)
     for path in sorted((ROOT / "corpus").glob("*.lama")):
         check_source(path.read_text(encoding="utf-8"), CheckOptions(fuel=20_000))
+    check_source((ROOT / "tests" / "golden" / "mixed.lama").read_text(encoding="utf-8"))
     for source in LOOP_PROGRAMS:
         check_source(source[0])
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for case in programs.synth_mixed_cases(1):
+        check_source(case.source)
     assert len(seen) > 100
     assert all(hooks == {} for hooks in seen)
 
@@ -1178,23 +1186,37 @@ def test_loop_check_outcomes(source, verdict, types):
     elif verdict == TYPED:
         assert report.render_bindings() == types
     else:
-        assert dispatched == 3
+        assert dispatched == 2
         assert not report.message.startswith("search cycles")
 
 
-def test_case_list_instantiates_a_repeated_call_once(monkeypatch):
-    # `f`'s scheme calls `write` five times. The generalizer keeps the
-    # builtin arrow as the same object in each of those Calls, so once
-    # their results are equated the entailed set drops the repeats before
-    # they are instantiated; the counts stay those of dispatching them.
+REPEATED_CALLS = (
+    "fun f (g, s) { case s of A -> [g (1)] | B -> [g (1)] | C -> [g (1)] | D -> [g (1)] | _ -> [g (1)] esac }\n"
+    "var y = f (fun (x) { x }, A)\n"
+)
+
+
+def test_a_repeated_call_of_a_parameter_is_instantiated_once(monkeypatch):
+    # `f`'s scheme calls its parameter `g` five times, each result in an
+    # array that an equality (kept whole in the scheme) makes the first's.
+    # Once those equalities are solved, the five Calls are one under the
+    # substitution, and the entailed set drops the repeats before they are
+    # instantiated: `f` and `g` are instantiated three times in all, six
+    # times without the set. The counts stay those of dispatching them.
+    scheme = [ln for ln in check_source(REPEATED_CALLS).render_bindings() if ln.startswith("f : ")]
+    assert scheme[0].count("Call(a; Int; ") == 5
     calls = []
     instantiate = solver.apply_type_subst
     monkeypatch.setattr(solver, "apply_type_subst", lambda *args: calls.append(None) or instantiate(*args))
-    report = check_source((ROOT / "corpus" / "case_list.lama").read_text(encoding="utf-8"))
+    report = check_source(REPEATED_CALLS)
     stats = report.stats
-    assert report.verdict == TYPED
-    assert len(calls) == 4
-    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (34, 36, 71)
+    assert (report.verdict, report.render_bindings()[-1]) == (TYPED, "y : [Int]")
+    assert len(calls) == 3
+    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (26, 22, 47)
+    calls.clear()
+    monkeypatch.setattr(solver, "_entailed_key", lambda c, subst: None)
+    assert check_source(REPEATED_CALLS).verdict == TYPED
+    assert len(calls) == 6
 
 
 def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatch):
