@@ -10,14 +10,22 @@ type. Verdicts:
   cutting at least one branch that repeated an ancestor's state (a cut
   never yields IllTyped: the repeated state may still have answers);
 - Malformed: a frontend error.
+
+Before the search, the program body's own equalities are solved as a
+function's are before it is generalized (`gen.presolve`), and the search
+starts from their bindings with the constraints that stay. So the
+counters `constraints-dispatched`, `engine-unifications` and `fuel-used`
+count the search alone, not the top-level equalities solved before it;
+`constraints-generated` and `--emit-constraints` give the generator's
+list.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .engine import Counters, conj, fresh_many, reify_term, run, unify
-from .gen import GenResult, infer_program
+from .engine import Counters, State, conj, reify_term, run, unify
+from .gen import GenResult, infer_program, presolve
 from .solver import SolverOpts, entail_all
 from .syntax import ParseError, Record, ResolveError, parse_program
 from .types import (
@@ -94,19 +102,25 @@ def _stats_dict(counters: Counters, generated: int) -> dict:
 
 
 def solve_gen(genr: GenResult, options: CheckOptions):
-    """Run the solver over a generation result. Returns (RunResult,
-    Counters)."""
+    """Run the solver over a generation result, from the substitution
+    that solves the program body's own equalities: every generator
+    variable is the program's. Returns (RunResult, Counters)."""
     opts = SolverOpts(genr.table, prune=options.prune, max_ctors=options.max_constructors)
     counters = Counters()
     counters.generated = len(genr.constraints)
     roots = llist([t for _, t in genr.roots])
+    kept, subst = presolve(0, genr.constraints, until_clash=True)
+    goal = entail_all(kept, opts)
 
     def query(q):
         # q is Var(0); the generator's variables are Var(1) ... Var(n),
-        # so n more are taken before the solver allocates its own.
-        return fresh_many(
-            genr.var_count, lambda _: conj(unify(q, roots), entail_all(genr.constraints, opts))
-        )
+        # so the start state's counter is carried past them before the
+        # solver allocates its own.
+        def start(state):
+            st = State(subst, state.diseqs, state.hooks, state.counter + genr.var_count, state.counters)
+            return conj(unify(q, roots), goal)(st)
+
+        return start
 
     result = run(query, max_answers=options.max_answers, fuel=options.fuel, counters=counters)
     return result, counters

@@ -52,41 +52,55 @@ class Compound:
         return f"{self.tag}({', '.join(map(repr, self.args))})"
 
     def __eq__(self, other):
-        # A list (a chain of `lcons` cells, see types.llist) is compared
-        # cell by cell in a loop, so a long one takes no stack.
-        a, b = self, other
-        while a is not b:
-            if not (isinstance(b, Compound) and b.tag == a.tag):
+        # Pairs of compound arguments wait on a stack of their own, so a
+        # deep term (a long list, a nested array) takes no Python stack; a
+        # pair whose cached hashes differ is unequal without a walk.
+        if self is other:
+            return True
+        if other.__class__ is not Compound or self.tag != other.tag:
+            return False
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if b.__class__ is not Compound or a.tag != b.tag or len(a.args) != len(b.args):
                 return False
-            if a.tag != "lcons":
-                return b.args == a.args
-            if b.args[0] != a.args[0]:
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
                 return False
-            a, b = a.args[1], b.args[1]
-            if not isinstance(a, Compound):
-                return a == b
+            for x, y in zip(a.args, b.args):
+                if x is not y:
+                    if x.__class__ is Compound:
+                        todo.append((x, y))
+                    elif y.__class__ is Compound or x != y:
+                        return False
         return True
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            if self.tag == "lcons":
-                return _spine_hash(self)
+            for a in self.args:
+                if a.__class__ is Compound and a._hash is None:
+                    return _deep_hash(self)
             h = self._hash = hash((self.tag, self.args))
         return h
 
 
-def _spine_hash(t: Compound) -> int:
-    """The hash of a list (a chain of `lcons` cells, see types.llist),
-    cached on every cell of its spine from the end, so a long list takes
-    no stack."""
-    cells = []
-    while isinstance(t, Compound) and t.tag == "lcons" and t._hash is None:
-        cells.append(t)
-        t = t.args[1]
-    for cell in reversed(cells):
-        cell._hash = hash((cell.tag, cell.args))
-    return cells[0]._hash
+def _deep_hash(t: Compound) -> int:
+    """The hash of t, cached on every compound below it from the leaves
+    up, so that the tuple hash of a compound's arguments meets only
+    hashed ones: a deep term (a long list, a nested array) takes no
+    Python stack."""
+    stack = [t]  # each compound waits below its unhashed arguments
+    while stack:
+        x = stack[-1]
+        if x._hash is None:
+            for a in x.args:
+                if a.__class__ is Compound and a._hash is None:
+                    stack.append(a)
+            if stack[-1] is not x:
+                continue
+            x._hash = hash((x.tag, x.args))
+        stack.pop()
+    return t._hash
 
 
 class FreeVar:

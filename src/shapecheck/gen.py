@@ -25,6 +25,11 @@ the occurs check stays for the solver's hook to close into a `mu`. The
 scheme means the same (exists q. q = T and C is C[T/q]) and is smaller,
 and every call instantiates and dispatches less.
 
+The program body is presolved too, by `checker.solve_gen`: `presolve`
+with no outer variable, ending at the first equality it keeps that the
+search may reject. `GenResult.constraints` stays the list generated, as
+`--emit-constraints` prints it.
+
 Types, constraints and patterns are built as engine terms; a type variable
 is an engine variable, so the solver takes them as they are.
 """
@@ -220,13 +225,13 @@ class _Gen:
     def generalize(self, env_top, params, result, body):
         """Quantify every variable newer than env_top, that is, not free
         in the environment. First the body's equalities that bind only
-        such variables are solved (`_presolve`); then one rewrite
+        such variables are solved (`presolve`); then one rewrite
         (`engine.rebuild_term`) substitutes their answers and names each
         variable left in first-occurrence order, and returns what holds
         no such variable as it is. So a constraint touching a quantified
         or solved variable comes back anew and travels with the arrow;
         the others join the enclosing body's."""
-        kept, subst = _presolve(env_top, body)
+        kept, subst = presolve(env_top, body)
         names = {}  # quantified variable -> its type name
 
         def leaf(v):
@@ -280,27 +285,47 @@ class _Gen:
         raise TypeError(f"unexpected pattern: {p!r}")
 
 
-def _presolve(env_top, body):
+def presolve(env_top, body, until_clash=False):
     """The constraints of body that stay, and the substitution that
     solves the others: in one pass, in order, each `Eq` or builtin `Call`
     that `types.eq_t` would answer with plain bindings of variables newer
     than env_top is dropped and its bindings kept (`_bind`, `_bind_call`).
     Every other constraint stays, compounds unsplit, since `eq_t` unfolds
-    `mu`s, renames arrows and forks on lists."""
+    `mu`s, renames arrows and forks on lists.
+
+    With until_clash, the pass ends at the first equality it keeps that
+    the search may reject (`_clashes`), and everything from there on
+    stays: no later binding reaches the search before that equality."""
     subst = PMap()
     kept = []
-    for c in body:
+    todo = iter(body)
+    for c in todo:
         if c.tag == "Eq":
             solved = _bind(env_top, c.args[0], c.args[1], subst)
         elif c.tag == "Call":
             solved = _bind_call(env_top, c.args, subst)
         else:
             solved = None
-        if solved is None:
-            kept.append(c)
-        else:
+        if solved is not None:
             subst = solved
+            continue
+        kept.append(c)
+        if until_clash and c.tag == "Eq" and _clashes(c, subst):
+            kept += todo
+            break
     return kept, subst
+
+
+def _clashes(eq, subst) -> bool:
+    """Whether a kept equality is one the search may reject: its sides,
+    walked, are two compounds whose tags differ, or one of which is
+    var-free (a closed arrow, `Int`). Two compounds of one tag with
+    variables on both sides, such as two arrays' types, are not."""
+    a = shallow_walk(eq.args[0], subst)
+    b = shallow_walk(eq.args[1], subst)
+    if a.__class__ is not Compound or b.__class__ is not Compound:
+        return False
+    return a.tag != b.tag or var_free(a) or var_free(b)
 
 
 def _bind(env_top, a, b, subst):

@@ -464,15 +464,25 @@ def entail_all(constraints, opts: SolverOpts):
     Counters record the first such cut in `cycle`.
 
     A pick that its branch has dispatched before (see `_entailed_key`) is
-    dropped: it counts as a dispatch but binds nothing.
+    dropped: it counts as a dispatch but binds nothing. So the
+    constraints are queued once each: one whose key, under the start
+    state's substitution, an earlier one has is left out.
     """
-    return _entail(*_enqueue(ConstraintQueue(), constraints), opts, PMap(), PMap())
+
+    def goal(state):
+        once = {}
+        for c in constraints:
+            keyed = _entailed_key(c, state.subst) if c.__class__ is Compound else None
+            once.setdefault(id(c) if keyed is None else keyed[0], c)
+        return _entail(*_enqueue(ConstraintQueue(), list(once.values())), opts, PMap(), PMap())(state)
+
+    return goal
 
 
 def _entailed_key(c, subst):
-    """The key of a picked constraint c (walked, not an equality) in its
-    branch's set of dispatched ones, and the terms it names: the tag and
-    each argument walked one level, a list as its walked items and walked
+    """The key of a picked constraint c (walked) in its branch's set of
+    dispatched ones, and the terms it names: the tag and each argument
+    walked one level, a list as its walked items and walked
     tail, each term by identity, so a key walks no term. The set keeps the
     terms, so their ids stay theirs. A constraint with an earlier one's
     key is that one under every later binding, entailed by its dispatch's
@@ -590,6 +600,8 @@ def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap, entailed: PMa
         for item in queue.residuals(state):
             c = shallow_walk(item, state.subst)
             if not isinstance(c, Compound) or c.tag not in _ROW_RESIDUALS:
+                # Stuck: the branch fails on this residual.
+                state.counters.last_constraint = (item, state.subst)
                 return None
             if c.tag == "Lacks":
                 tail = shallow_walk(c.args[1], state.subst)

@@ -39,6 +39,10 @@ names and renames in one rewrite that shares what it does not change;
 of a function's own equalities before it generalizes, and
 `reference_presolving_generalize` runs the two in turn.
 `fresh_with` and `map_args` are goal and term helpers only tests use.
+`reference_solve_gen` is the checker's solving without the program
+body's presolve: it hands every generated constraint to the solver and
+starts the search from an empty substitution, past the generator's
+variables, which it allocates.
 `reference_solve_sexp`, `reference_solve_call`, `reference_solve_ind`,
 `reference_ind_row`, `reference_ind_args` and `reference_solve_match` are
 the reference constraint handlers, as goal pipelines: each unifies a
@@ -57,8 +61,10 @@ from typing import Optional
 from shapecheck import syntax as S
 from shapecheck.engine import (
     Compound,
+    Counters,
     FreeVar,
     Goal,
+    PMap,
     State,
     Term,
     Var,
@@ -74,7 +80,17 @@ from shapecheck.engine import (
     succeed,
     unify,
 )
-from shapecheck.solver import _lacks, _too_long, constraint_weight
+from shapecheck.checker import CheckOptions
+from shapecheck.gen import GenResult
+from shapecheck.solver import (
+    ConstraintQueue,
+    SolverOpts,
+    _enqueue,
+    _entail,
+    _lacks,
+    _too_long,
+    constraint_weight,
+)
 from shapecheck.syntax import ParseError
 from shapecheck.types import (
     LNIL,
@@ -121,6 +137,24 @@ def map_args(t: Compound, f) -> Compound:
         return Compound(t.tag, tuple(f(a) for a in t.args))
     items, tail = _list_from_term(t)
     return llist([f(x) for x in items], f(tail))
+
+
+def reference_solve_gen(genr: GenResult, options: CheckOptions):
+    """A stand-in for `checker.solve_gen`: (RunResult, Counters) of a
+    search over every generated constraint, from an empty substitution."""
+    opts = SolverOpts(genr.table, prune=options.prune, max_ctors=options.max_constructors)
+    counters = Counters()
+    counters.generated = len(genr.constraints)
+    roots = llist([t for _, t in genr.roots])
+
+    def query(q):
+        # q is Var(0); the generator's variables are Var(1) ... Var(n),
+        # so n more are taken before the solver allocates its own.
+        entail = _entail(*_enqueue(ConstraintQueue(), genr.constraints), opts, PMap(), PMap())
+        return fresh_many(genr.var_count, lambda _: conj(unify(q, roots), entail))
+
+    result = run(query, max_answers=options.max_answers, fuel=options.fuel, counters=counters)
+    return result, counters
 
 
 # Ground type syntax for the oracle: plain tuples.

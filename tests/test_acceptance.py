@@ -346,7 +346,7 @@ def test_self_referential_array_is_unknown_for_the_right_reason():
     assert lines[0] == "Unknown"
     # The search repeats the state of an earlier quantified call.
     assert lines[1].startswith("search cycles: Call(")
-    assert lines[1].endswith(" at dispatch 6 repeats dispatch 4")
+    assert lines[1].endswith(" at dispatch 5 repeats dispatch 3")
 
 
 # ---------------------------------------------------------------------------

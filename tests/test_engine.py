@@ -135,6 +135,27 @@ def test_long_lists_hash_and_compare_in_little_stack():
         sys.setrecursionlimit(limit)
 
 
+def test_deep_terms_hash_and_compare_in_little_stack():
+    # Two equal arrays nested 5,000 levels deep, built apart, and one
+    # differing only in its innermost type: hashing and comparing take
+    # no frame per level.
+    def nested(leaf):
+        t = C(leaf)
+        for _ in range(5000):
+            t = C("TArray", t)
+        return t
+
+    a, b, c = nested("TInt"), nested("TInt"), nested("TStr")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert hash(a) == hash(b) and a == b and b in {a: None}
+        assert a != c and c not in {a: None}
+        assert nested("TInt") == a == nested("TInt")  # compared before either is hashed
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # ---------------------------------------------------------------------------
 # PMap
 # ---------------------------------------------------------------------------

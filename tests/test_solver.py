@@ -1,6 +1,7 @@
 """Constraint dispatch: weights, per-kind solving, pruning, loop check."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shapecheck import solver
+from shapecheck import checker, solver
 from shapecheck.checker import ILL_TYPED, TYPED, UNKNOWN, CheckOptions, check_source, solve_gen
 from shapecheck.engine import (
     Compound,
@@ -1186,7 +1187,7 @@ def test_loop_check_outcomes(source, verdict, types):
     elif verdict == TYPED:
         assert report.render_bindings() == types
     else:
-        assert dispatched == 2
+        assert dispatched == 1
         assert not report.message.startswith("search cycles")
 
 
@@ -1212,7 +1213,7 @@ def test_a_repeated_call_of_a_parameter_is_instantiated_once(monkeypatch):
     stats = report.stats
     assert (report.verdict, report.render_bindings()[-1]) == (TYPED, "y : [Int]")
     assert len(calls) == 3
-    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (26, 22, 47)
+    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (24, 20, 43)
     calls.clear()
     monkeypatch.setattr(solver, "_entailed_key", lambda c, subst: None)
     assert check_source(REPEATED_CALLS).verdict == TYPED
@@ -1499,3 +1500,88 @@ def test_loop_programs_end_as_with_every_pick_dispatched(source, verdict, types,
     assert dropping.verdict == dispatching.verdict == verdict
     assert dropping.message == dispatching.message
     assert dropping.render_bindings() == dispatching.render_bindings()
+
+
+# ---------------------------------------------------------------------------
+# The program body solved before the search, against the search over every
+# generated constraint from an empty substitution
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["var x; var y = x.length", "var x; var y = x.length; y := 1"])
+def test_a_stuck_labeling_names_the_residual_it_is_stuck_on(source):
+    # Nothing binds x, so the box residual of `.length` waits until the
+    # labeling step, which no labeling can wake: the check fails on it.
+    report = check_source(source)
+    assert (report.verdict, report.message) == (ILL_TYPED, "Match(a; #box)")
+
+
+def test_the_search_starts_past_the_generator_variables_without_building_them(monkeypatch):
+    # The presolve solves every equality of the program, and the start
+    # state's counter is carried past the generator's ids: the only
+    # variables built are the query's, Var(0), and those the solver takes
+    # for the Ind on x, numbered after the generator's.
+    genr = infer_program(parse_program("var x, z;\nz := 1;\nvar y = x [0]"))
+    built = []
+    init = Var.__init__
+    monkeypatch.setattr(Var, "__init__", lambda self, vid: built.append(vid) or init(self, vid))
+    result, counters = solve_gen(genr, CheckOptions())
+    assert result.answers and counters.dispatched == 1  # the Ind on a free container
+    assert built[0] == 0 and min(built[1:]) == genr.var_count + 1
+
+
+def _bench_programs():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return programs
+
+
+def _presolve_sources(group):
+    """(source, fuel or None) of each program of a group."""
+    from test_cli import FUEL_BURNERS
+
+    if group == "corpus":
+        return [(path.read_text(encoding="utf-8"), None) for path in sorted((ROOT / "corpus").glob("*.lama"))]
+    if group == "golden":
+        return [(path.read_text(encoding="utf-8"), None) for path in sorted((ROOT / "tests" / "golden").glob("*.lama"))]
+    if group == "loops":
+        return [(source, None) for source, _, _ in LOOP_PROGRAMS]
+    if group == "fuel":
+        # The fuel_burn workload's budgets, and the CLI's fuel burners.
+        return [(SELF_ARRAY, 5_000), (SELF_ARRAY, 50_000), *((source, 97) for source, _ in FUEL_BURNERS.values())]
+    programs = _bench_programs()
+    seed = int(group[-1])
+    return [(case.source, None) for case in programs.straight_line_cases(seed) + programs.synth_mixed_cases(seed)]
+
+
+def _without_counts(message):
+    """A message without the dispatch and step numbers it gives."""
+    return re.sub(r"\b(dispatch|after) \d+", r"\1 #", message)
+
+
+@pytest.mark.parametrize("group", ["corpus", "golden", "loops", "fuel", "bench1", "bench2"])
+def test_presolving_the_program_body_reports_as_the_search_over_every_constraint(group, monkeypatch):
+    # `oracles.reference_solve_gen` hands every generated constraint to
+    # the search, from an empty substitution: pruned and unpruned, at one
+    # answer and at seven, the reports have the same verdict, bindings,
+    # answer count and message, up to the counts an Unknown one gives.
+    for source, fuel in _presolve_sources(group):
+        for prune in (True, False):
+            for answers in (1, 7):
+                options = CheckOptions(max_answers=answers, prune=prune)
+                if fuel is not None:
+                    options.fuel = fuel
+                got = check_source(source, options)
+                with monkeypatch.context() as m:
+                    m.setattr(checker, "solve_gen", oracles.reference_solve_gen)
+                    want = check_source(source, options)
+                assert got.verdict == want.verdict, source
+                assert got.render_bindings() == want.render_bindings(), source
+                assert got.stats["answers-found"] == want.stats["answers-found"], source
+                if got.verdict == UNKNOWN:
+                    assert _without_counts(got.message) == _without_counts(want.message), source
+                else:
+                    assert got.message == want.message, source
