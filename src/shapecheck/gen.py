@@ -17,7 +17,8 @@ constraint that `types.eq_t` would answer with plain bindings of the
 function's variables is dropped and its bindings substituted (an `Eq`
 between such a variable and a term it does not occur in, between two
 variables one of them the function's, or between two equal var-free
-terms; a `Call` of a builtin whose argument and result pairs all are).
+terms, or between two array types whose elements are such; a `Call` of
+a builtin whose argument and result pairs all are).
 Every other constraint stays whole: an `Eq` that would bind an outer
 variable travels in the scheme (the enclosing body never sees it, as
 before), one that fails stays to fail when solved, and one that fails
@@ -27,7 +28,8 @@ and every call instantiates and dispatches less.
 
 The program body is presolved too, by `checker.solve_gen`: `presolve`
 with no outer variable, ending at the first equality it keeps that the
-search may reject. `GenResult.constraints` stays the list generated, as
+search may reject, and binding equal ground answers to one shared
+object. `GenResult.constraints` stays the list generated, as
 `--emit-constraints` prints it.
 
 Types, constraints and patterns are built as engine terms; a type variable
@@ -290,20 +292,28 @@ def presolve(env_top, body, until_clash=False):
     solves the others: in one pass, in order, each `Eq` or builtin `Call`
     that `types.eq_t` would answer with plain bindings of variables newer
     than env_top is dropped and its bindings kept (`_bind`, `_bind_call`).
-    Every other constraint stays, compounds unsplit, since `eq_t` unfolds
-    `mu`s, renames arrows and forks on lists.
+    An `Eq` of two array types is split into their elements, level by
+    level, as `eq_t` splits it; one whose innermost pair cannot be bound
+    stays whole. Every other constraint stays, compounds unsplit, since
+    `eq_t` unfolds `mu`s, renames arrows and forks on lists.
 
     With until_clash, the pass ends at the first equality it keeps that
     the search may reject (`_clashes`), and everything from there on
-    stays: no later binding reaches the search before that equality."""
+    stays: no later binding reaches the search before that equality.
+    There, too, a variable whose answer is ground is bound to one shared
+    object per distinct ground term (`_shared`), so constraints that
+    read alike under the substitution hold the same objects, and the
+    solver's set of dispatched constraints, which keys terms by identity,
+    takes them as one."""
     subst = PMap()
+    shared = {} if until_clash else None  # a ground term -> its shared object
     kept = []
     todo = iter(body)
     for c in todo:
         if c.tag == "Eq":
-            solved = _bind(env_top, c.args[0], c.args[1], subst)
+            solved = _bind(env_top, c.args[0], c.args[1], subst, shared)
         elif c.tag == "Call":
-            solved = _bind_call(env_top, c.args, subst)
+            solved = _bind_call(env_top, c.args, subst, shared)
         else:
             solved = None
         if solved is not None:
@@ -316,26 +326,38 @@ def presolve(env_top, body, until_clash=False):
     return kept, subst
 
 
+def _split(a, b, subst):
+    """a and b walked and, while both are array types, replaced by their
+    elements walked: the pair that `eq_t` equates for them. A loop, so a
+    deep array type takes no Python stack."""
+    a = shallow_walk(a, subst)
+    b = shallow_walk(b, subst)
+    while a.__class__ is Compound and b.__class__ is Compound and a.tag == b.tag == "TArray":
+        a = shallow_walk(a.args[0], subst)
+        b = shallow_walk(b.args[0], subst)
+    return a, b
+
+
 def _clashes(eq, subst) -> bool:
     """Whether a kept equality is one the search may reject: its sides,
-    walked, are two compounds whose tags differ, or one of which is
-    var-free (a closed arrow, `Int`). Two compounds of one tag with
-    variables on both sides, such as two arrays' types, are not."""
-    a = shallow_walk(eq.args[0], subst)
-    b = shallow_walk(eq.args[1], subst)
+    split (`_split`), are two compounds whose tags differ, or one of
+    which is var-free (a closed arrow, `Int`). Two compounds of one tag
+    with variables on both sides, such as two arrows, are not."""
+    a, b = _split(eq.args[0], eq.args[1], subst)
     if a.__class__ is not Compound or b.__class__ is not Compound:
         return False
     return a.tag != b.tag or var_free(a) or var_free(b)
 
 
-def _bind(env_top, a, b, subst):
+def _bind(env_top, a, b, subst, shared=None):
     """subst extended to make a and b equal, or None: when, walked, they
-    are one variable, two equal var-free terms, or a variable newer than
-    env_top and a term it does not occur in (of two variables the younger
-    is bound, as the unifier does). An equality that would bind an outer
-    variable, fail, or close a `mu` (the solver's occurs hook) is None."""
-    a = shallow_walk(a, subst)
-    b = shallow_walk(b, subst)
+    are one variable, two equal var-free terms, two array types whose
+    elements are so, level by level, or a variable newer than env_top
+    and a term it does not occur in (of two variables the younger is
+    bound, as the unifier does). An equality that would bind an outer
+    variable, fail, or close a `mu` (the solver's occurs hook) is None.
+    With shared, a ground term is bound as its shared object."""
+    a, b = _split(a, b, subst)
     if a.__class__ is Var:
         if b.__class__ is Var:
             if a is b:
@@ -347,12 +369,41 @@ def _bind(env_top, a, b, subst):
         v, t = b, a
     else:
         return subst if var_free(a) and var_free(b) and (a is b or a == b) else None
-    if v.id <= env_top or occurs(v.id, t, subst):
+    if v.id <= env_top:
         return None
+    if t.__class__ is Compound:
+        # A ground answer cannot hold v, so only one that is not ground
+        # is walked for it.
+        ground = _shared(t, subst, shared) if shared is not None else None
+        if ground is not None:
+            t = ground
+        elif not var_free(t) and occurs(v.id, t, subst):
+            return None
     return subst.set(v.id, t)
 
 
-def _bind_call(env_top, call, subst):
+def _shared(t, subst, shared):
+    """The shared object of t's answer under subst when that answer is
+    ground, else None. Every ground answer is bound as its shared
+    object, which is var-free, so the answer is ground when each
+    variable in t walks to a var-free term (one bound to a term with
+    variables is not looked into); only then is t rebuilt with them in,
+    once (`engine.rebuild_term`), over the shared objects of its parts."""
+    if not var_free(t):
+        todo = [t]
+        while todo:
+            for x in todo.pop().args:
+                if x.__class__ is Var:
+                    x = shallow_walk(x, subst)
+                    if x.__class__ is Var or not var_free(x):
+                        return None
+                elif x.__class__ is Compound and not var_free(x):
+                    todo.append(x)
+        t = rebuild_term(t, subst, None)[0]
+    return shared.setdefault(t, t)
+
+
+def _bind_call(env_top, call, subst, shared=None):
     """subst extended by `_bind` over the parameter/argument pairs and the
     result pair of a call of a var-free arrow with empty binder and
     constraint lists, or None."""
@@ -362,13 +413,13 @@ def _bind_call(env_top, call, subst):
         return None
     ps = fn.args[2]
     while ps.tag == "lcons" and args.__class__ is Compound and args.tag == "lcons":
-        subst = _bind(env_top, ps.args[0], args.args[0], subst)
+        subst = _bind(env_top, ps.args[0], args.args[0], subst, shared)
         if subst is None:
             return None
         ps, args = ps.args[1], args.args[1]
     if ps != LNIL or args != LNIL:
         return None
-    return _bind(env_top, fn.args[3], result, subst)
+    return _bind(env_top, fn.args[3], result, subst, shared)
 
 
 BUILTIN_TYPES = {

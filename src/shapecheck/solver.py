@@ -466,7 +466,11 @@ def entail_all(constraints, opts: SolverOpts):
     A pick that its branch has dispatched before (see `_entailed_key`) is
     dropped: it counts as a dispatch but binds nothing. So the
     constraints are queued once each: one whose key, under the start
-    state's substitution, an earlier one has is left out.
+    state's substitution, an earlier one has is left out (the top-level
+    presolve binds equal ground answers to one object, so constraints
+    that read alike have one key). A row residual picked on a closed row
+    (`_on_closed_row`) is passed over: it counts as a dispatch, but no
+    handler runs and no stream step is taken.
     """
 
     def goal(state):
@@ -525,20 +529,24 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap, e
             if i == len(eqs) - 1 or s is None or callable(s) or s[1] is not None:
                 return mbind(s, delay(lambda: _entail(queue, eqs[i + 1:], opts, visits, entailed)), counters)
             state = s[0]
-        picked = queue.pop(state)
-        if picked is None:
-            return _label(queue, opts, visits, entailed)(state) if queue else succeed(state)
-        item, rest = picked
-        counters.dispatched += 1
-        # Stored lazily (term + persistent substitution); reified only if
-        # the failure report needs it.
-        counters.last_constraint = (item, state.subst)
+        rest = queue
+        while True:
+            picked = rest.pop(state)
+            if picked is None:
+                return _label(rest, opts, visits, entailed)(state) if rest else succeed(state)
+            item, rest = picked
+            counters.dispatched += 1
+            # Stored lazily (term + persistent substitution); reified only
+            # if the failure report needs it.
+            counters.last_constraint = (item, state.subst)
+            w = shallow_walk(item, state.subst)
+            if w.tag not in _ROW_RESIDUALS or not _on_closed_row(w, state.subst, opts):
+                break
         below, known = visits, entailed
 
         def kont(spawned):
             return delay(lambda: _entail(*_enqueue(rest, spawned), opts, below, known))
 
-        w = shallow_walk(item, state.subst)
         if w.tag == "Eq":
             return mbind(eq_t(w.args[0], w.args[1])(state), kont([]), counters)
         keyed = _entailed_key(w, state.subst)
@@ -578,6 +586,17 @@ def _entail(queue: ConstraintQueue, eqs: list, opts: SolverOpts, visits: PMap, e
         return None
 
     return goal
+
+
+def _on_closed_row(w, subst, opts: SolverOpts) -> bool:
+    """Whether a picked row residual w (walked) reads a row or argument
+    list that is nil, within the length bound for a lacks one: its
+    handler would bind nothing and spawn nothing, so the pick is passed
+    over without a stream step."""
+    if w.tag == "Lacks" and _too_long(w.args[2], opts):
+        return False
+    end = shallow_walk(_subject(w), subst)
+    return end.__class__ is Compound and end.tag == "lnil"
 
 
 def _label(queue: ConstraintQueue, opts: SolverOpts, visits: PMap, entailed: PMap):

@@ -36,6 +36,7 @@ from .engine import (
     Var,
     bind,
     mplus,
+    occurs,
     rebuild_term,
     shallow_walk,
     var_free,
@@ -295,9 +296,12 @@ def eq_ts(ts, us) -> Goal:
 def _walk(state, todo):
     """The answers of the equality tasks (kind, x, y) on the stack todo,
     run last first, from state: a stream (see the module docstring). A
-    free list or cell gets a ground side by one binding, and any other
-    bound side's top cell (two fresh variables) at a time; one the other
-    side's spine leads back to grows one cell per stream step."""
+    free list or cell gets a ground side by one binding, and so does a
+    free type list a closed one (its spine walks to nil) that does not
+    hold it: copied, it has no other answer. Any other bound side comes
+    one top cell (two fresh variables) at a time, so an open spine still
+    forks at its free tail; one the other side's spine leads back to
+    grows one cell per stream step."""
     unfolds = tasks = 0
     while todo:
         tasks += 1
@@ -328,10 +332,13 @@ def _walk(state, todo):
                 end = w  # the term that ends the other side's spine
                 while isinstance(end, Compound) and end.tag == "lcons":
                     end = shallow_walk(end.args[1], subst)
-                state = _fresh_cell(state, v, w.tag)
-                todo.append((kind, a, b))
-                if end is v and state is not None:  # one cell per stream step
-                    return lambda: _walk(state, todo)
+                if kind == _TYPES and end.__class__ is Compound and end.tag == "lnil" and not occurs(v.id, w, subst):
+                    state = bind(state, v, w)  # a closed type list: no copy has another answer
+                else:
+                    state = _fresh_cell(state, v, w.tag)
+                    todo.append((kind, a, b))
+                    if end is v and state is not None:  # one cell per stream step
+                        return lambda: _walk(state, todo)
         elif var_free(a) and var_free(b) and (a is b or a == b):
             continue
         elif kind == _TERM:

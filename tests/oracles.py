@@ -925,7 +925,8 @@ def reference_presolve(env_top, body):
     variables looked through, are one variable, or two equal terms with
     no variable in them, or a variable newer than env_top (of two
     variables the younger) and a term that, copied with every solved
-    variable in, does not hold it. A call of a variable-free arrow with
+    variable in, does not hold it; two array types are solved when their
+    elements are. A call of a variable-free arrow with
     empty binder and constraint lists is solved when every
     parameter/argument pair and the result pair is, tried on a copy of
     the dict."""
@@ -966,6 +967,8 @@ def _substitute(t, solved: dict):
 
 def _reference_bind(env_top, a, b, solved: dict) -> bool:
     a, b = _looked_through(a, solved), _looked_through(b, solved)
+    if isinstance(a, Compound) and isinstance(b, Compound) and a.tag == b.tag == "TArray":
+        return _reference_bind(env_top, a.args[0], b.args[0], solved)
     if isinstance(b, Var) and (not isinstance(a, Var) or b.id > a.id):
         a, b = b, a
     if not isinstance(a, Var):

@@ -310,7 +310,7 @@ def test_generalization_agrees_with_the_copying_one(monkeypatch):
     # Constraints and roots equal those of the copying presolve and
     # generalizer (`oracles.reference_presolving_generalize`) on the
     # corpus, the goldens, the bench programs and the programs below.
-    for source in [*_reference_cases(), *STAYS]:
+    for source in [*_reference_cases(), *STAYS, *SPLITS]:
         got = gen(source)
         with monkeypatch.context() as m:
             m.setattr(G._Gen, "generalize", reference_presolving_generalize)
@@ -329,7 +329,7 @@ def test_solving_before_generalizing_keeps_every_verdict(monkeypatch):
     # (`oracles.reference_generalize`) gives the same verdicts, the same
     # types to every binding that is not a function, and messages with
     # the same reason, pruned and unpruned.
-    sources = [*_reference_cases(), *(source for source, _, _ in LOOP_PROGRAMS), *STAYS]
+    sources = [*_reference_cases(), *(source for source, _, _ in LOOP_PROGRAMS), *STAYS, *SPLITS]
     for prune in (True, False):
         options = CheckOptions(prune=prune)
         for source in sources:
@@ -354,16 +354,41 @@ STAYS = [
     'fun g (x) { 1 + "a" }',
     # An equality that fails the occurs check builds a mu when solved.
     "fun f (x) { x := [x]; x }",
+    # Two array types whose elements' equality binds the outer y: the
+    # split binds nothing, and the equality travels whole.
+    'var y = 1; fun g () { var t = [[y]]; t := [["s"]] }',
+]
+
+# Equalities of two array types that the presolve splits and solves: at
+# one level and at two, between one array type and itself, and between
+# the results of five calls.
+SPLITS = [
+    "fun f (p, q) { var a = [p]; a := [q]; a }",
+    "fun f (p, q) { var a = [[p]]; a := [[q]]; a }",
+    "fun f (x) { var a = [x]; var b = a; var c = b; c := a; c }",
+    "fun f (g, s) { case s of A -> [g (1)] | B -> [g (1)] | _ -> [g (1)] esac }\nvar y = f (fun (x) { x }, A)",
 ]
 
 
 def test_what_the_presolve_leaves_keeps_its_meaning():
-    outer, fails, cyclic = (check_source(source) for source in STAYS)
+    outer, fails, cyclic, nested = (check_source(source) for source in STAYS)
     assert outer.verdict == TYPED
     assert outer.render_bindings() == ["y : Int", "g : Eq(Int, Str) => () -> Int"]
     assert (fails.verdict, fails.message) == (ILL_TYPED, "Eq(Str, Int)")
     assert cyclic.verdict == TYPED
     assert cyclic.render_bindings() == ["f : forall a. Eq(a, [a]) => (a) -> a"]
+    assert nested.verdict == TYPED
+    assert nested.render_bindings() == ["y : Int", "g : Eq([[Int]], [[Str]]) => () -> Int"]
+
+
+def test_the_presolve_splits_array_equalities_it_can_solve():
+    schemes = [check_source(source).render_bindings()[0] for source in SPLITS]
+    assert schemes == [
+        "f : forall a. (a, a) -> [a]",
+        "f : forall a. (a, a) -> [[a]]",
+        "f : forall a. (a) -> [a]",
+        "f : forall a b c. Call(a; Int; c) & Match(b; A, B, _) => (a, b) -> [c]",
+    ]
 
 
 def test_a_function_solves_its_own_equalities():

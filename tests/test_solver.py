@@ -48,6 +48,8 @@ from shapecheck.types import (
     c_call,
     c_eq,
     c_ind,
+    c_ind_args,
+    c_ind_row,
     c_lacks,
     c_match,
     c_sexp,
@@ -1197,26 +1199,50 @@ REPEATED_CALLS = (
 )
 
 
+def test_an_equality_of_two_array_types_is_solved_before_generalizing():
+    # Each branch's `[g (1)]` is equated with the case's result, an array
+    # type: the presolve splits each such equality into the elements and
+    # solves it, so the five Calls of `g` become one in the scheme.
+    report = check_source(REPEATED_CALLS)
+    stats = report.stats
+    assert report.verdict == TYPED
+    assert report.render_bindings() == [
+        "f : forall a b c. Call(a; Int; c) & Match(b; A, B, C, D, _) => (a, b) -> [c]",
+        "y : [Int]",
+    ]
+    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (16, 15, 28)
+
+
+# Each branch indexes its one-element array, so the scheme keeps five
+# Calls of `g`, each result read through an Ind into the case's result.
+REPEATED_INDEXED_CALLS = (
+    "fun f (g, s) { case s of A -> [g (1)] [0] | B -> [g (1)] [0] | C -> [g (1)] [0] | D -> [g (1)] [0]"
+    " | _ -> [g (1)] [0] esac }\n"
+    "var y = f (fun (x) { x }, A)\n"
+)
+
+
 def test_a_repeated_call_of_a_parameter_is_instantiated_once(monkeypatch):
     # `f`'s scheme calls its parameter `g` five times, each result in an
-    # array that an equality (kept whole in the scheme) makes the first's.
-    # Once those equalities are solved, the five Calls are one under the
-    # substitution, and the entailed set drops the repeats before they are
-    # instantiated: `f` and `g` are instantiated three times in all, six
-    # times without the set. The counts stay those of dispatching them.
-    scheme = [ln for ln in check_source(REPEATED_CALLS).render_bindings() if ln.startswith("f : ")]
+    # array that an Ind reads into the case's result. The Inds, lighter
+    # than the Calls, make the five results one, so the Calls are one
+    # under the substitution, and the entailed set drops the repeats
+    # before they are instantiated: `f` and `g` are instantiated three
+    # times in all, six times without the set. The counts stay those of
+    # dispatching them.
+    scheme = [ln for ln in check_source(REPEATED_INDEXED_CALLS).render_bindings() if ln.startswith("f : ")]
     assert scheme[0].count("Call(a; Int; ") == 5
     calls = []
     instantiate = solver.apply_type_subst
     monkeypatch.setattr(solver, "apply_type_subst", lambda *args: calls.append(None) or instantiate(*args))
-    report = check_source(REPEATED_CALLS)
+    report = check_source(REPEATED_INDEXED_CALLS)
     stats = report.stats
-    assert (report.verdict, report.render_bindings()[-1]) == (TYPED, "y : [Int]")
+    assert (report.verdict, report.render_bindings()[-1]) == (TYPED, "y : Int")
     assert len(calls) == 3
-    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (24, 20, 43)
+    assert (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"]) == (25, 21, 43)
     calls.clear()
     monkeypatch.setattr(solver, "_entailed_key", lambda c, subst: None)
-    assert check_source(REPEATED_CALLS).verdict == TYPED
+    assert check_source(REPEATED_INDEXED_CALLS).verdict == TYPED
     assert len(calls) == 6
 
 
@@ -1243,7 +1269,10 @@ def test_no_variant_key_is_built_on_decided_corpus_and_bench_programs(monkeypatc
         (ROOT / "corpus" / f"{name}.lama").read_text(encoding="utf-8")
         for name in ("case_list", "closure_chain", "heterogeneous", "sexp_assign", "sort")
     ]
-    for seed in (1, 2):
+    # A Typed synth_mixed program dispatches one such Call, of `pick`:
+    # the presolve shares their ground arguments, so the entailed set
+    # takes every call of `pick` as one. So six seeds, 18 per seed.
+    for seed in range(1, 7):
         sources += [case.source for case in programs.synth_mixed_cases(seed)]
     for source in sources:
         assert check_source(source).verdict in (TYPED, ILL_TYPED)
@@ -1530,6 +1559,84 @@ def test_the_search_starts_past_the_generator_variables_without_building_them(mo
     assert built[0] == 0 and min(built[1:]) == genr.var_count + 1
 
 
+# ---------------------------------------------------------------------------
+# Decided before dispatch: array equalities split and ground answers
+# shared by the presolve, residuals on closed rows passed over
+# ---------------------------------------------------------------------------
+
+# x's equality with [1] is split into y's with Int, so the clash is
+# between the elements, as the search over every constraint finds it.
+SPLIT_CLASH = 'var y; var x = [y]; x := [1]; y := "s"'
+
+# Both arrays are bound to one shared `[Int]`, so both Inds, and both
+# Calls of `pick`, read alike.
+TWO_ARRAYS = "fun pick (p) { p [0] }\nvar a = [1], b = [2], i = 0;\ni := a [0]; i := b [0]; i := pick (a); i := pick (b)\n"
+
+
+def test_a_split_array_equality_reports_the_clash_of_its_elements():
+    report = check_source(SPLIT_CLASH)
+    assert (report.verdict, report.message) == (ILL_TYPED, "Eq(Int, Str)")
+
+
+def test_ground_answers_are_shared_so_equal_constraints_are_dispatched_once(monkeypatch):
+    # The Ind handler runs once, for the first Ind: the second, and
+    # pick's own Ind once instantiated, read alike and are dropped. pick
+    # is instantiated once, for the first Call.
+    inds, instances = [], []
+    solve_ind, instantiate = solver.solve_ind, solver.apply_type_subst
+    monkeypatch.setattr(solver, "solve_ind", lambda *args: inds.append(None) or solve_ind(*args))
+    monkeypatch.setattr(solver, "apply_type_subst", lambda *args: instances.append(None) or instantiate(*args))
+    report = check_source(TWO_ARRAYS)
+    assert report.verdict == TYPED
+    assert report.render_bindings() == ["pick : forall a b. Ind(a, b) => (a) -> b", "a : [Int]", "b : [Int]", "i : Int"]
+    assert (len(inds), len(instances)) == (1, 1)
+
+
+def _closed_residuals(items, prune=True):
+    counters = Counters()
+    res = solve(lambda vs: items, 0, max_answers=None, prune=prune, counters=counters)
+    return res, counters
+
+
+def test_residuals_on_closed_rows_are_passed_over_without_a_step():
+    # Each residual on nil counts as a dispatch; no handler runs and no
+    # stream step is taken, so the run's one step is the query's binding.
+    items = [c_lacks(0, LNIL, 1), c_ind_row(LNIL, T_INT), c_ind_args(LNIL, T_STR)]
+    res, counters = _closed_residuals(items)
+    assert res.answers and res.ended
+    assert (counters.dispatched, counters.unifications, counters.steps) == (3, 1, 1)
+
+
+def test_a_lacks_residual_on_nil_past_the_length_bound_still_fails():
+    # Two constructors bound a row to two cells: position 3 is past it.
+    res, counters = _closed_residuals([c_lacks(0, LNIL, 3)])
+    assert res.answers == [] and res.ended and counters.dispatched == 1
+    res, _ = _closed_residuals([c_lacks(0, LNIL, 3)], prune=False)
+    assert res.answers and res.ended
+
+
+# The counters of each distinct seed-1 synth_mixed source, by its name
+# and known verdict (a name is shared by the four programs of a size,
+# three of them one source): (constraints-dispatched,
+# engine-unifications, fuel-used). Traced, bench/run.py reports their
+# sums per pass; pinned here, a change that regrows the search fails the
+# tests too, not only the benchmark.
+SYNTH_MIXED_SEED_1_COUNTS = {
+    **{(f"synth_mixed[{i}]", TYPED): (18, 23, 47) for i in range(0, 24, 4)},
+    **{(f"synth_mixed[{i}]", ILL_TYPED): (2, 1, 2) for i in range(0, 20, 4)},
+    ("synth_mixed[20]", ILL_TYPED): (1, 1, 1),
+}
+
+
+def test_synth_mixed_seed_1_exact_counts():
+    got = {}
+    for case in _bench_programs().synth_mixed_cases(1):
+        stats = check_source(case.source).stats
+        counts = (stats["constraints-dispatched"], stats["engine-unifications"], stats["fuel-used"])
+        assert got.setdefault((case.name, case.verdict), counts) == counts, case.name
+    assert got == SYNTH_MIXED_SEED_1_COUNTS
+
+
 def _bench_programs():
     sys.path.insert(0, str(ROOT / "bench"))
     try:
@@ -1549,6 +1656,13 @@ def _presolve_sources(group):
         return [(path.read_text(encoding="utf-8"), None) for path in sorted((ROOT / "tests" / "golden").glob("*.lama"))]
     if group == "loops":
         return [(source, None) for source, _, _ in LOOP_PROGRAMS]
+    if group == "directed":
+        from test_cli import _top_chain
+
+        # The deep top-level chains of test_cli, 150 levels deep: each
+        # report prints every level of every binding.
+        chains = [f"{_top_chain('a', x, 150)}\n{_top_chain('b', y, 150)}\na149 := b149\n" for x, y in ((1, 2), (None, None))]
+        return [(source, None) for source in (SPLIT_CLASH, TWO_ARRAYS, REPEATED_CALLS, REPEATED_INDEXED_CALLS, *chains)]
     if group == "fuel":
         # The fuel_burn workload's budgets, and the CLI's fuel burners.
         return [(SELF_ARRAY, 5_000), (SELF_ARRAY, 50_000), *((source, 97) for source, _ in FUEL_BURNERS.values())]
@@ -1562,7 +1676,7 @@ def _without_counts(message):
     return re.sub(r"\b(dispatch|after) \d+", r"\1 #", message)
 
 
-@pytest.mark.parametrize("group", ["corpus", "golden", "loops", "fuel", "bench1", "bench2"])
+@pytest.mark.parametrize("group", ["corpus", "golden", "loops", "fuel", "directed", "bench1", "bench2"])
 def test_presolving_the_program_body_reports_as_the_search_over_every_constraint(group, monkeypatch):
     # `oracles.reference_solve_gen` hands every generated constraint to
     # the search, from an empty substitution: pruned and unpruned, at one

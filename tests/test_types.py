@@ -1078,3 +1078,33 @@ def test_eq_t_answers_as_the_reference_on_a_cycle_and_on_free_lists():
     rest = [FreeVar(i, i) for i in range(5)]
     one = llist([FreeVar(5, 5)])
     assert want == ([_canon(llist(rest + [LNIL, LNIL]), {}), _canon(llist(rest + [one, one]), {})], False)
+
+
+def _list_answers(eq, closed, max_answers=2):
+    """The reified answers, up to max_answers, of eq between a free list
+    variable and closed(that variable, a second free variable), with the
+    counters of the run, and whether it ended."""
+
+    def query(q):
+        return fresh_many(2, lambda vs: conj(unify(q, vs[0]), eq(vs[0], closed(*vs))))
+
+    res = run(query, max_answers=max_answers, fuel=3000)
+    return res.answers, res.counters, res.ended
+
+
+def test_a_free_type_list_takes_a_closed_one_in_one_unification():
+    closed = llist([T_INT, t_array(T_STR), t_arrow(LNIL, LNIL, LNIL, T_INT)])
+    answers, counters, ended = _list_answers(types.eq_ts, lambda v, w: closed, max_answers=None)
+    # One unification for the query, one for the list: no cell is copied.
+    assert (answers, counters.unifications, ended) == ([closed], 2, True)
+    # A list that holds the free one, inside an arrow's parameters, is
+    # copied cell by cell, so its cell closes into a mu, as the
+    # reference's does.
+    holding = lambda v, w: llist([t_arrow(LNIL, LNIL, v, T_INT)])
+    got = _list_answers(types.eq_ts, holding)
+    want = _list_answers(O.reference_eq_ts, holding)
+    assert [_canon(a, {}) for a in got[0]] == [_canon(a, {}) for a in want[0]] and len(got[0]) == 1
+    # Against an open list the free one is still copied and, at the two
+    # free tails, forks: nil first, then a longer list.
+    answers, _, _ = _list_answers(types.eq_ts, lambda v, w: llist([T_INT], w))
+    assert [canonicalize(a) for a in answers] == [llist([T_INT]), llist([T_INT, t_name("n0")])]
